@@ -12,7 +12,7 @@
  *   bench_fuzz --replay <seed> --shrink ...and minimize the witness
  *   bench_fuzz --domain drift           restrict to one oracle domain
  *                                       (cache, bandit, sim, replay,
- *                                       lockstep, drift, sweep)
+ *                                       lockstep, drift, smt, sweep)
  *   bench_fuzz --self-test              prove the harness catches
  *                                       planted cache bugs and shrinks
  *                                       them to short repros
@@ -50,11 +50,11 @@ printSummary(const fuzz::FuzzReport &report)
                 " cache, %" PRIu64 " bandit, %" PRIu64
                 " sim, %" PRIu64 " replay, %" PRIu64
                 " lockstep, %" PRIu64 " drift, %" PRIu64
-                " sweep cases), %zu failure(s)\n",
+                " smt, %" PRIu64 " sweep cases), %zu failure(s)\n",
                 report.iterations, report.cacheCases,
                 report.banditCases, report.simCases,
                 report.replayCases, report.lockstepCases,
-                report.driftCases, report.sweepCases,
+                report.driftCases, report.smtCases, report.sweepCases,
                 report.failures.size());
 }
 
@@ -167,8 +167,8 @@ main(int argc, char **argv)
         return usageError(err);
     if (v) {
         static const char *const kDomains[] = {
-            "cache", "bandit",   "sim",   "replay",
-            "lockstep", "drift", "sweep"};
+            "cache",    "bandit", "sim", "replay",
+            "lockstep", "drift",  "smt", "sweep"};
         bool known = false;
         for (const char *d : kDomains)
             known = known || std::strcmp(v, d) == 0;
@@ -176,7 +176,7 @@ main(int argc, char **argv)
             return usageError(
                 std::string("usage error: unknown --domain '") + v +
                 "' (cache, bandit, sim, replay, lockstep, drift, "
-                "sweep)");
+                "smt, sweep)");
         opt.domain = v;
     }
 

@@ -8,7 +8,8 @@
  *     (BM_CacheLookupFill),
  *   - devirtualized trace-source and prefetcher dispatch in
  *     CoreModel, and the per-access tracing branch hoisted out of the
- *     run loop (BM_CoreStep*).
+ *     run loop (BM_CoreStep*),
+ *   - the SMT pipeline kernel per simulated cycle (BM_SmtCycle).
  *
  * Counters: "ns/access" is wall time per simulated cache access (or
  * per instruction for core-level benches). Compare before/after with
@@ -26,6 +27,9 @@
 #include "prefetch/stride.h"
 #include "sim/lockstep.h"
 #include "sim/rng.h"
+#include "smt/fetch_policy.h"
+#include "smt/pipeline.h"
+#include "smt/thread_source.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
 #include "trace/suites.h"
@@ -415,5 +419,46 @@ BM_ArenaHitRunConstruction(benchmark::State &state)
     arena.clear();
 }
 BENCHMARK(BM_ArenaHitRunConstruction)->UseRealTime();
+
+/**
+ * SMT pipeline kernel: SmtPipeline::run over pre-materialized uop
+ * streams for one fixed mix (gcc+lbm), one Table 1 arm per argument
+ * (0..5 = IC_0000, BrC_1000, IC_1110, IC_1111, LSQC_1111, RR_1111) at
+ * fixed even shares. The streams are generated by an untimed warm-up
+ * run, so the timed runs replay them and measure the pipeline alone
+ * (no Hill Climbing, no agent). "ns/cycle" is host time per simulated
+ * cycle, quiescent cycles included.
+ */
+static void
+BM_SmtCycle(benchmark::State &state)
+{
+    constexpr uint64_t kCycles = 200'000;
+    const PgPolicy policy =
+        smtArmTable()[static_cast<size_t>(state.range(0))];
+    const auto s0 =
+        std::make_shared<UopStream>(smtAppByName("gcc"), 0x9E37u + 1);
+    const auto s1 =
+        std::make_shared<UopStream>(smtAppByName("lbm"), 0x9E37u + 2);
+    ThreadSource src0(smtAppByName("gcc"), 0x9E37u + 1);
+    ThreadSource src1(smtAppByName("lbm"), 0x9E37u + 2);
+    const auto run = [&] {
+        src0.attachStream(s0);
+        src1.attachStream(s1);
+        SmtPipeline pipe(SmtConfig{}, {&src0, &src1});
+        pipe.setPolicy(policy);
+        pipe.run(kCycles);
+        return pipe.committed(0) + pipe.committed(1);
+    };
+    run(); // materialize the streams
+    for (auto _ : state)
+        benchmark::DoNotOptimize(run());
+    const double cycles = static_cast<double>(state.iterations()) *
+        static_cast<double>(kCycles);
+    state.SetLabel(policy.name());
+    state.SetItemsProcessed(static_cast<int64_t>(cycles));
+    state.counters["ns/cycle"] = benchmark::Counter(
+        cycles, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SmtCycle)->DenseRange(0, 5)->UseRealTime();
 
 BENCHMARK_MAIN();

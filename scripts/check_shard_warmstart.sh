@@ -38,16 +38,7 @@ export MAB_BENCH_JOBS=${MAB_BENCH_JOBS:-2}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-strip_meta() {
-    python3 - "$1" "$2" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-doc.pop("meta", None)
-with open(sys.argv[2], "w") as f:
-    json.dump(doc, f, indent=2, sort_keys=True)
-EOF
-}
+source "$(dirname "$0")/sweep_lib.sh" # strip_meta
 
 # assert_arena <report.json> <mode:cold|warm>
 assert_arena() {

@@ -1,6 +1,7 @@
 #ifndef MAB_SIM_FUZZ_H
 #define MAB_SIM_FUZZ_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -12,6 +13,9 @@
 #include "memory/cache.h"
 #include "memory/dram.h"
 #include "memory/hierarchy.h"
+#include "smt/fetch_policy.h"
+#include "smt/pipeline.h"
+#include "smt/thread_source.h"
 #include "trace/drift.h"
 #include "trace/generator.h"
 
@@ -36,6 +40,9 @@ namespace mab::fuzz {
  *    against the incremental implementations in src/core, including
  *    a closed-form discounted-count cross-check for DUCB.
  *  - Sweep oracle: serial vs parallel SweepRunner equivalence.
+ *  - SMT fast-forward oracle: an SmtPipeline stepped one cycle at a
+ *    time vs a twin that skips quiescent cycles, on random thread
+ *    profiles, geometries, PG policies and share schedules.
  *  - End-to-end property checks on random CoreModel runs (counter
  *    conservation, MSHR/queue bounds, IPC in (0, commitWidth]).
  *
@@ -477,6 +484,48 @@ DriftCase shrinkDriftCase(const DriftCase &c);
 std::string checkDriftEquivalence(uint64_t seed);
 
 // ---------------------------------------------------------------------
+// SMT fast-forward oracle
+// ---------------------------------------------------------------------
+
+/**
+ * An SMT pipeline case: two random thread profiles, a random geometry
+ * and fetch PG policy, and a share schedule applied at epoch edges
+ * (the way Hill Climbing moves the gating thresholds).
+ */
+struct SmtCase
+{
+    std::array<SmtAppParams, SmtConfig::kThreads> apps;
+    std::array<uint64_t, SmtConfig::kThreads> seeds{1, 2};
+    SmtConfig config;
+    PgPolicy policy;
+    uint64_t cycles = 4000;
+    uint64_t epoch = 500;
+    /** Shares installed at edge k: shares[k % size()]. */
+    std::vector<std::array<double, SmtConfig::kThreads>> shares;
+};
+
+std::string formatSmtCase(const SmtCase &c);
+
+/** Generate an SMT case: mixes from serial DRAM chains to branchy
+ *  compute, widths and structure sizes down to 1, any of the 64
+ *  fetch PG policies, DRAM latencies past the calendar horizon. */
+SmtCase genSmtCase(uint64_t seed);
+
+/**
+ * Drive one SmtPipeline with advance(1) and a twin with free-running
+ * advance(edge - cycles()) calls, applying the same share change to
+ * both at every epoch edge, and compare at each edge: cycles,
+ * per-thread committed/fetched, every per-thread occupancy and all
+ * RenameStats fields. Also checks that no advance overruns its limit.
+ * Returns "" on agreement, else the first divergence.
+ */
+std::string diffSmtCase(const SmtCase &c);
+
+/** Shrink a failing SMT case: halve the run, then default the
+ *  geometry, policy, share schedule and thread profiles. */
+SmtCase shrinkSmtCase(const SmtCase &c);
+
+// ---------------------------------------------------------------------
 // Serial-vs-parallel sweep oracle
 // ---------------------------------------------------------------------
 
@@ -504,7 +553,7 @@ struct FuzzOptions
     /** Parallel fuzz lanes (iterations are independent). */
     int jobs = 1;
     /** Restrict to one domain ("cache", "bandit", "sim", "replay",
-     *  "lockstep", "drift", "sweep"); empty runs them all. */
+     *  "lockstep", "drift", "smt", "sweep"); empty runs them all. */
     std::string domain;
 };
 
@@ -512,7 +561,7 @@ struct FuzzFailure
 {
     uint64_t caseSeed = 0;
     std::string domain;  ///< "cache", "bandit", "sim", "replay",
-                         ///< "lockstep", "sweep"
+                         ///< "lockstep", "drift", "smt", "sweep"
     std::string message; ///< divergence + (when shrunk) minimal case
     std::string repro;   ///< one-line replay command
 };
@@ -526,6 +575,7 @@ struct FuzzReport
     uint64_t replayCases = 0;
     uint64_t lockstepCases = 0;
     uint64_t driftCases = 0;
+    uint64_t smtCases = 0;
     uint64_t sweepCases = 0;
     std::vector<FuzzFailure> failures;
 

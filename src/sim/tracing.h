@@ -74,7 +74,9 @@ enum class Phase
     CacheAccess,   ///< CacheHierarchy::demandAccess
     PrefetchIssue, ///< prefetcher training + queue issue (inclusive)
     BanditUpdate,  ///< MAB policy observeReward + selectArm
-    SmtCycle,      ///< SmtPipeline::cycle (inclusive)
+    SmtCycle,      ///< SmtPipeline::advance (inclusive): one cycle
+                   ///< plus the quiescent cycles it skips, so the
+                   ///< phase count is advances, not cycles
     kCount,
 };
 

@@ -1,55 +1,141 @@
 #include "smt/pipeline.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include "sim/tracing.h"
 
 namespace mab {
 
+void
+SmtConfig::validate() const
+{
+    const auto require = [](bool ok, const char *field, int value,
+                            const std::string &rule) {
+        if (!ok) {
+            throw std::invalid_argument(
+                std::string("SmtConfig::") + field + " must be " +
+                rule + ", got " + std::to_string(value));
+        }
+    };
+    const std::pair<const char *, int> sizes[] = {
+        {"fetchWidth", fetchWidth}, {"decodeWidth", decodeWidth},
+        {"commitWidth", commitWidth}, {"iqSize", iqSize},
+        {"robSize", robSize},       {"lqSize", lqSize},
+        {"sqSize", sqSize},         {"irfSize", irfSize},
+        {"frfSize", frfSize},       {"fetchQueueSize", fetchQueueSize},
+    };
+    for (const auto &[field, value] : sizes)
+        require(value >= 1, field, value, ">= 1");
+    // A calendar slot may hold a release for every IQ (SQ) entry.
+    constexpr int kMaxCount =
+        std::numeric_limits<SmtPipeline::ReleaseCount>::max();
+    const std::string fits =
+        "<= " + std::to_string(kMaxCount) + " (per-slot release counter)";
+    require(iqSize <= kMaxCount, "iqSize", iqSize, fits);
+    require(sqSize <= kMaxCount, "sqSize", sqSize, fits);
+}
+
+// Rows follow the UopKind order; lanes are ROB, LQ, IRF, FRF, branches.
+const std::array<SmtPipeline::KindUse, 5> SmtPipeline::kKindUse = {{
+    {{1, 0, 1, 0, 0}, 0}, // IntAlu
+    {{1, 0, 0, 1, 0}, 0}, // FpAlu
+    {{1, 1, 1, 0, 0}, 0}, // Load
+    {{1, 0, 0, 0, 0}, 1}, // Store
+    {{1, 0, 0, 0, 1}, 0}, // Branch
+}};
+
 SmtPipeline::SmtPipeline(
     const SmtConfig &config,
     std::array<ThreadSource *, SmtConfig::kThreads> sources)
-    : config_(config), sources_(sources),
-      calendar_(kCalendarSize)
+    : config_(config), sources_(sources)
 {
-    policy_ = choiPolicy();
+    config_.validate();
+    static_assert(sizeof(Slot) == sizeof(uint64_t));
+    static_assert((kCalendarSize & (kCalendarSize - 1)) == 0);
+    calendar_ = std::make_unique<Slot[]>(kCalendarSize);
+    for (Thread &th : threads_) {
+        th.fetchQueue.init(config_.fetchQueueSize);
+        th.rob.init(config_.robSize);
+    }
+    constexpr int32_t kUnbounded = std::numeric_limits<int32_t>::max();
+    cap_ = LaneVec{config_.robSize, config_.lqSize,  config_.irfSize,
+                   config_.frfSize, kUnbounded,      kUnbounded,
+                   kUnbounded,      kUnbounded};
+    setPolicy(choiPolicy());
+}
+
+void
+SmtPipeline::setPolicy(const PgPolicy &policy)
+{
+    policy_ = policy;
+    updateGateLimits();
 }
 
 void
 SmtPipeline::setShares(const std::array<double, SmtConfig::kThreads> &s)
 {
     shares_ = s;
+    updateGateLimits();
 }
 
 void
-SmtPipeline::scheduleEvent(uint64_t at, int thread, int type)
+SmtPipeline::updateGateLimits()
 {
-    assert(at > now_);
+    constexpr int kNever = std::numeric_limits<int>::max();
+    const auto limit = [](bool monitored, double x) {
+        if (!monitored || !(x < kNever)) // NaN never gates either
+            return kNever;
+        if (x < std::numeric_limits<int>::min())
+            return std::numeric_limits<int>::min();
+        return static_cast<int>(std::floor(x));
+    };
+    for (int t = 0; t < SmtConfig::kThreads; ++t) {
+        const double s = shares_[t];
+        gateLimit_[t] = {
+            limit(policy_.gateIq, s * config_.iqSize),
+            limit(policy_.gateLsq,
+                  s * (config_.lqSize + config_.sqSize)),
+            limit(policy_.gateRob, s * config_.robSize),
+            limit(policy_.gateIrf, s * config_.irfSize),
+        };
+    }
+}
+
+inline void
+SmtPipeline::schedule(uint64_t at, int type, int thread, int count)
+{
     // Pathological dependence chains can push an issue time past the
     // calendar horizon; clamp (releasing the entry slightly early)
     // rather than wrap around.
     if (at - now_ >= kCalendarSize)
         at = now_ + kCalendarSize - 1;
-    calendar_[at % kCalendarSize].push_back(
-        {static_cast<int8_t>(thread), static_cast<int8_t>(type)});
+    calendar_[at & (kCalendarSize - 1)].n[type][thread] +=
+        static_cast<ReleaseCount>(count);
 }
 
-void
-SmtPipeline::processEvents()
+inline bool
+SmtPipeline::releaseStage()
 {
-    auto &bucket = calendar_[now_ % kCalendarSize];
-    for (const Event &e : bucket) {
-        Thread &th = threads_[e.thread];
-        if (e.type == 0)
-            --th.iqUsed;
-        else
-            --th.sqUsed;
+    Slot &slot = calendar_[now_ & (kCalendarSize - 1)];
+    uint64_t any;
+    std::memcpy(&any, &slot, sizeof(any));
+    if (any == 0)
+        return false;
+    for (int t = 0; t < SmtConfig::kThreads; ++t) {
+        threads_[t].iqUsed -= slot.n[kIqRelease][t];
+        threads_[t].sqUsed -= slot.n[kSqRelease][t];
+        iqTotal_ -= slot.n[kIqRelease][t];
+        sqTotal_ -= slot.n[kSqRelease][t];
     }
-    bucket.clear();
+    slot = Slot{};
+    return true;
 }
 
-void
+inline bool
 SmtPipeline::commitStage()
 {
     int budget = config_.commitWidth;
@@ -60,67 +146,43 @@ SmtPipeline::commitStage()
         Thread &th = threads_[t];
         while (budget > 0 && !th.rob.empty() &&
                th.rob.front().completeCycle <= now_) {
-            const RobEntry e = th.rob.front();
-            th.rob.pop_front();
-            --th.robUsed;
-            switch (e.kind) {
-              case UopKind::Load:
-                --th.lqUsed;
-                --th.irfUsed;
-                break;
-              case UopKind::Store:
-                // SQ entry drains to memory after commit.
-                scheduleEvent(now_ + std::max<uint64_t>(
-                                         e.drainLatency, 1),
-                              t, 1);
-                break;
-              case UopKind::Branch:
-                --th.branchesInRob;
-                break;
-              case UopKind::IntAlu:
-                --th.irfUsed;
-                break;
-              case UopKind::FpAlu:
-                --th.frfUsed;
-                break;
-            }
+            const RobEntry &e = th.rob.front();
+            const KindUse &use = kKindUse[static_cast<int>(e.kind)];
+            th.held -= use.held;
+            heldTotal_ -= use.held;
+            // A store's SQ entry drains to memory after commit; every
+            // other kind schedules a zero count.
+            schedule(now_ + std::max<uint64_t>(e.drainLatency, 1),
+                     kSqRelease, t, use.sq);
+            th.rob.pop();
             ++th.committed;
             --budget;
         }
     }
+    return budget != config_.commitWidth;
 }
 
-bool
+inline bool
 SmtPipeline::tryDispatch(int t, unsigned &block_mask)
 {
     Thread &th = threads_[t];
     if (th.fetchQueue.empty())
         return false;
     const Uop &uop = th.fetchQueue.front();
+    const KindUse &use = kKindUse[static_cast<int>(uop.kind)];
 
-    const int rob_total = threads_[0].robUsed + threads_[1].robUsed;
-    const int iq_total = threads_[0].iqUsed + threads_[1].iqUsed;
-    const int lq_total = threads_[0].lqUsed + threads_[1].lqUsed;
-    const int sq_total = threads_[0].sqUsed + threads_[1].sqUsed;
-    const int irf_total = threads_[0].irfUsed + threads_[1].irfUsed;
-    const int frf_total = threads_[0].frfUsed + threads_[1].frfUsed;
-
-    unsigned blocked = 0;
-    if (rob_total >= config_.robSize)
-        blocked |= 1u << 0;
-    if (iq_total >= config_.iqSize)
-        blocked |= 1u << 1;
-    if (uop.kind == UopKind::Load && lq_total >= config_.lqSize)
-        blocked |= 1u << 2;
-    if (uop.kind == UopKind::Store && sq_total >= config_.sqSize)
-        blocked |= 1u << 3;
-    const bool needs_irf =
-        uop.kind == UopKind::IntAlu || uop.kind == UopKind::Load;
-    const bool needs_frf = uop.kind == UopKind::FpAlu;
-    if ((needs_irf && irf_total >= config_.irfSize) ||
-        (needs_frf && frf_total >= config_.frfSize)) {
-        blocked |= 1u << 4;
-    }
+    const auto full = [this](int lane) {
+        return static_cast<int32_t>(heldTotal_[lane] >= cap_[lane]);
+    };
+    const unsigned blocked =
+        static_cast<unsigned>(full(kRob)) |
+        static_cast<unsigned>(iqTotal_ >= config_.iqSize) << 1 |
+        static_cast<unsigned>(use.held[kLq] & full(kLq)) << 2 |
+        static_cast<unsigned>(use.sq & (sqTotal_ >= config_.sqSize))
+            << 3 |
+        static_cast<unsigned>((use.held[kIrf] & full(kIrf)) |
+                              (use.held[kFrf] & full(kFrf)))
+            << 4;
     if (blocked) {
         block_mask |= blocked;
         return false;
@@ -128,129 +190,98 @@ SmtPipeline::tryDispatch(int t, unsigned &block_mask)
 
     // Dispatch: compute the uop's issue and completion times from its
     // register dependency, then allocate structures.
-    uint64_t dep_ready = 0;
-    if (uop.depDistance > 0 &&
-        static_cast<uint64_t>(uop.depDistance) <= th.dispatchedCount &&
-        uop.depDistance <= kDepRing) {
-        dep_ready = th.completionRing[(th.dispatchedCount -
-                                       uop.depDistance) % kDepRing];
-    }
+    const uint64_t n = th.dispatchedCount;
+    const uint64_t dist = uop.depDistance;
+    const uint64_t producer = th.completionRing[(n - dist) % kDepRing];
+    const bool has_dep = dist > 0 && dist <= n && dist <= kDepRing;
+    const uint64_t dep_ready = has_dep ? producer : 0;
     const uint64_t issue = std::max(now_ + 1, dep_ready);
     const uint64_t complete = issue + uop.execLatency;
-    th.completionRing[th.dispatchedCount % kDepRing] = complete;
-    ++th.dispatchedCount;
+    th.completionRing[n % kDepRing] = complete;
+    th.dispatchedCount = n + 1;
 
-    ++th.robUsed;
+    th.held += use.held;
+    heldTotal_ += use.held;
     ++th.iqUsed;
-    scheduleEvent(issue, t, 0); // IQ entry frees at issue
-    switch (uop.kind) {
-      case UopKind::Load:
-        ++th.lqUsed;
-        ++th.irfUsed;
-        break;
-      case UopKind::Store:
-        ++th.sqUsed;
-        break;
-      case UopKind::Branch:
-        ++th.branchesInRob;
-        if (uop.mispredicted) {
-            // The frontend redirects when the branch resolves.
-            th.fetchBlockedUntil = std::max(
-                th.fetchBlockedUntil,
-                complete + config_.mispredictPenalty);
-        }
-        break;
-      case UopKind::IntAlu:
-        ++th.irfUsed;
-        break;
-      case UopKind::FpAlu:
-        ++th.frfUsed;
-        break;
+    ++iqTotal_;
+    th.sqUsed += use.sq;
+    sqTotal_ += use.sq;
+    schedule(issue, kIqRelease, t, 1); // IQ entry frees at issue
+    if (uop.mispredicted && uop.kind == UopKind::Branch) {
+        // The frontend redirects when the branch resolves.
+        th.fetchBlockedUntil = std::max(
+            th.fetchBlockedUntil, complete + config_.mispredictPenalty);
     }
 
-    RobEntry entry;
-    entry.completeCycle = complete;
-    entry.drainLatency = uop.drainLatency;
-    entry.kind = uop.kind;
-    th.rob.push_back(entry);
-    th.fetchQueue.pop_front();
+    th.rob.push({complete, uop.drainLatency, uop.kind});
+    th.fetchQueue.pop();
     return true;
 }
 
-void
+inline unsigned
 SmtPipeline::renameStage()
 {
+    // The threads take turns of two dispatches each, starting with
+    // renameNext_. A thread that fails to dispatch stays blocked for
+    // the rest of the cycle (its queue only refills at fetch, and
+    // dispatches only raise the totals), so the other thread takes
+    // the remaining width.
     int budget = config_.decodeWidth;
-    int dispatched = 0;
+    bool dispatched = false;
     unsigned block_mask = 0;
-
+    unsigned failed = 0;
+    int t = renameNext_;
+    int turn = 0;
     while (budget > 0) {
-        bool progressed = false;
-        for (int i = 0; i < SmtConfig::kThreads && budget > 0; ++i) {
-            const int t = (renameNext_ + i) % SmtConfig::kThreads;
-            if (tryDispatch(t, block_mask)) {
-                ++dispatched;
-                --budget;
-                progressed = true;
-                renameNext_ = (t + 1) % SmtConfig::kThreads;
+        if (tryDispatch(t, block_mask)) {
+            dispatched = true;
+            --budget;
+            renameNext_ = t ^ 1;
+            if (++turn == 2 && !(failed & (1u << (t ^ 1)))) {
+                t ^= 1;
+                turn = 0;
             }
+        } else {
+            failed |= 1u << t;
+            if (failed == 3u)
+                break;
+            t ^= 1;
+            turn = 0;
         }
-        if (!progressed)
-            break;
     }
 
-    ++renameStats_.cycles;
-    if (dispatched > 0) {
-        ++renameStats_.running;
-        return;
-    }
-    const bool any_input = !threads_[0].fetchQueue.empty() ||
-        !threads_[1].fetchQueue.empty();
-    if (!any_input) {
-        ++renameStats_.idle;
-        return;
-    }
-    ++renameStats_.stalled;
-    if (block_mask & (1u << 0))
-        ++renameStats_.stallRob;
-    if (block_mask & (1u << 1))
-        ++renameStats_.stallIq;
-    if (block_mask & (1u << 2))
-        ++renameStats_.stallLq;
-    if (block_mask & (1u << 3))
-        ++renameStats_.stallSq;
-    if (block_mask & (1u << 4))
-        ++renameStats_.stallRf;
+    unsigned cls = block_mask;
+    if (dispatched)
+        cls = kRenameRunning;
+    else if (threads_[0].fetchQueue.empty() &&
+             threads_[1].fetchQueue.empty())
+        cls = kRenameIdle;
+    creditRename(cls, 1);
+    return cls;
 }
 
-bool
-SmtPipeline::isGated(int t) const
+inline void
+SmtPipeline::creditRename(unsigned cls, uint64_t n)
 {
-    if (!policy_.anyGating())
-        return false;
-    const Thread &th = threads_[t];
-    const double s = shares_[t];
-    if (policy_.gateIq &&
-        th.iqUsed > s * config_.iqSize) {
-        return true;
+    RenameStats &s = renameStats_;
+    s.cycles += n;
+    if (cls == kRenameRunning) {
+        s.running += n;
+        return;
     }
-    if (policy_.gateLsq &&
-        th.lqUsed + th.sqUsed >
-            s * (config_.lqSize + config_.sqSize)) {
-        return true;
+    if (cls == kRenameIdle) {
+        s.idle += n;
+        return;
     }
-    if (policy_.gateRob &&
-        th.robUsed > s * config_.robSize) {
-        return true;
-    }
-    if (policy_.gateIrf &&
-        th.irfUsed > s * config_.irfSize) {
-        return true;
-    }
-    return false;
+    s.stalled += n;
+    s.stallRob += (cls & 1u) ? n : 0;
+    s.stallIq += (cls & 2u) ? n : 0;
+    s.stallLq += (cls & 4u) ? n : 0;
+    s.stallSq += (cls & 8u) ? n : 0;
+    s.stallRf += (cls & 16u) ? n : 0;
 }
 
-int
+inline int
 SmtPipeline::pickFetchThread() const
 {
     auto eligible = [&](int t) {
@@ -281,10 +312,10 @@ SmtPipeline::pickFetchThread() const
             metric = th.iqUsed;
             break;
           case FetchPriority::BrC:
-            metric = th.branchesInRob;
+            metric = th.held[kBr];
             break;
           case FetchPriority::LSQC:
-            metric = th.lqUsed + th.sqUsed;
+            metric = th.held[kLq] + th.sqUsed;
             break;
           case FetchPriority::RR:
             break;
@@ -297,12 +328,12 @@ SmtPipeline::pickFetchThread() const
     return best;
 }
 
-void
+inline bool
 SmtPipeline::fetchStage()
 {
     const int t = pickFetchThread();
     if (t < 0)
-        return;
+        return false;
     if (policy_.priority == FetchPriority::RR)
         rrNext_ = (t + 1) % SmtConfig::kThreads;
 
@@ -311,50 +342,87 @@ SmtPipeline::fetchStage()
         static_cast<int>(th.fetchQueue.size());
     const int count = std::min(config_.fetchWidth, room);
     for (int i = 0; i < count; ++i) {
-        Uop uop = sources_[t]->next();
-        const bool redirect =
-            uop.kind == UopKind::Branch && uop.mispredicted;
-        th.fetchQueue.push_back(uop);
+        const Uop uop = sources_[t]->next();
+        th.fetchQueue.push(uop);
         ++th.fetched;
-        if (redirect) {
+        if (uop.mispredicted && uop.kind == UopKind::Branch) {
             // Conservative frontend bubble until the branch resolves
             // (extended at dispatch once the resolve time is known).
             th.fetchBlockedUntil = std::max(
-                th.fetchBlockedUntil,
-                now_ + config_.mispredictPenalty);
+                th.fetchBlockedUntil, now_ + config_.mispredictPenalty);
             break;
         }
     }
+    return true;
 }
 
-void
-SmtPipeline::cycle()
+uint64_t
+SmtPipeline::quiescentSpan(uint64_t max) const
 {
+    // The cycle just run (now_ - 1) changed nothing, so the state is
+    // frozen until one of three timed events: a ROB head completing,
+    // a fetch redirect ending, or a calendar slot releasing entries.
+    // Occupancies, queue heads, gating and the rename stall mask can
+    // only move after one of them.
+    uint64_t span = max;
+    for (const Thread &th : threads_) {
+        // A head that did not commit in the cycle just run completes
+        // at now_ or later.
+        if (!th.rob.empty())
+            span = std::min(span, th.rob.front().completeCycle - now_);
+        if (th.fetchBlockedUntil >= now_)
+            span = std::min(span, th.fetchBlockedUntil - now_);
+    }
+    // Every pending release lies within kCalendarSize - 1 slots.
+    const uint64_t horizon =
+        std::min<uint64_t>(span, kCalendarSize - 1);
+    for (uint64_t d = 0; d < horizon; ++d) {
+        uint64_t any;
+        std::memcpy(&any, &calendar_[(now_ + d) & (kCalendarSize - 1)],
+                    sizeof(any));
+        if (any != 0)
+            return d;
+    }
+    return span;
+}
+
+uint64_t
+SmtPipeline::advance(uint64_t limit)
+{
+    if (limit == 0)
+        return 0;
     // Branch outside the RAII scope: when profiling is off the hot
     // path must carry no ScopedPhase cleanup at all.
     if (tracing::Tracer::profileActive()) {
         tracing::ScopedPhase phase(tracing::Phase::SmtCycle);
-        cycleImpl();
-        return;
+        return advanceImpl(limit);
     }
-    cycleImpl();
+    return advanceImpl(limit);
 }
 
-void
-SmtPipeline::cycleImpl()
+uint64_t
+SmtPipeline::advanceImpl(uint64_t limit)
 {
-    processEvents();
-    commitStage();
-    renameStage();
-    fetchStage();
+    bool acted = releaseStage();
+    acted |= commitStage();
+    const unsigned cls = renameStage();
+    acted |= cls == kRenameRunning;
+    acted |= fetchStage();
     ++now_;
+    if (acted || limit == 1)
+        return 1;
+
+    const uint64_t skip = quiescentSpan(limit - 1);
+    now_ += skip;
+    creditRename(cls, skip);
+    return 1 + skip;
 }
 
 void
 SmtPipeline::run(uint64_t n)
 {
-    for (uint64_t i = 0; i < n; ++i)
-        cycle();
+    while (n > 0)
+        n -= advance(n);
 }
 
 void

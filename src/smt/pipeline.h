@@ -3,7 +3,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +33,13 @@ struct SmtConfig
     int fetchQueueSize = 24;
 
     uint64_t mispredictPenalty = 12;
+
+    /**
+     * Throw std::invalid_argument naming the first bad field: every
+     * width and structure size must be >= 1, and iqSize / sqSize must
+     * fit the pipeline's per-slot release counters.
+     */
+    void validate() const;
 };
 
 /** Rename-stage activity accounting (Figure 15). */
@@ -58,16 +65,30 @@ struct RenameStats
  * Cycle-level model of a 2-thread SMT out-of-order pipeline with
  * dynamically shared structures (the gem5/SecSMT stand-in; DESIGN.md).
  *
- * Per cycle the model commits (in order, per thread, shared width),
- * renames/dispatches from the per-thread fetch queues (shared width;
- * the stage stalls when the ROB, IQ, LQ, SQ or a register file is
- * exhausted — the Figure 15 taxonomy), and fetches from the single
- * thread chosen by the active fetch Priority & Gating policy.
- * Execution is modeled by computing each uop's completion time at
- * dispatch from its register dependency and sampled latency; IQ and
- * SQ occupancies drain through a calendar queue at the corresponding
- * issue/drain times, so structure backpressure behaves realistically
- * without per-cycle wakeup scans.
+ * Per cycle the model releases the IQ and SQ entries due that cycle,
+ * commits (in order, per thread, shared width), renames/dispatches
+ * from the per-thread fetch queues (shared width; the stage stalls
+ * when the ROB, IQ, LQ, SQ or a register file is exhausted — the
+ * Figure 15 taxonomy), and fetches from the single thread chosen by
+ * the active fetch Priority & Gating policy. Execution is modeled by
+ * computing each uop's completion time at dispatch from its register
+ * dependency and sampled latency.
+ *
+ * Layout (EXPERIMENTS.md "SMT pipeline kernel"): the fetch queues and
+ * ROBs are fixed power-of-two rings sized from SmtConfig. The
+ * resources a uop holds until it commits are one KindUse row per uop
+ * kind, added at dispatch and subtracted at commit, with the shared
+ * totals kept alongside the per-thread counts. IQ entries (freed at
+ * issue) and SQ entries (freed when a store drains) are released
+ * through a counting calendar — one release count per (slot, IQ|SQ,
+ * thread) — so structure backpressure behaves realistically without
+ * per-cycle wakeup scans. A slot only decrements counters, so the
+ * order in which its releases were scheduled never mattered.
+ *
+ * advance() runs one cycle and, when no stage acted in it, jumps over
+ * the following quiescent cycles to the earliest wake time: nothing
+ * can change before the next due release, ROB-head completion or
+ * fetch-redirect end, so every statistic equals plain stepping.
  */
 class SmtPipeline
 {
@@ -76,7 +97,7 @@ class SmtPipeline
                 std::array<ThreadSource *, SmtConfig::kThreads> sources);
 
     /** Install the fetch PG policy (a Bandit arm or a static policy). */
-    void setPolicy(const PgPolicy &policy) { policy_ = policy; }
+    void setPolicy(const PgPolicy &policy);
     const PgPolicy &policy() const { return policy_; }
 
     /**
@@ -86,8 +107,17 @@ class SmtPipeline
      */
     void setShares(const std::array<double, SmtConfig::kThreads> &s);
 
-    /** Advance one cycle. */
-    void cycle();
+    /**
+     * Run one cycle; if no stage acted in it, also skip the quiescent
+     * cycles after it, up to the earliest wake time. Advances by at
+     * least 1 and at most @p limit cycles (0 when @p limit is 0) and
+     * returns the count. Skipped cycles are credited to renameStats()
+     * under the class of the cycle that was run.
+     */
+    uint64_t advance(uint64_t limit);
+
+    /** Advance exactly one cycle. */
+    void cycle() { advance(1); }
 
     /** Run @p n cycles. */
     void run(uint64_t n);
@@ -110,15 +140,23 @@ class SmtPipeline
 
     /** Occupancy introspection (tests, priority metrics). */
     int iqUsed(int t) const { return threads_[t].iqUsed; }
-    int robUsed(int t) const { return threads_[t].robUsed; }
-    int lqUsed(int t) const { return threads_[t].lqUsed; }
+    int robUsed(int t) const { return threads_[t].held[kRob]; }
+    int lqUsed(int t) const { return threads_[t].held[kLq]; }
     int sqUsed(int t) const { return threads_[t].sqUsed; }
-    int irfUsed(int t) const { return threads_[t].irfUsed; }
-    int frfUsed(int t) const { return threads_[t].frfUsed; }
-    int branchesInRob(int t) const { return threads_[t].branchesInRob; }
+    int irfUsed(int t) const { return threads_[t].held[kIrf]; }
+    int frfUsed(int t) const { return threads_[t].held[kFrf]; }
+    int branchesInRob(int t) const { return threads_[t].held[kBr]; }
 
     /** True if thread @p t is currently fetch-gated. */
-    bool isGated(int t) const;
+    bool
+    isGated(int t) const
+    {
+        const Thread &th = threads_[t];
+        const std::array<int, 4> &lim = gateLimit_[t];
+        return (th.iqUsed > lim[0]) |
+            (th.held[kLq] + th.sqUsed > lim[1]) |
+            (th.held[kRob] > lim[2]) | (th.held[kIrf] > lim[3]);
+    }
 
     /**
      * Export pipeline metrics under @p prefix ("smt"): cycles, the
@@ -128,11 +166,69 @@ class SmtPipeline
     void exportStats(StatsRegistry &reg,
                      const std::string &prefix) const;
 
-  private:
     static constexpr int kCalendarSize = 32768;
+
+    /** Per-slot release counter; bounds iqSize and sqSize. */
+    using ReleaseCount = uint16_t;
+
+  private:
     static constexpr int kDepRing = 64;
 
-    void cycleImpl();
+    /**
+     * Lanes of the resources a uop holds from dispatch until it
+     * commits. The IQ entry (freed at issue) and the SQ entry (freed
+     * once a store drains) are released through the calendar instead
+     * and are counted apart.
+     */
+    enum Lane
+    {
+        kRob,
+        kLq,
+        kIrf,
+        kFrf,
+        kBr, ///< branches in the ROB (BrC priority), not a structure
+        kNumLanes = 8,
+    };
+    /** One int32 per Lane; the vector type makes a row update two
+     *  SSE adds instead of a lane loop. */
+    using LaneVec = int32_t __attribute__((vector_size(kNumLanes * 4)));
+
+    /** What a uop of one kind holds: its commit-freed lanes and
+     *  whether it takes an SQ entry (every uop takes an IQ entry). */
+    struct KindUse
+    {
+        LaneVec held;
+        int32_t sq;
+    };
+    static const std::array<KindUse, 5> kKindUse;
+
+    /** Fixed-capacity FIFO over a power-of-two buffer. */
+    template <typename T>
+    class Ring
+    {
+      public:
+        void
+        init(int capacity)
+        {
+            uint32_t n = 1;
+            while (n < static_cast<uint32_t>(capacity))
+                n <<= 1;
+            buf_.assign(n, T{});
+            mask_ = n - 1;
+        }
+
+        bool empty() const { return head_ == tail_; }
+        uint32_t size() const { return tail_ - head_; }
+        const T &front() const { return buf_[head_ & mask_]; }
+        void pop() { ++head_; }
+        void push(const T &v) { buf_[tail_++ & mask_] = v; }
+
+      private:
+        std::vector<T> buf_;
+        uint32_t head_ = 0;
+        uint32_t tail_ = 0;
+        uint32_t mask_ = 0;
+    };
 
     struct RobEntry
     {
@@ -143,38 +239,42 @@ class SmtPipeline
 
     struct Thread
     {
-        std::deque<Uop> fetchQueue;
-        std::deque<RobEntry> rob;
+        LaneVec held{};
+        int32_t iqUsed = 0;
+        int32_t sqUsed = 0;
+        Ring<Uop> fetchQueue;
+        Ring<RobEntry> rob;
         std::array<uint64_t, kDepRing> completionRing{};
         uint64_t dispatchedCount = 0;
         uint64_t committed = 0;
         uint64_t fetched = 0;
         uint64_t fetchBlockedUntil = 0;
-
-        int iqUsed = 0;
-        int robUsed = 0;
-        int lqUsed = 0;
-        int sqUsed = 0;
-        int irfUsed = 0;
-        int frfUsed = 0;
-        int branchesInRob = 0;
     };
 
-    struct Event
+    /** Release counts due in one cycle, indexed [IQ|SQ][thread]. */
+    struct Slot
     {
-        int8_t thread;
-        int8_t type; // 0 = IQ release, 1 = SQ release
+        ReleaseCount n[2][SmtConfig::kThreads];
     };
+    static constexpr int kIqRelease = 0;
+    static constexpr int kSqRelease = 1;
 
-    void scheduleEvent(uint64_t at, int thread, int type);
-    void processEvents();
-    void commitStage();
-    void renameStage();
-    void fetchStage();
+    /** Rename class of a cycle: kRenameRunning, kRenameIdle, or the
+     *  stall mask of a stalled cycle (bit 0 ROB, 1 IQ, 2 LQ, 3 SQ,
+     *  4 register file). */
+    static constexpr unsigned kRenameRunning = 1u << 5;
+    static constexpr unsigned kRenameIdle = 1u << 6;
+
+    uint64_t advanceImpl(uint64_t limit);
+    void schedule(uint64_t at, int type, int thread, int count);
+    bool releaseStage();
+    bool commitStage();
+    unsigned renameStage();
+    bool fetchStage();
     int pickFetchThread() const;
     bool tryDispatch(int t, unsigned &block_mask);
-
-    int totalUsed(int structure) const;
+    void creditRename(unsigned cls, uint64_t n);
+    uint64_t quiescentSpan(uint64_t max) const;
 
     SmtConfig config_;
     std::array<ThreadSource *, SmtConfig::kThreads> sources_;
@@ -182,7 +282,24 @@ class SmtPipeline
     std::array<double, SmtConfig::kThreads> shares_{0.5, 0.5};
     PgPolicy policy_;
 
-    std::vector<std::vector<Event>> calendar_;
+    /**
+     * Per-thread gating limits over IQ, LQ+SQ, ROB and IRF: a thread
+     * is gated when an occupancy exceeds its limit. An occupancy n
+     * exceeds its share x = share * size exactly when n > floor(x),
+     * so the limit is floor(x), or INT_MAX when the policy does not
+     * monitor the structure. Recomputed by setPolicy and setShares.
+     */
+    std::array<std::array<int, 4>, SmtConfig::kThreads> gateLimit_{};
+    void updateGateLimits();
+
+    /** Shared-structure totals over both threads. */
+    LaneVec heldTotal_{};
+    int32_t iqTotal_ = 0;
+    int32_t sqTotal_ = 0;
+    /** Structure capacities, same lanes as LaneVec. */
+    LaneVec cap_{};
+
+    std::unique_ptr<Slot[]> calendar_;
     uint64_t now_ = 0;
     int rrNext_ = 0;
     int renameNext_ = 0;

@@ -1,5 +1,8 @@
 #include "smt/smt_sim.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "sim/tracing.h"
 
 namespace mab {
@@ -12,6 +15,10 @@ SmtSimulator::SmtSimulator(std::string app0, std::string app1,
       src1_(smtAppByName(app1), config.seed * 0x9E37u + 2),
       label_(app0 + "+" + app1)
 {
+    if (config.hcEpochCycles == 0)
+        throw std::invalid_argument(
+            "SmtRunConfig::hcEpochCycles must be >= 1, got 0");
+    pipeConfig_.validate();
     // Per-lane seeds depend only on the run seed, not the mix, so one
     // materialized stream per (app, lane) serves every mix it appears
     // in (fig13 runs each app in ~21 mixes under 3 fetch regimes).
@@ -42,8 +49,17 @@ SmtSimulator::runLoop(SmtPipeline &pipe, HillClimbing &hc,
 
     pipe.setShares({hc.share(0), hc.share(1)});
 
-    for (uint64_t c = 1; c <= config_.maxCycles; ++c) {
-        pipe.cycle();
+    uint64_t next_epoch = config_.hcEpochCycles;
+    uint64_t c = 0;
+    while (c < config_.maxCycles) {
+        // Every advance stops at the next cycle this loop acts on, so
+        // the agent, the sampler and the instruction target see the
+        // same cycles as plain stepping (a skipped cycle commits
+        // nothing).
+        uint64_t stop = std::min(config_.maxCycles, next_epoch);
+        if (granularity != 0)
+            stop = std::min(stop, next_sample);
+        c += pipe.advance(stop - c);
 
         if (granularity != 0 && c >= next_sample) {
             const uint64_t d_c = c - last_sample_cycle;
@@ -84,7 +100,8 @@ SmtSimulator::runLoop(SmtPipeline &pipe, HillClimbing &hc,
                 break;
         }
 
-        if (c % config_.hcEpochCycles == 0) {
+        if (c == next_epoch) {
+            next_epoch += config_.hcEpochCycles;
             const uint64_t instr = pipe.committed(0) +
                 pipe.committed(1);
             const double perf =

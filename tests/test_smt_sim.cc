@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "smt/smt_sim.h"
 
 namespace mab {
@@ -162,6 +169,75 @@ TEST(BanditPgSelector, SwitchesArmsAndRestoresHcState)
     }
     EXPECT_GE(switches, 5);
     EXPECT_GE(selector.agent().stepsCompleted(), 19u);
+}
+
+/** Expect @p make to throw std::invalid_argument naming @p field. */
+void
+expectRejected(const std::function<void()> &make, const char *field)
+{
+    try {
+        make();
+        FAIL() << "accepted a bad " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SmtSim, RejectsZeroEpochLength)
+{
+    // Used to reach `c % 0` in the run loop (SIGFPE in Release).
+    SmtRunConfig cfg = quick();
+    cfg.hcEpochCycles = 0;
+    expectRejected([&] { SmtSimulator sim("gcc", "lbm", cfg); },
+                   "hcEpochCycles");
+}
+
+/** One SmtConfig field set to a value the constructor must reject. */
+const std::pair<const char *, void (*)(SmtConfig &)> kBadFields[] = {
+    {"fetchWidth", [](SmtConfig &c) { c.fetchWidth = 0; }},
+    {"decodeWidth", [](SmtConfig &c) { c.decodeWidth = 0; }},
+    {"commitWidth", [](SmtConfig &c) { c.commitWidth = 0; }},
+    {"iqSize", [](SmtConfig &c) { c.iqSize = 0; }},
+    {"robSize", [](SmtConfig &c) { c.robSize = -1; }},
+    {"lqSize", [](SmtConfig &c) { c.lqSize = 0; }},
+    {"sqSize", [](SmtConfig &c) { c.sqSize = 0; }},
+    {"irfSize", [](SmtConfig &c) { c.irfSize = 0; }},
+    {"frfSize", [](SmtConfig &c) { c.frfSize = 0; }},
+    {"fetchQueueSize", [](SmtConfig &c) { c.fetchQueueSize = 0; }},
+    {"iqSize", [](SmtConfig &c) { c.iqSize = 1 << 16; }},
+    {"sqSize", [](SmtConfig &c) { c.sqSize = 1 << 16; }},
+};
+
+class SmtSimBadPipeConfig : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(SmtSimBadPipeConfig, ConstructorRejectsAndNamesField)
+{
+    const auto [field, set] = kBadFields[GetParam()];
+    SmtConfig pipe;
+    set(pipe);
+    expectRejected([&] { SmtSimulator sim("gcc", "lbm", quick(), pipe); },
+                   field);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fields, SmtSimBadPipeConfig,
+                         ::testing::Range<size_t>(0, std::size(kBadFields)));
+
+TEST(SmtSim, EpochEdgesSurviveFastForward)
+{
+    // An odd epoch length and cycle budget: every advance must still
+    // stop on each epoch edge and on the budget.
+    SmtRunConfig cfg = quick();
+    cfg.maxCycles = 100'003;
+    cfg.hcEpochCycles = 997;
+    SmtSimulator sim("mcf", "lbm", cfg);
+    const SmtRunResult r = sim.runBandit();
+    EXPECT_EQ(r.cycles, cfg.maxCycles);
+    EXPECT_EQ(r.rename.cycles, cfg.maxCycles);
+    for (const auto &[cycle, arm] : r.armHistory)
+        EXPECT_EQ(cycle % cfg.hcEpochCycles, 0u) << "arm " << arm;
 }
 
 } // namespace
