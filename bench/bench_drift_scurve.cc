@@ -17,8 +17,8 @@
  *     (trace/drift.h) alternating a streaming regime against a
  *     pointer-chase regime, run through the full prefetching stack at
  *     several shift periods. Drifting profiles are plain AppProfiles,
- *     so the cells materialize/replay/lockstep/shard like any other
- *     sweep (--jobs / --batch / --shards).
+ *     so the cells materialize/replay/shard like any other sweep
+ *     (--jobs / --shards).
  */
 #include "common.h"
 #include "core/drift_env.h"
@@ -73,7 +73,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    const int batch = benchBatch(argc, argv);
     benchShards(argc, argv);
 
     // ---- Oracle section: shift period x policy over known means.
@@ -109,7 +108,7 @@ main(int argc, char **argv)
 
     // ---- Simulator section: drifting workloads through the full
     // prefetching stack. All cells of one workload share its record
-    // stream, so --batch groups them over one lockstep replay.
+    // stream.
     const uint64_t instr = scaled(1'200'000);
     const std::vector<AppProfile> bases = driftBaseProfiles();
     std::vector<DriftProfile> workloads;
@@ -130,8 +129,7 @@ main(int argc, char **argv)
     for (const DriftProfile &w : workloads)
         for (const std::string &pf : pfs)
             grid.push_back({w.app, pf, instr, {}, {}, 0, {}});
-    const std::vector<PfRun> runs =
-        sweepPrefetchRuns(jobs, batch, grid);
+    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
     if (shardPartialDone(argc, argv))
         return 0;
 

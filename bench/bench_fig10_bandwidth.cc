@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    const int batch = benchBatch(argc, argv);
     benchShards(argc, argv);
     const uint64_t instr = scaled(1'200'000);
     const std::vector<double> mtps_list = {150, 600, 2400, 9600};
@@ -29,8 +28,9 @@ main(int argc, char **argv)
 
     // One grid over (bandwidth x workload x prefetcher incl. base).
     // Every cell of one workload consumes the same record stream
-    // regardless of bandwidth, so with --batch N all 12 of its points
-    // can share one lockstep replay.
+    // regardless of bandwidth; the sweep's claim order runs its 12
+    // points together, so the stream is not regenerated per bandwidth
+    // once the arena is full.
     std::vector<PfTask> grid;
     for (double mtps : mtps_list) {
         DramConfig dram;
@@ -43,8 +43,7 @@ main(int argc, char **argv)
                     {workloads[w].app, pf, instr, {}, dram, 0, {}});
         }
     }
-    const std::vector<PfRun> runs =
-        sweepPrefetchRuns(jobs, batch, grid);
+    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
     if (shardPartialDone(argc, argv))
         return 0;
 

@@ -15,7 +15,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    const int batch = benchBatch(argc, argv);
     benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
     const HierarchyConfig hier = skylakeLikeAltConfig();
@@ -30,8 +29,7 @@ main(int argc, char **argv)
             grid.push_back(
                 {workloads[w].app, pf, instr, hier, {}, 0, {}});
     }
-    const std::vector<PfRun> runs =
-        sweepPrefetchRuns(jobs, batch, grid);
+    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
     if (shardPartialDone(argc, argv))
         return 0;
 

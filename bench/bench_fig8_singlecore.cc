@@ -19,24 +19,20 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    const int batch = benchBatch(argc, argv);
     benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
     const auto pf_names = comparisonPrefetchers();
     const auto workloads = allWorkloads();
 
     // Task grid: the no-prefetch base plus every comparison
-    // prefetcher, per workload. With --batch N the per-workload runs
-    // advance in lockstep over one shared replay stream; results are
-    // byte-identical either way.
+    // prefetcher, per workload.
     std::vector<PfTask> grid;
     for (size_t w = 0; w < workloads.size(); ++w) {
         grid.push_back({workloads[w].app, "None", instr, {}, {}, 0, {}});
         for (const auto &pf : pf_names)
             grid.push_back({workloads[w].app, pf, instr, {}, {}, 0, {}});
     }
-    const std::vector<PfRun> runs =
-        sweepPrefetchRuns(jobs, batch, grid);
+    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
     if (shardPartialDone(argc, argv))
         return 0;
 

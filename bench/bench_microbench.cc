@@ -25,7 +25,6 @@
 #include "cpu/core_model.h"
 #include "memory/cache.h"
 #include "prefetch/stride.h"
-#include "sim/lockstep.h"
 #include "sim/rng.h"
 #include "smt/fetch_policy.h"
 #include "smt/pipeline.h"
@@ -351,48 +350,6 @@ BM_ReplayNext(benchmark::State &state)
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ReplayNext)->UseRealTime();
-
-/**
- * Lockstep record delivery: the lockstepPump() loop of the batch
- * engine (sim/lockstep.h) over a trivial per-cell sink, at batch
- * widths 1 / 2 / 8 / 64. "ns/record/cell" is the amortized per-cell
- * cost of getting one record in front of one simulator instance: one
- * shared ReplaySource fetch per record feeds every cell, so the
- * counter must drop well below BM_ReplayNext's ns/record once the
- * batch is a few cells wide (the sub-ns target at batch >= 8).
- */
-static void
-BM_LockstepStep(benchmark::State &state)
-{
-    const size_t cells = static_cast<size_t>(state.range(0));
-    const auto trace =
-        MaterializedTrace::generate(appByName("lbm06"), 1 << 20);
-    ReplaySource src(trace);
-    constexpr uint64_t kChunk = 1 << 16;
-    uint64_t acc = 0;
-    for (auto _ : state) {
-        if (src.position() + kChunk > src.size())
-            src.reset();
-        lockstepPump(src, kChunk, cells,
-                     [&acc](size_t, const PackedRecord &rec) {
-                         acc += rec.addr;
-                     });
-        benchmark::DoNotOptimize(acc);
-    }
-    const double delivered =
-        static_cast<double>(state.iterations()) *
-        static_cast<double>(kChunk) * static_cast<double>(cells);
-    state.SetItemsProcessed(static_cast<int64_t>(delivered));
-    state.counters["ns/record/cell"] = benchmark::Counter(
-        delivered,
-        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_LockstepStep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(8)
-    ->Arg(64)
-    ->UseRealTime();
 
 /**
  * Run construction on an arena hit: what a sweep task pays to get its

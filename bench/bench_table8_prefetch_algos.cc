@@ -22,7 +22,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    const int batch = benchBatch(argc, argv);
     benchShards(argc, argv);
     const uint64_t instr = scaled(1'500'000);
     const auto tune = tuneSetPrefetch();
@@ -36,9 +35,7 @@ main(int argc, char **argv)
     };
 
     // Per app: the 11 static-arm runs of Table 7 plus the 6
-    // algorithms. All 17 cells of one app consume the same record
-    // stream, so --batch N groups them over a shared lockstep replay;
-    // the fixed-arm cells ride along via the custom factory.
+    // algorithms; the fixed-arm cells are built by the custom factory.
     const size_t num_arms =
         static_cast<size_t>(BanditEnsemblePrefetcher::numArms());
     const size_t per_app = num_arms + algos.size();
@@ -61,8 +58,7 @@ main(int argc, char **argv)
         for (const auto &algo : algos)
             grid.push_back({app, algo, instr, {}, {}, 0, {}});
     }
-    const std::vector<PfRun> runs =
-        sweepPrefetchRuns(jobs, batch, grid);
+    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
     if (shardPartialDone(argc, argv))
         return 0;
     std::vector<double> ipcs;

@@ -15,8 +15,7 @@
  * long run).
  */
 
-#include <unistd.h>
-
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +25,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cpu/bandit_prefetch.h"
@@ -37,7 +37,6 @@
 #include "prefetch/pythia.h"
 #include "prefetch/stride.h"
 #include "sim/json.h"
-#include "sim/lockstep.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "sim/stats.h"
@@ -143,7 +142,8 @@ argValue(int argc, char **argv, const char *flag)
 
 /**
  * Sweep-execution record of this process: the job count the harness
- * chose and the wall-clock of every sweep task, in submission order.
+ * chose and the wall-clock of every sweep task, in submission order
+ * (a prefetching sweep submits its cells in claimOrder()).
  * Stamped into the "parallel" entry of every report's meta block so a
  * result file says how it was produced and where the time went.
  */
@@ -218,197 +218,6 @@ benchJobs(int argc, char **argv)
     }
     parallelMeta().jobs = jobs;
     return jobs;
-}
-
-/**
- * Lockstep-execution record of this process: the batch cap the
- * harness resolved and, once a batched sweep ran, the plan it
- * executed. Stamped into meta.lockstep of every --json report. The
- * plan is computed statically from the task grid (planLockstepBatches
- * is pure), so the block is deterministic at any jobs count.
- */
-struct LockstepMeta
-{
-    int batch = 0;               ///< resolved --batch cap (0 = off)
-    uint64_t batches = 0;        ///< multi-cell batches executed
-    std::vector<uint64_t> cellsPerBatch;
-    /** Record fetches avoided: sum over batches of
-     *  records x (cells - 1). */
-    uint64_t recordsShared = 0;
-    /** Wall-clock split over all executed batches: stream fetches vs
-     *  cell simulation (sim/lockstep.h:LockstepTimes). Shows why a
-     *  bigger batch stops moving wall-clock once deliveryMs is small
-     *  against computeMs — e.g. batch 8 cuts ns/record ~7x while the
-     *  fig8 sweep's wall-clock at jobs 1 barely moves, because
-     *  delivery was already a sliver of each batch's runtime. Worse,
-     *  batch 8 ran *net-negative* on the recorded host
-     *  (batchSavingPctMin < 0 in BENCH_sweeps.json): eight cells'
-     *  cache planes round-robining in 1024-record rounds spill the
-     *  host's fast cache, so the compute side slows more than
-     *  delivery saves — hence the lockstepBatchWarning() predictor
-     *  and the off-by-default cap. */
-    uint64_t deliveryNs = 0;
-    uint64_t computeNs = 0;
-};
-
-inline LockstepMeta &
-lockstepMeta()
-{
-    static LockstepMeta meta;
-    return meta;
-}
-
-/**
- * Hot per-cell simulator state a lockstep batch keeps resident: the
- * three cache levels' SoA planes. (MSHR heaps, prefetcher tables and
- * core bookkeeping ride along but are small against the LLC plane.)
- */
-inline uint64_t
-lockstepCellFootprintBytes(const HierarchyConfig &hier = {})
-{
-    return Cache::planeBytes(hier.l1) + Cache::planeBytes(hier.l2) +
-        Cache::planeBytes(hier.llc);
-}
-
-/**
- * The host cache level a lockstep round-robin effectively runs in:
- * the private/mid-level cache (sysconf L2), not the LLC — the
- * recorded sweeps (BENCH_sweeps.json) regress at batch 8 even on
- * hosts whose L3 nominally holds the whole batch, because lockstep
- * re-walks every cell's planes each 1024-record round and the shared,
- * inclusive host LLC does not keep 8 cells' planes hot against that
- * stride. Falls back to 1 MiB when the host does not report a size.
- */
-inline uint64_t
-hostFastCacheBytes()
-{
-#ifdef _SC_LEVEL2_CACHE_SIZE
-    const long sz = ::sysconf(_SC_LEVEL2_CACHE_SIZE);
-    if (sz > 0)
-        return static_cast<uint64_t>(sz);
-#endif
-    return 1ull << 20;
-}
-
-/**
- * Predict whether @p batch is net-negative on this host: batching
- * only saves record *delivery* (meta.lockstep's deliveryNs, already a
- * sliver of computeNs for every recorded sweep), so once the batch's
- * resident state -- batch x cellBytes -- spills the host's fast
- * cache, the per-round compute slowdown outweighs the delivery
- * saving. Returns the stderr warning text, or "" when the batch looks
- * safe. Pure, for tests; benchBatch() feeds it the live host values.
- */
-inline std::string
-lockstepBatchWarning(int batch, uint64_t cellBytes,
-                     uint64_t budgetBytes)
-{
-    if (batch <= 1 || cellBytes == 0 ||
-        static_cast<uint64_t>(batch) * cellBytes <= budgetBytes)
-        return "";
-    const double mib = 1024.0 * 1024.0;
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "lockstep: --batch %d keeps ~%.1f MiB of cache-model state "
-        "resident (%d cells x %.2f MiB), over this host's ~%.1f MiB "
-        "fast cache; expect the batch to run net-negative (delivery "
-        "is a sliver of compute -- see meta.lockstep). Try --batch "
-        "auto, a smaller cap, or 0.",
-        batch, static_cast<double>(batch) * cellBytes / mib, batch,
-        static_cast<double>(cellBytes) / mib,
-        static_cast<double>(budgetBytes) / mib);
-    return buf;
-}
-
-/** Largest batch whose resident state fits @p budgetBytes (capped at
- *  16 — the plan rarely groups more compatible cells); below 2 the
- *  answer is 0, batching off. The `--batch auto` resolution. */
-inline int
-autoLockstepBatch(uint64_t cellBytes, uint64_t budgetBytes)
-{
-    if (cellBytes == 0)
-        return 0;
-    const uint64_t fit = budgetBytes / cellBytes;
-    if (fit < 2)
-        return 0;
-    return static_cast<int>(std::min<uint64_t>(fit, 16));
-}
-
-/**
- * Batch cap of the bench sweep: `--batch N` on the command line, else
- * MAB_BENCH_BATCH, else 0 (batching off — the per-task path, the
- * pre-lockstep behavior). N is the maximum number of compatible sweep
- * cells one LockstepBatch advances over a shared replay stream;
- * N <= 1 disables batching. `auto` picks the largest batch whose
- * resident state fits the host's fast cache (autoLockstepBatch with
- * @p autoBudgetBytes, 0 = ask the host) — off stays the default
- * because the recorded deliveryNs/computeNs splits show compute
- * dominates every sweep, so batching is an opt-in for
- * delivery-bound setups. Same strict validation as resolveJobs: a
- * duplicate, negative or non-numeric count is a usage error —
- * resolveBatch() reports it, benchBatch() exits 2.
- */
-inline std::string
-resolveBatch(int argc, char **argv, const char *env, int *out,
-             uint64_t autoBudgetBytes = 0)
-{
-    *out = 0;
-    const char *v = nullptr;
-    const std::string err = findFlagValue(argc, argv, "--batch", &v);
-    if (!err.empty())
-        return err;
-    if (!v)
-        v = env;
-    if (!v)
-        return "";
-    if (std::strcmp(v, "auto") == 0) {
-        *out = autoLockstepBatch(lockstepCellFootprintBytes(),
-                                 autoBudgetBytes != 0
-                                     ? autoBudgetBytes
-                                     : hostFastCacheBytes());
-        return "";
-    }
-    int64_t batch = 0;
-    if (!parseInt64(v, &batch) || batch < 0)
-        return std::string("usage error: --batch needs a non-negative "
-                           "integer or 'auto', got '") +
-            v + "'";
-    *out = static_cast<int>(std::min<int64_t>(batch, 1 << 16));
-    return "";
-}
-
-/**
- * Resolve the batch cap for this process (and record it in
- * lockstepMeta()). Call after TracingSession / benchJobs: when a
- * tracing or audit sink is open, batching is clamped off because
- * lockstep interleaves cells on the shared virtual timeline. The
- * clamp note prints only when batching was actually requested, so
- * untraced runs produce byte-identical stdout at every --batch value.
- */
-inline int
-benchBatch(int argc, char **argv)
-{
-    int batch = 0;
-    const std::string err = resolveBatch(
-        argc, argv, std::getenv("MAB_BENCH_BATCH"), &batch);
-    if (!err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-    }
-    if (batch > 1 && tracing::Tracer::global().enabled()) {
-        std::printf("tracing/audit sink open: disabling lockstep "
-                    "batching (batch 0)\n");
-        batch = 0;
-    }
-    // Predicted-regression warning (stderr, so stdout stays
-    // byte-identical at every --batch value).
-    const std::string warn = lockstepBatchWarning(
-        batch, lockstepCellFootprintBytes(), hostFastCacheBytes());
-    if (!warn.empty())
-        std::fprintf(stderr, "%s\n", warn.c_str());
-    lockstepMeta().batch = batch;
-    return batch;
 }
 
 /**
@@ -532,10 +341,10 @@ benchName(const char *argv0)
  * Testable core of benchShards(): resolve `--shards N` / `--shard-id
  * K` (env fallbacks MAB_BENCH_SHARDS / MAB_BENCH_SHARD_ID — flags
  * win, so a CI matrix can export the count and pass per-job ids).
- * Same strict validation as resolveJobs/resolveBatch: a duplicate,
- * non-numeric, non-positive shard count, a negative shard id, an id
- * without a count, or an id >= the count is a usage error — reported
- * here, exit 2 in benchShards().
+ * Same strict validation as resolveJobs: a duplicate, non-numeric,
+ * non-positive shard count, a negative shard id, an id without a
+ * count, or an id >= the count is a usage error — reported here,
+ * exit 2 in benchShards().
  */
 inline std::string
 resolveShards(int argc, char **argv, const char *envShards,
@@ -581,7 +390,7 @@ resolveShards(int argc, char **argv, const char *envShards,
 }
 
 /**
- * Configure the process's shard role; call after benchJobs/benchBatch
+ * Configure the process's shard role; call after benchJobs
  * (the spawn below must happen before any SweepRunner thread exists —
  * forking a multithreaded process is where the dragons live).
  *
@@ -595,8 +404,8 @@ resolveShards(int argc, char **argv, const char *envShards,
  *  - `--merge-reports a.json,b.json,...`: merge independently-run
  *    workers' partials (CI matrix mode), same continuation.
  *
- * Like --jobs/--batch, sharding is clamped off when a tracing/audit
- * sink is open: N traced processes would write N timelines.
+ * Like --jobs, sharding is clamped off when a tracing/audit sink is
+ * open: N traced processes would write N timelines.
  */
 inline void
 benchShards(int argc, char **argv)
@@ -784,19 +593,6 @@ runMetaJson(int argc, char **argv)
     ar["fileSpills"] = arena.fileSpills;
     ar["fileRejects"] = arena.fileRejects;
     meta["traceArena"] = std::move(ar);
-
-    const LockstepMeta &ls = lockstepMeta();
-    json::Value lock = json::Value::object();
-    lock["batch"] = ls.batch;
-    lock["batches"] = ls.batches;
-    json::Value cells = json::Value::array();
-    for (uint64_t c : ls.cellsPerBatch)
-        cells.push(c);
-    lock["cellsPerBatch"] = std::move(cells);
-    lock["recordsShared"] = ls.recordsShared;
-    lock["deliveryMs"] = static_cast<double>(ls.deliveryNs) / 1e6;
-    lock["computeMs"] = static_cast<double>(ls.computeNs) / 1e6;
-    meta["lockstep"] = std::move(lock);
 
     const ShardSession &sh = ShardSession::global();
     json::Value shd = json::Value::object();
@@ -1028,8 +824,8 @@ struct PfRun
 /**
  * Offer @p pf the system probes @p core can provide; implementations
  * that exploit one take it (Pythia's bandwidth awareness), the rest
- * inherit the no-op default. Shared between the per-task run path and
- * the lockstep cells so both wire the same probes.
+ * inherit the no-op default. The repository benchmark (perfbench/)
+ * calls it too, so its cells wire the same probes as the sweeps.
  */
 inline void
 attachDramProbes(CoreModel &core, Prefetcher &pf)
@@ -1044,20 +840,6 @@ attachDramProbes(CoreModel &core, Prefetcher &pf)
         return backlog >= 500.0 ? 1.0 : backlog / 500.0;
     };
     pf.attachSystemProbes(probes);
-}
-
-/** Read the counters of a finished run off @p core (the PfRun every
- *  bench aggregation consumes). */
-inline PfRun
-collectPfRun(CoreModel &core)
-{
-    PfRun r;
-    r.ipc = core.ipc();
-    r.pf = core.hierarchy().prefetchStats();
-    r.llcDemandMisses = core.hierarchy().llcDemandMisses();
-    r.l2DemandAccesses = core.hierarchy().l2DemandAccesses();
-    r.instructions = core.instructions();
-    return r;
 }
 
 /**
@@ -1094,7 +876,13 @@ runPrefetch(const AppProfile &app, Prefetcher &pf, uint64_t instr,
 
     core.run(instr);
     tracer.endRun(core.cycles());
-    return collectPfRun(core);
+    PfRun r;
+    r.ipc = core.ipc();
+    r.pf = core.hierarchy().prefetchStats();
+    r.llcDemandMisses = core.hierarchy().llcDemandMisses();
+    r.l2DemandAccesses = core.hierarchy().l2DemandAccesses();
+    r.instructions = core.instructions();
+    return r;
 }
 
 /** Convenience: run by prefetcher name. A nonzero @p seed seeds both
@@ -1110,8 +898,8 @@ runPrefetchNamed(const AppProfile &app, const std::string &pf_name,
 
 /**
  * One cell of a prefetching sweep, described as data so the harness
- * can group compatible cells (same workload stream) into lockstep
- * batches. Semantics match runPrefetch/runPrefetchNamed exactly: a
+ * can order the cells by the stream they replay (claimOrder).
+ * Semantics match runPrefetch/runPrefetchNamed exactly: a
  * nonzero @p seed overrides both the trace seed and the prefetcher
  * seed.
  */
@@ -1129,7 +917,7 @@ struct PfTask
 };
 
 /** The profile whose record stream the task consumes (seed override
- *  applied) — the lockstep compatibility is keyed on this. */
+ *  applied) — the claim order groups cells by this. */
 inline AppProfile
 taskProfile(const PfTask &t)
 {
@@ -1197,93 +985,86 @@ pfRunCodec()
 }
 
 /**
- * Run a prefetching sweep on @p jobs lanes, lockstep-batching up to
- * @p batch compatible cells (same workload fingerprint + instruction
- * count) over one shared replay stream (sim/lockstep.h). Results come
- * back indexed exactly like the task grid, byte-identical to the
- * per-task path at every batch size and jobs count.
+ * The order a prefetching sweep hands its cells to the lanes: a
+ * permutation of [0, keys.size()), where keys[i] names the record
+ * stream cell i replays. Cells are grouped by key in order of first
+ * appearance, the groups are taken @p jobs at a time, and each such
+ * window is emitted rank-major: the k-th cell of every group in the
+ * window goes before any group's (k+1)-th.
  *
- * Fallbacks: @p batch <= 1 (or a disabled trace arena — without
- * materialized records there is no shared stream to replay) runs
- * every cell through the existing per-task path; with batching on,
- * singleton groups do the same. The executed plan lands in
- * lockstepMeta() (the meta.lockstep block), computed statically from
- * the grid so it is deterministic at any jobs count.
- *
- * Shard-aware, like shardedSweep: a worker runs (and batch-plans
- * within) only the cells it owns — legal because lockstep is
- * byte-identical to independent execution, so regrouping a subset of
- * the cells cannot change any cell's result — and a merge run decodes
- * every cell from the loaded partials.
+ * Why: the grids are workload- or bandwidth-major. In grid order the
+ * lanes of a parallel sweep all replay one stream and wait behind its
+ * recorder's frontier, and under arena pressure a bandwidth-major
+ * grid regenerates every stream once per bandwidth. In this order the
+ * J lanes of jobs J start on J different streams, each recording its
+ * own, and at jobs 1 each stream's cells run back to back. The window
+ * keeps about J streams in flight; rank-major over all groups would
+ * cycle every stream through the arena. A pure function of its
+ * arguments.
+ */
+inline std::vector<size_t>
+claimOrder(const std::vector<std::string> &keys, int jobs)
+{
+    std::vector<std::vector<size_t>> groups;
+    std::unordered_map<std::string, size_t> groupOf;
+    for (size_t i = 0; i < keys.size(); ++i) {
+        const auto [it, fresh] =
+            groupOf.try_emplace(keys[i], groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+    const size_t window = static_cast<size_t>(std::max(jobs, 1));
+    std::vector<size_t> order;
+    order.reserve(keys.size());
+    for (size_t first = 0; first < groups.size(); first += window) {
+        const size_t last = std::min(first + window, groups.size());
+        size_t ranks = 0;
+        for (size_t g = first; g < last; ++g)
+            ranks = std::max(ranks, groups[g].size());
+        for (size_t r = 0; r < ranks; ++r) {
+            for (size_t g = first; g < last; ++g) {
+                if (r < groups[g].size())
+                    order.push_back(groups[g][r]);
+            }
+        }
+    }
+    return order;
+}
+
+/**
+ * Run the cells of a prefetching sweep on @p jobs lanes in
+ * claimOrder() and return the results indexed like @p tasks. Every
+ * cell is an independent runPfTask, so the results do not depend on
+ * the order; meta.parallel.taskWallMs lists the cells in claim order.
  */
 inline std::vector<PfRun>
-sweepPrefetchRunsLocal(int jobs, int batch,
-                       const std::vector<PfTask> &tasks)
+sweepPrefetchRunsLocal(int jobs, const std::vector<PfTask> &tasks)
 {
-    if (batch <= 1 || !TraceArena::global().enabled()) {
-        return sweepMap<PfRun>(
-            jobs, tasks.size(),
-            [&](size_t i) { return runPfTask(tasks[i]); });
-    }
-
     std::vector<std::string> keys;
     keys.reserve(tasks.size());
     for (const PfTask &t : tasks)
         keys.push_back(profileFingerprint(taskProfile(t)) + '#' +
                        std::to_string(t.instr));
-    const std::vector<std::vector<size_t>> plan =
-        planLockstepBatches(keys, static_cast<size_t>(batch));
-
-    LockstepMeta &meta = lockstepMeta();
-    for (const std::vector<size_t> &unit : plan) {
-        if (unit.size() < 2 || tasks[unit[0]].instr == 0)
-            continue;
-        ++meta.batches;
-        meta.cellsPerBatch.push_back(unit.size());
-        meta.recordsShared +=
-            tasks[unit[0]].instr * (unit.size() - 1);
-    }
-
+    const std::vector<size_t> order = claimOrder(keys, jobs);
+    std::vector<PfRun> claimed = sweepMap<PfRun>(
+        jobs, order.size(),
+        [&](size_t k) { return runPfTask(tasks[order[k]]); });
     std::vector<PfRun> out(tasks.size());
-    std::vector<LockstepTimes> unitTimes(plan.size());
-    sweepMap<int>(jobs, plan.size(), [&](size_t u) {
-        const std::vector<size_t> &unit = plan[u];
-        if (unit.size() < 2 || tasks[unit[0]].instr == 0) {
-            // Singletons share nothing; run them on the proven path.
-            for (size_t idx : unit)
-                out[idx] = runPfTask(tasks[idx]);
-            return 0;
-        }
-        const PfTask &first = tasks[unit[0]];
-        LockstepBatch lb(TraceArena::global().acquireTrace(
-                             taskProfile(first), first.instr),
-                         first.instr);
-        std::vector<std::unique_ptr<Prefetcher>> pfs;
-        pfs.reserve(unit.size());
-        for (size_t idx : unit) {
-            const PfTask &t = tasks[idx];
-            pfs.push_back(makeTaskPrefetcher(t));
-            lb.addCell(CoreConfig{}, t.hier, t.dram,
-                       pfs.back().get());
-        }
-        for (size_t c = 0; c < unit.size(); ++c)
-            attachDramProbes(lb.core(c), *pfs[c]);
-        lb.run();
-        for (size_t c = 0; c < unit.size(); ++c)
-            out[unit[c]] = collectPfRun(lb.core(c));
-        unitTimes[u] = lb.times();
-        return 0;
-    });
-    for (const LockstepTimes &t : unitTimes) {
-        meta.deliveryNs += t.deliveryNs;
-        meta.computeNs += t.computeNs;
-    }
+    for (size_t k = 0; k < order.size(); ++k)
+        out[order[k]] = std::move(claimed[k]);
     return out;
 }
 
+/**
+ * A prefetching sweep, shard-aware like shardedSweep: a worker runs
+ * only the cells it owns (i % N == K over grid indices, whatever
+ * --jobs the worker and the merge use) and orders them among
+ * themselves; a merge run decodes every cell from the loaded
+ * partials.
+ */
 inline std::vector<PfRun>
-sweepPrefetchRuns(int jobs, int batch,
-                  const std::vector<PfTask> &tasks)
+sweepPrefetchRuns(int jobs, const std::vector<PfTask> &tasks)
 {
     ShardSession &sh = ShardSession::global();
     if (sh.mode() == ShardSession::Mode::Merge) {
@@ -1303,7 +1084,7 @@ sweepPrefetchRuns(int jobs, int batch,
         for (size_t i : owned)
             sub.push_back(tasks[i]);
         const std::vector<PfRun> runs =
-            sweepPrefetchRunsLocal(jobs, batch, sub);
+            sweepPrefetchRunsLocal(jobs, sub);
         std::vector<json::Value> vals;
         vals.reserve(runs.size());
         for (const PfRun &r : runs)
@@ -1314,7 +1095,7 @@ sweepPrefetchRuns(int jobs, int batch,
             out[owned[k]] = runs[k];
         return out;
     }
-    return sweepPrefetchRunsLocal(jobs, batch, tasks);
+    return sweepPrefetchRunsLocal(jobs, tasks);
 }
 
 /** Print a horizontal rule sized to @p width. */

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Records the repo's perf trajectory for the sweep engine: end-to-end
 # wall-clock of the fig8 / fig13 / table8 sweeps at 1% scale — trace
-# arena on vs off vs lockstep batching (--batch 8 and --batch auto)
-# vs the persistent arena directory (cold spill and warm mmap start)
-# — at 1 and 4 jobs, plus the record-delivery microbenchmarks
-# (BM_ReplayNext, BM_LockstepStep) and the compute-kernel
+# arena on vs off vs the persistent arena directory (cold spill and
+# warm mmap start) — at 1 and 4 jobs, plus the record-delivery
+# microbenchmark (BM_ReplayNext) and the compute-kernel
 # microbenchmarks (BM_CacheProbe*, BM_CacheLookupFill,
 # BM_PolicyScores*). Emits BENCH_sweeps.json.
 #
 # Methodology: for each (sweep, jobs) cell the legs are interleaved
-# (on, off, batch8, batchauto, dircold, dirwarm, on, off, ...) so
-# slow drift in
+# (on, off, dircold, dirwarm, on, off, ...) so slow drift in
 # host load hits every leg equally, and the summary reports both the
 # min and the median of the per-leg times. On a shared box prefer the
 # min — it is the closest observable to the noise-free cost. The
@@ -38,7 +36,7 @@ now_ms() {
     echo $((($(date +%s%N)) / 1000000))
 }
 
-# run_leg <exe> <jobs> <mode:on|off|batch8|batchauto|dircold|dirwarm>
+# run_leg <exe> <jobs> <mode:on|off|dircold|dirwarm>
 #   -> wall ms on stdout
 run_leg() {
     local exe=$1 jobs=$2 mode=$3 t0 t1
@@ -49,10 +47,6 @@ run_leg() {
     t0=$(now_ms)
     case "$mode" in
     off) MAB_BENCH_JOBS=$jobs MAB_TRACE_ARENA=0 "$exe" >/dev/null ;;
-    batch8) MAB_BENCH_JOBS=$jobs MAB_BENCH_BATCH=8 "$exe" \
-        >/dev/null 2>/dev/null ;;
-    batchauto) MAB_BENCH_JOBS=$jobs MAB_BENCH_BATCH=auto "$exe" \
-        >/dev/null ;;
     dircold) MAB_BENCH_JOBS=$jobs MAB_TRACE_ARENA_DIR=$colddir \
         "$exe" >/dev/null ;;
     dirwarm) MAB_BENCH_JOBS=$jobs MAB_TRACE_ARENA_DIR=$warmdir \
@@ -80,32 +74,26 @@ for sweep in "${sweeps[@]}"; do
     mkdir -p "$warmdir"
     MAB_BENCH_JOBS=1 MAB_TRACE_ARENA_DIR=$warmdir "$exe" >/dev/null
     for jobs in "${jobs_list[@]}"; do
-        on_ms=() off_ms=() batch_ms=() auto_ms=() cold_ms=() warm_ms=()
+        on_ms=() off_ms=() cold_ms=() warm_ms=()
         for ((r = 0; r < reps; ++r)); do
             on_ms+=("$(run_leg "$exe" "$jobs" on)")
             off_ms+=("$(run_leg "$exe" "$jobs" off)")
-            batch_ms+=("$(run_leg "$exe" "$jobs" batch8)")
-            auto_ms+=("$(run_leg "$exe" "$jobs" batchauto)")
             cold_ms+=("$(run_leg "$exe" "$jobs" dircold)")
             warm_ms+=("$(run_leg "$exe" "$jobs" dirwarm)")
         done
         echo "$sweep jobs=$jobs on: ${on_ms[*]} | off: ${off_ms[*]}" \
-            "| batch8: ${batch_ms[*]} | batchauto: ${auto_ms[*]}" \
             "| dircold: ${cold_ms[*]} | dirwarm: ${warm_ms[*]}" >&2
-        echo "$sweep $jobs ${on_ms[*]} | ${off_ms[*]} | ${batch_ms[*]}" \
-            "| ${auto_ms[*]} | ${cold_ms[*]} | ${warm_ms[*]}" \
-            >>"$results"
+        echo "$sweep $jobs ${on_ms[*]} | ${off_ms[*]}" \
+            "| ${cold_ms[*]} | ${warm_ms[*]}" >>"$results"
     done
 done
 
-# Record-delivery microbenches — the per-record replay cost and the
-# amortized per-record-per-cell lockstep cost (the <5.6 ns acceptance
-# bar at batch >= 8 lives in the "ns/record/cell" counter) — plus the
+# The record-delivery microbench (per-record replay cost) plus the
 # compute-kernel microbenches added with the SoA cache rewrite: the
 # probe/fill paths (BM_CacheProbe*, BM_CacheLookupFill) and the bandit
 # score loops (BM_PolicyScores*).
 "$bench_dir/bench_microbench" \
-    --benchmark_filter='BM_ReplayNext|BM_LockstepStep|BM_CacheProbe|BM_CacheLookupFill|BM_PolicyScores' \
+    --benchmark_filter='BM_ReplayNext|BM_CacheProbe|BM_CacheLookupFill|BM_PolicyScores' \
     --benchmark_min_time=0.2 --benchmark_repetitions=3 \
     --benchmark_format=json >"$micro" \
     2>/dev/null
@@ -135,12 +123,9 @@ sweeps = []
 with open(results_path) as f:
     for line in f:
         name, jobs, rest = line.split(maxsplit=2)
-        (on_part, off_part, batch_part, auto_part, cold_part,
-         warm_part) = rest.split("|")
+        on_part, off_part, cold_part, warm_part = rest.split("|")
         on = [int(x) for x in on_part.split()]
         off = [int(x) for x in off_part.split()]
-        batch = [int(x) for x in batch_part.split()]
-        auto = [int(x) for x in auto_part.split()]
         cold = [int(x) for x in cold_part.split()]
         warm = [int(x) for x in warm_part.split()]
         saving = lambda a, b: round(100.0 * (b - a) / b, 1) if b else 0.0
@@ -149,34 +134,25 @@ with open(results_path) as f:
             "jobs": int(jobs),
             "arenaOnMs": on,
             "arenaOffMs": off,
-            "batch8Ms": batch,
-            "batchAutoMs": auto,
             "dirColdMs": cold,
             "dirWarmMs": warm,
             "minOnMs": min(on),
             "minOffMs": min(off),
-            "minBatch8Ms": min(batch),
-            "minBatchAutoMs": min(auto),
             "minDirColdMs": min(cold),
             "minDirWarmMs": min(warm),
             "medianOnMs": statistics.median(on),
             "medianOffMs": statistics.median(off),
-            "medianBatch8Ms": statistics.median(batch),
-            "medianBatchAutoMs": statistics.median(auto),
             "medianDirColdMs": statistics.median(cold),
             "medianDirWarmMs": statistics.median(warm),
             "savingPctMin": saving(min(on), min(off)),
             "savingPctMedian": saving(statistics.median(on),
                                       statistics.median(off)),
-            "batchSavingPctMin": saving(min(batch), min(on)),
-            "autoSavingPctMin": saving(min(auto), min(on)),
             "warmSavingPctMin": saving(min(warm), min(cold)),
         })
 
 with open(micro_path) as f:
     micro = json.load(f)
 replay_ns = None
-lockstep_ns = {}
 kernel_ns = {}
 # Inverted-rate counters are reported in seconds per item; scale to
 # ns. The kernel benches carry their per-op cost in real_time
@@ -190,10 +166,6 @@ for b in micro.get("benchmarks", []):
     if name.startswith("BM_ReplayNext"):
         v = round(b["ns/record"] * 1e9, 3)
         replay_ns = v if replay_ns is None else min(replay_ns, v)
-    elif name.startswith("BM_LockstepStep/"):
-        cells = name.split("/")[1]
-        v = round(b["ns/record/cell"] * 1e9, 3)
-        lockstep_ns[cells] = min(lockstep_ns.get(cells, v), v)
     elif name.startswith(("BM_Cache", "BM_PolicyScores")):
         v = round(b["real_time"], 3)
         kernel_ns[name] = min(kernel_ns.get(name, v), v)
@@ -225,7 +197,7 @@ def run(cmd):
 date = run(["date", "-u", "+%Y-%m-%dT%H:%M:%SZ"])
 nproc = run(["nproc"])
 doc = {
-    "schema": "mab-bench-sweeps-v4",
+    "schema": "mab-bench-sweeps-v5",
     "generatedUtc": date,
     "host": {
         "nproc": int(nproc or 1),
@@ -236,14 +208,10 @@ doc = {
     },
     "scale": scale,
     "repsPerLeg": reps,
-    "methodology": ("interleaved on/off/batch8/batchauto/dircold/"
-                    "dirwarm legs per cell; min is the "
-                    "noise-resistant statistic on a shared host"),
-    "lockstep": {
-        "replayNsPerRecord": replay_ns,
-        "nsPerRecordPerCell": lockstep_ns,
-        "acceptance": "ns/record/cell < 5.6 amortized at batch >= 8",
-    },
+    "methodology": ("interleaved on/off/dircold/dirwarm legs per "
+                    "cell; min is the noise-resistant statistic on a "
+                    "shared host"),
+    "replayNsPerRecord": replay_ns,
     "kernel": {
         "note": ("ns/op (real_time) of the cache probe/fill and "
                  "bandit score microbenches; beforeNsPerOp was "
@@ -258,22 +226,16 @@ with open(out_path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 print(f"wrote {out_path}")
-print(f"  BM_ReplayNext {replay_ns} ns/record; BM_LockstepStep " +
-      ", ".join(f"{k} cells: {v}" for k, v in sorted(
-          lockstep_ns.items(), key=lambda kv: int(kv[0]))) +
-      " ns/record/cell")
+print(f"  BM_ReplayNext {replay_ns} ns/record")
 for name in sorted(kernel_ns):
     before = kernel_before_ns.get(name)
     vs = f" (was {before})" if before is not None else ""
     print(f"  {name:<42} {kernel_ns[name]} ns/op{vs}")
 for s in sweeps:
     print(f"  {s['sweep']:<28} jobs={s['jobs']}  "
-          f"min {s['minOnMs']}/{s['minOffMs']}/{s['minBatch8Ms']}/"
-          f"{s['minBatchAutoMs']}/"
+          f"min {s['minOnMs']}/{s['minOffMs']}/"
           f"{s['minDirColdMs']}/{s['minDirWarmMs']} ms "
-          f"(on/off/batch8/auto/dircold/dirwarm)  "
+          f"(on/off/dircold/dirwarm)  "
           f"arena saving {s['savingPctMin']}%  "
-          f"batch8 saving {s['batchSavingPctMin']}%  "
-          f"auto saving {s['autoSavingPctMin']}%  "
           f"warm saving {s['warmSavingPctMin']}%")
 EOF

@@ -1,17 +1,15 @@
 #!/usr/bin/env bash
-# Arena + lockstep + shard identity gate: neither the trace arena,
-# batch-lockstep execution, nor multi-process sharding may change
-# anything observable.
+# Arena + shard identity gate: neither the trace arena nor
+# multi-process sharding may change anything observable.
 #
 # For each sweep binary this runs one base configuration (arena on,
-# batching off, unsharded) and diffs it against:
+# unsharded) and diffs it against:
 #
-#   - arena off        (MAB_TRACE_ARENA=0),
-#   - lockstep batches (--batch 2 and --batch 8, each at jobs 1 and 4),
-#   - sharded runs     (--shards 2 and --shards 4 driver mode, each at
-#                       jobs 1 and 4: the driver spawns that many
-#                       worker processes over a shared spill directory
-#                       and merges their partial reports)
+#   - arena off    (MAB_TRACE_ARENA=0),
+#   - sharded runs (--shards 2 and --shards 4 driver mode, each at
+#                   jobs 1 and 4: the driver spawns that many worker
+#                   processes over a shared spill directory and merges
+#                   their partial reports)
 #
 # asserting for every leg that:
 #
@@ -19,8 +17,7 @@
 #   2. for binaries that emit a --json report, the reports are
 #      byte-identical after dropping the top-level "meta" block
 #      (which by design records run-local facts: wall-clock samples,
-#      the command line, the arena hit/miss counters and the
-#      lockstep batch plan themselves).
+#      the command line and the arena hit/miss counters).
 #
 # Usage:
 #   scripts/check_arena_identity.sh <build-bench-dir> [jobs] [bench...]
@@ -43,7 +40,6 @@ fi
 
 export MAB_BENCH_SCALE=${MAB_BENCH_SCALE:-0.01}
 export MAB_BENCH_JOBS=$jobs
-export MAB_BENCH_BATCH=0
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -74,14 +70,6 @@ for b in "${benches[@]}"; do
     run_leg base
     run_leg off MAB_TRACE_ARENA=0
     compare_leg off "arena on vs off (jobs=$jobs)"
-    for batch in 2 8; do
-        for bj in 1 4; do
-            run_leg "b$batch.j$bj" \
-                MAB_BENCH_BATCH=$batch MAB_BENCH_JOBS=$bj
-            compare_leg "b$batch.j$bj" \
-                "batch $batch jobs $bj vs unbatched (jobs=$jobs)"
-        done
-    done
     for shards in 2 4; do
         for sj in 1 4; do
             run_leg "s$shards.j$sj" \
@@ -93,7 +81,7 @@ for b in "${benches[@]}"; do
 
     if [ "$ok" -eq 1 ]; then
         echo "IDENTICAL  $b (jobs=$jobs, arena off," \
-            "batch 2/8 x jobs 1/4, shards 2/4 x jobs 1/4)"
+            "shards 2/4 x jobs 1/4)"
     else
         fail=1
     fi
@@ -103,4 +91,4 @@ if [ "$fail" -ne 0 ]; then
     echo "arena identity check FAILED" >&2
     exit 1
 fi
-echo "arena+lockstep+shard identity check passed: ${#benches[@]} sweep(s), jobs=$jobs"
+echo "arena+shard identity check passed: ${#benches[@]} sweep(s), jobs=$jobs"

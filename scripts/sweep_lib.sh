@@ -63,9 +63,6 @@ run_sweep() {
     # The json-report path is printed; mask it so stdout compares clean
     # while the reports are diffed separately.
     sed -i "s#$out\.json#<json>#" "$out.txt"
-    # The batch-footprint advisory on stderr reads the *host's* cache
-    # size — run-local by design, like meta; drop it before diffing.
-    sed -i '/^lockstep: --batch/d' "$out.txt"
     if json_capable "$b"; then
         strip_meta "$out.json" "$out.stripped.json"
     fi

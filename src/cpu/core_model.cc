@@ -203,12 +203,6 @@ CoreModel::stepRecT(const Rec &rec)
 template void CoreModel::stepOneT<false>();
 template void CoreModel::stepOneT<true>();
 
-void
-CoreModel::stepPacked(const PackedRecord &rec)
-{
-    stepRecT<false>(PackedRec{rec});
-}
-
 template <bool Profiled>
 void
 CoreModel::runTo(uint64_t instructions, uint64_t granularity)

@@ -86,19 +86,6 @@ class CoreModel
     /** Run until @p instructions have been committed in total. */
     void run(uint64_t instructions);
 
-    /**
-     * Push-mode step: execute one instruction from an externally
-     * fetched packed record instead of pulling from the trace source.
-     * This is the exact instantiation the replay run loop uses
-     * (stepRecT over the PackedRec view, unprofiled), so a pushed
-     * stream is byte-identical to the core pulling the same records
-     * itself — the contract the batch-lockstep engine
-     * (sim/lockstep.h) is built on. Callers own the record ordering:
-     * pushing anything but the next record of the run's trace leaves
-     * the model in a state no pull-mode run can reach.
-     */
-    void stepPacked(const PackedRecord &rec);
-
     uint64_t instructions() const { return instructions_; }
 
     /** Core parameters the model was built with (introspection). */

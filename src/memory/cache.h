@@ -231,23 +231,6 @@ class Cache
     /** Number of valid lines currently resident (diagnostics). */
     uint64_t occupancy() const;
 
-    /** Bytes of hot simulator state the planes of a cache with
-     *  @p config occupy — the footprint a lockstep batch multiplies
-     *  per cell. Static so batch planning can price a hierarchy
-     *  without constructing it. */
-    static uint64_t
-    planeBytes(const CacheConfig &config)
-    {
-        const uint64_t sets =
-            config.sizeBytes / (kLineBytes * config.ways);
-        return sets * (static_cast<uint64_t>(config.ways) *
-                           kBytesPerLine +
-                       1);
-    }
-
-    /** Bytes of hot simulator state this cache's planes occupy. */
-    uint64_t footprintBytes() const { return planeBytes(config_); }
-
     uint64_t demandHits = 0;
     uint64_t demandMisses = 0;
 

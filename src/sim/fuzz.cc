@@ -16,7 +16,6 @@
 #include "prefetch/mlop.h"
 #include "prefetch/pythia.h"
 #include "prefetch/stride.h"
-#include "sim/lockstep.h"
 #include "sim/parallel.h"
 #include "sim/rng.h"
 #include "trace/record.h"
@@ -1394,188 +1393,6 @@ checkReplayEquivalence(uint64_t seed)
 }
 
 // ---------------------------------------------------------------------
-// Lockstep-vs-independent batch oracle
-// ---------------------------------------------------------------------
-
-namespace {
-
-uint64_t
-doubleBits(double v)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-/** Bit patterns of the bandit policy's selectionScores(), or empty
- *  for non-bandit prefetchers. */
-std::vector<uint64_t>
-banditScoreBits(const Prefetcher *pf)
-{
-    const auto *ctl =
-        dynamic_cast<const BanditPrefetchController *>(pf);
-    if (ctl == nullptr)
-        return {};
-    std::vector<uint64_t> bits;
-    for (double v : ctl->agent().policy().selectionScores())
-        bits.push_back(doubleBits(v));
-    return bits;
-}
-
-} // namespace
-
-std::string
-formatLockstepCase(const LockstepCase &c)
-{
-    std::ostringstream os;
-    os << "lockstep case: instr=" << c.instructions
-       << " phases=" << c.app.phases.size() << " seed=" << c.app.seed
-       << " cells=" << c.cells.size();
-    for (const LockstepCell &cell : c.cells)
-        os << " [pf=" << cell.prefetcher << " l1=" << cell.hier.l1.sizeBytes
-           << "B/" << cell.hier.l1.ways << "w l2=" << cell.hier.l2.sizeBytes
-           << "B/" << cell.hier.l2.ways << "w llc=" << cell.hier.llc.sizeBytes
-           << "B/" << cell.hier.llc.ways
-           << "w dramMtps=" << cell.dram.mtps << "]";
-    return os.str();
-}
-
-LockstepCase
-genLockstepCase(uint64_t seed)
-{
-    Rng rng(subSeed(seed, 80));
-    LockstepCase c;
-    // Workload comes from a base sim case; cell machine configs come
-    // from further independent draws so one batch mixes hierarchies,
-    // DRAM speeds and prefetchers (degenerate geometries included —
-    // genCacheGeometry can hand out 1-way and minimum-set caches).
-    const SimCase base = genSimCase(subSeed(seed, 81));
-    c.app = base.app;
-    c.instructions = 1200 + rng.below(1800);
-    const size_t cells = 2 + rng.below(3);
-    for (size_t i = 0; i < cells; ++i) {
-        const SimCase donor =
-            genSimCase(subSeed(seed, 90 + static_cast<uint64_t>(i)));
-        LockstepCell cell;
-        cell.hier = donor.hier;
-        cell.dram = donor.dram;
-        cell.prefetcher = donor.prefetcher;
-        c.cells.push_back(std::move(cell));
-    }
-    return c;
-}
-
-std::string
-diffLockstepCase(const LockstepCase &c)
-{
-    const uint64_t n = c.instructions;
-    const auto mat = std::make_shared<MaterializedTrace>(c.app, n);
-
-    // Independent leg: a private ReplaySource and CoreModel per cell,
-    // run sequentially to completion.
-    std::vector<std::vector<uint64_t>> want;
-    std::vector<std::vector<uint64_t>> want_scores;
-    for (const LockstepCell &cell : c.cells) {
-        std::unique_ptr<Prefetcher> pf =
-            makeSimPrefetcher(cell.prefetcher, c.app.seed);
-        ReplaySource src(mat);
-        CoreModel core(CoreConfig{}, cell.hier, src, pf.get(),
-                       nullptr, cell.dram);
-        core.run(n);
-        want.push_back(coreCounters(core));
-        want_scores.push_back(banditScoreBits(pf.get()));
-    }
-
-    // Lockstep leg: every cell advances over one shared stream.
-    LockstepBatch lb(mat, n);
-    std::vector<std::unique_ptr<Prefetcher>> pfs;
-    for (const LockstepCell &cell : c.cells) {
-        pfs.push_back(
-            makeSimPrefetcher(cell.prefetcher, c.app.seed));
-        lb.addCell(CoreConfig{}, cell.hier, cell.dram,
-                   pfs.back().get());
-    }
-    lb.run();
-
-    for (size_t i = 0; i < c.cells.size(); ++i) {
-        const std::vector<uint64_t> got = coreCounters(lb.core(i));
-        for (size_t k = 0; k < got.size(); ++k) {
-            if (got[k] != want[i][k])
-                return "cell " + std::to_string(i) + " counter " +
-                    kCoreCounterNames[k] +
-                    " differs between lockstep and independent "
-                    "execution (" +
-                    formatLockstepCase(c) + ")";
-        }
-        const std::vector<uint64_t> scores =
-            banditScoreBits(pfs[i].get());
-        if (scores != want_scores[i])
-            return "cell " + std::to_string(i) +
-                " selectionScores() differ between lockstep and "
-                "independent execution (" +
-                formatLockstepCase(c) + ")";
-    }
-    return "";
-}
-
-LockstepCase
-shrinkLockstepCase(const LockstepCase &c)
-{
-    LockstepCase cur = c;
-    const auto fails = [](const LockstepCase &t) {
-        return !diffLockstepCase(t).empty();
-    };
-    if (!fails(cur))
-        return cur;
-    // Drop cells one at a time (a batch needs at least two to be a
-    // lockstep case at all).
-    for (size_t i = 0; cur.cells.size() > 2 && i < cur.cells.size();) {
-        LockstepCase trial = cur;
-        trial.cells.erase(trial.cells.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-        if (fails(trial))
-            cur = trial;
-        else
-            ++i;
-    }
-    while (cur.instructions > 256) {
-        LockstepCase trial = cur;
-        trial.instructions /= 2;
-        if (!fails(trial))
-            break;
-        cur = trial;
-    }
-    const auto tryKnob = [&](auto &&mutate) {
-        LockstepCase trial = cur;
-        mutate(trial);
-        if (fails(trial))
-            cur = trial;
-    };
-    for (size_t i = 0; i < cur.cells.size(); ++i) {
-        tryKnob([i](LockstepCase &t) {
-            t.cells[i].prefetcher = "None";
-        });
-        tryKnob([i](LockstepCase &t) {
-            t.cells[i].hier = HierarchyConfig{};
-        });
-        tryKnob([i](LockstepCase &t) {
-            t.cells[i].dram = DramConfig{};
-        });
-    }
-    tryKnob([](LockstepCase &t) {
-        if (t.app.phases.size() > 1)
-            t.app.phases.resize(1);
-    });
-    return cur;
-}
-
-std::string
-checkLockstepEquivalence(uint64_t seed)
-{
-    return diffLockstepCase(genLockstepCase(subSeed(seed, 4)));
-}
-
-// ---------------------------------------------------------------------
 // Drifting-generator oracle
 // ---------------------------------------------------------------------
 
@@ -1589,7 +1406,7 @@ formatDriftCase(const DriftCase &c)
        << " instr=" << c.instructions
        << " segments=" << c.drift.schedule.size()
        << " phases=" << c.drift.app.phases.size()
-       << " seed=" << c.drift.app.seed << " cells=" << c.cells.size()
+       << " seed=" << c.drift.app.seed << " pf=" << c.prefetcher
        << " env{arms=" << c.env.numArms << " steps=" << c.env.steps
        << " period=" << c.env.periodSteps << " seed=" << c.env.seed
        << " recovery=" << c.env.recoveryWindow
@@ -1633,15 +1450,11 @@ genDriftCase(uint64_t seed)
     c.instructions =
         std::min<uint64_t>(c.drift.totalInstrs(),
                            1200 + rng.below(1800));
-    // Two heterogeneous machine cells, like the lockstep oracle.
-    for (uint64_t i = 0; i < 2; ++i) {
-        const SimCase donor = genSimCase(subSeed(seed, 130 + i));
-        LockstepCell cell;
-        cell.hier = donor.hier;
-        cell.dram = donor.dram;
-        cell.prefetcher = donor.prefetcher;
-        c.cells.push_back(std::move(cell));
-    }
+    // The machine comes from an independent sim-case draw.
+    const SimCase donor = genSimCase(subSeed(seed, 130));
+    c.hier = donor.hier;
+    c.dram = donor.dram;
+    c.prefetcher = donor.prefetcher;
     // Drifting-bandit rollout: random horizon, shift period, policy.
     c.env.numArms = 3 + static_cast<int>(rng.below(3));
     c.env.steps = 400 + rng.below(1200);
@@ -1701,12 +1514,12 @@ diffDriftCase(const DriftCase &c)
         if (!err.empty())
             return err + " (" + formatDriftCase(c) + ")";
     }
-    if (!c.cells.empty()) {
+    {
         SimCase sc;
         sc.app = c.drift.app;
-        sc.hier = c.cells[0].hier;
-        sc.dram = c.cells[0].dram;
-        sc.prefetcher = c.cells[0].prefetcher;
+        sc.hier = c.hier;
+        sc.dram = c.dram;
+        sc.prefetcher = c.prefetcher;
         sc.instructions = n;
         SyntheticTrace live(c.drift.app);
         const std::vector<uint64_t> want = simCounters(sc, live);
@@ -1719,18 +1532,6 @@ diffDriftCase(const DriftCase &c)
                     " differs between live and replay delivery (" +
                     formatDriftCase(c) + ")";
         }
-    }
-
-    // Lockstep-vs-independent identity over one shared drifting
-    // stream.
-    if (c.cells.size() >= 2) {
-        LockstepCase lc;
-        lc.app = c.drift.app;
-        lc.instructions = n;
-        lc.cells = c.cells;
-        const std::string err = diffLockstepCase(lc);
-        if (!err.empty())
-            return err;
     }
 
     // Regret conservation at the per-phase oracle: phases partition
@@ -1795,15 +1596,9 @@ shrinkDriftCase(const DriftCase &c)
         if (fails(trial))
             cur = trial;
     };
-    for (size_t i = 0; i < cur.cells.size(); ++i) {
-        tryKnob([i](DriftCase &t) {
-            t.cells[i].prefetcher = "None";
-        });
-        tryKnob([i](DriftCase &t) {
-            t.cells[i].hier = HierarchyConfig{};
-        });
-        tryKnob([i](DriftCase &t) { t.cells[i].dram = DramConfig{}; });
-    }
+    tryKnob([](DriftCase &t) { t.prefetcher = "None"; });
+    tryKnob([](DriftCase &t) { t.hier = HierarchyConfig{}; });
+    tryKnob([](DriftCase &t) { t.dram = DramConfig{}; });
     return cur;
 }
 
@@ -2031,6 +1826,14 @@ shrinkSmtCase(const SmtCase &c)
 
 namespace {
 
+uint64_t
+doubleBits(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
 /** Pure, deterministic task: fingerprint of a reference-cache run
  *  plus a short bandit rollout, both derived from @p task_seed. */
 uint64_t
@@ -2128,7 +1931,6 @@ FuzzReport::merge(const FuzzReport &other)
     banditCases += other.banditCases;
     simCases += other.simCases;
     replayCases += other.replayCases;
-    lockstepCases += other.lockstepCases;
     driftCases += other.driftCases;
     smtCases += other.smtCases;
     sweepCases += other.sweepCases;
@@ -2209,19 +2011,6 @@ runFuzzIteration(uint64_t caseSeed, FuzzReport &report, bool shrink,
         if (!err.empty())
             report.failures.push_back(
                 {caseSeed, "replay", err, repro});
-    }
-    if (enabled("lockstep")) {
-        ++report.lockstepCases;
-        const LockstepCase lc = genLockstepCase(subSeed(caseSeed, 4));
-        std::string err = diffLockstepCase(lc);
-        if (!err.empty()) {
-            if (shrink) {
-                const LockstepCase min = shrinkLockstepCase(lc);
-                err += "\nminimized: " + formatLockstepCase(min);
-            }
-            report.failures.push_back(
-                {caseSeed, "lockstep", err, repro});
-        }
     }
     if (enabled("drift")) {
         ++report.driftCases;

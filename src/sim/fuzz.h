@@ -384,53 +384,6 @@ SimCase shrinkSimCase(const SimCase &c);
 std::string checkReplayEquivalence(uint64_t seed);
 
 // ---------------------------------------------------------------------
-// Lockstep-vs-independent batch oracle
-// ---------------------------------------------------------------------
-
-/** One cell of a lockstep batch case: a private machine configuration
- *  over the case's shared workload stream. */
-struct LockstepCell
-{
-    HierarchyConfig hier;
-    DramConfig dram;
-    std::string prefetcher = "None";
-};
-
-/** A lockstep equivalence case: one workload, 2-4 heterogeneous
- *  cells advancing over its shared materialized stream. */
-struct LockstepCase
-{
-    AppProfile app;
-    uint64_t instructions = 2000;
-    std::vector<LockstepCell> cells;
-};
-
-std::string formatLockstepCase(const LockstepCase &c);
-
-/** Generate a lockstep case: random workload plus 2-4 cells with
- *  independent hierarchies, DRAM speeds and prefetchers (degenerate
- *  geometries included). */
-LockstepCase genLockstepCase(uint64_t seed);
-
-/**
- * Run the case's cells once through a LockstepBatch over one shared
- * replay stream and once independently (a private ReplaySource per
- * cell), then diff every end-to-end counter the bench helpers report
- * AND — for bandit cells — the policy's selectionScores(), bit for
- * bit. This is the fuzzed form of the batch engine's byte-identity
- * contract. Returns "" on agreement, else the first divergence.
- */
-std::string diffLockstepCase(const LockstepCase &c);
-
-/** Shrink a failing lockstep case: drop cells (keeping at least two),
- *  halve the run, default the surviving cells' configs. */
-LockstepCase shrinkLockstepCase(const LockstepCase &c);
-
-/** diffLockstepCase over a freshly generated case (the per-iteration
- *  entry point; shrinking is the driver's choice). */
-std::string checkLockstepEquivalence(uint64_t seed);
-
-// ---------------------------------------------------------------------
 // Drifting-generator oracle
 // ---------------------------------------------------------------------
 
@@ -446,8 +399,10 @@ struct DriftCase
     int kind = 1;
     DriftProfile drift;
     uint64_t instructions = 2000;
-    /** Two heterogeneous cells for the lockstep identity leg. */
-    std::vector<LockstepCell> cells;
+    /** Machine of the live-vs-replay counter leg. */
+    HierarchyConfig hier;
+    DramConfig dram;
+    std::string prefetcher = "None";
     /** Regret-conservation rollout over the moving oracle. */
     DriftBanditConfig env;
     DriftPolicySpec policy;
@@ -456,7 +411,7 @@ struct DriftCase
 std::string formatDriftCase(const DriftCase &c);
 
 /** Generate a drift case: random generator kind, shift schedule,
- *  machine cells and bandit environment, all from @p seed. */
+ *  machine and bandit environment, all from @p seed. */
 DriftCase genDriftCase(uint64_t seed);
 
 /**
@@ -467,8 +422,6 @@ DriftCase genDriftCase(uint64_t seed);
  *    profile vs its materialized replay, record-for-record (fresh and
  *    post-reset) and end-to-end counters (arena-on vs arena-off
  *    delivery of the same drifting stream);
- *  - lockstep identity: the case's cells over one shared drifting
- *    stream vs independent runs;
  *  - regret conservation: per-phase regrets of the
  *    PhasedRegretTracker sum exactly to cumulative(), per-phase step
  *    counts to steps(), with the expected phase count.
@@ -477,7 +430,7 @@ DriftCase genDriftCase(uint64_t seed);
 std::string diffDriftCase(const DriftCase &c);
 
 /** Shrink a failing drift case: halve the run and the rollout, then
- *  default the cell configs. */
+ *  default the machine config. */
 DriftCase shrinkDriftCase(const DriftCase &c);
 
 /** diffDriftCase over a freshly generated case. */
@@ -553,7 +506,7 @@ struct FuzzOptions
     /** Parallel fuzz lanes (iterations are independent). */
     int jobs = 1;
     /** Restrict to one domain ("cache", "bandit", "sim", "replay",
-     *  "lockstep", "drift", "smt", "sweep"); empty runs them all. */
+     *  "drift", "smt", "sweep"); empty runs them all. */
     std::string domain;
 };
 
@@ -561,7 +514,7 @@ struct FuzzFailure
 {
     uint64_t caseSeed = 0;
     std::string domain;  ///< "cache", "bandit", "sim", "replay",
-                         ///< "lockstep", "drift", "smt", "sweep"
+                         ///< "drift", "smt", "sweep"
     std::string message; ///< divergence + (when shrunk) minimal case
     std::string repro;   ///< one-line replay command
 };
@@ -573,7 +526,6 @@ struct FuzzReport
     uint64_t banditCases = 0;
     uint64_t simCases = 0;
     uint64_t replayCases = 0;
-    uint64_t lockstepCases = 0;
     uint64_t driftCases = 0;
     uint64_t smtCases = 0;
     uint64_t sweepCases = 0;

@@ -37,7 +37,7 @@ namespace mab {
  *
  * The session is process-global state configured once by
  * bench::benchShards() before any sweep runs, mirroring
- * parallelMeta()/lockstepMeta():
+ * parallelMeta():
  *
  *  - Off:    every sweep runs locally (the unsharded path).
  *  - Worker: sweeps run only their owned cells and record encoded

@@ -179,131 +179,6 @@ TEST(ResolveJobs, DuplicateFlagIsAUsageError)
     EXPECT_NE(err.find("duplicate --jobs"), std::string::npos) << err;
 }
 
-TEST(ResolveBatch, DefaultsToOff)
-{
-    Args args({});
-    int batch = -1;
-    EXPECT_EQ(resolveBatch(args.argc(), args.argv(), nullptr, &batch),
-              "");
-    EXPECT_EQ(batch, 0) << "lockstep batching is opt-in";
-}
-
-TEST(ResolveBatch, FlagAndEnvSelectTheCap)
-{
-    Args args({"--batch", "8"});
-    int batch = -1;
-    EXPECT_EQ(resolveBatch(args.argc(), args.argv(), "2", &batch),
-              "");
-    EXPECT_EQ(batch, 8) << "the flag outranks the environment";
-
-    Args noflag({});
-    EXPECT_EQ(
-        resolveBatch(noflag.argc(), noflag.argv(), "2", &batch), "");
-    EXPECT_EQ(batch, 2);
-}
-
-TEST(ResolveBatch, NegativeCapIsAUsageError)
-{
-    Args args({"--batch", "-4"});
-    int batch = -1;
-    const std::string err =
-        resolveBatch(args.argc(), args.argv(), nullptr, &batch);
-    EXPECT_NE(err.find("usage error"), std::string::npos) << err;
-    EXPECT_EQ(batch, 0) << "the out-param stays at the safe default";
-}
-
-TEST(ResolveBatch, NonNumericCapIsAUsageError)
-{
-    Args args({"--batch", "all"});
-    int batch = -1;
-    const std::string err =
-        resolveBatch(args.argc(), args.argv(), nullptr, &batch);
-    EXPECT_NE(err.find("usage error"), std::string::npos) << err;
-    EXPECT_EQ(batch, 0);
-}
-
-TEST(ResolveBatch, NegativeEnvironmentIsAUsageErrorToo)
-{
-    Args args({});
-    int batch = -1;
-    const std::string err =
-        resolveBatch(args.argc(), args.argv(), "-1", &batch);
-    EXPECT_NE(err.find("usage error"), std::string::npos) << err;
-}
-
-TEST(ResolveBatch, DuplicateFlagIsAUsageError)
-{
-    Args args({"--batch", "2", "--batch", "8"});
-    int batch = -1;
-    const std::string err =
-        resolveBatch(args.argc(), args.argv(), nullptr, &batch);
-    EXPECT_NE(err.find("duplicate --batch"), std::string::npos)
-        << err;
-}
-
-TEST(ResolveBatch, AutoDerivesTheCapFromTheHostBudget)
-{
-    const uint64_t cell = lockstepCellFootprintBytes();
-    ASSERT_GT(cell, 0u);
-
-    Args args({"--batch", "auto"});
-    int batch = -1;
-    EXPECT_EQ(resolveBatch(args.argc(), args.argv(), nullptr, &batch,
-                           4 * cell),
-              "");
-    EXPECT_EQ(batch, 4) << "auto = largest batch that fits the budget";
-
-    EXPECT_EQ(resolveBatch(args.argc(), args.argv(), nullptr, &batch,
-                           cell),
-              "");
-    EXPECT_EQ(batch, 0) << "a budget under two cells disables batching";
-
-    EXPECT_EQ(resolveBatch(args.argc(), args.argv(), nullptr, &batch,
-                           1000 * cell),
-              "");
-    EXPECT_EQ(batch, 16) << "auto saturates at the plan-width cap";
-}
-
-TEST(ResolveBatch, AutoFromTheEnvironmentWorksToo)
-{
-    Args args({});
-    int batch = -1;
-    const uint64_t cell = lockstepCellFootprintBytes();
-    EXPECT_EQ(resolveBatch(args.argc(), args.argv(), "auto", &batch,
-                           3 * cell),
-              "");
-    EXPECT_EQ(batch, 3);
-}
-
-TEST(LockstepBatchWarning, FiresOnlyWhenTheBatchSpillsTheBudget)
-{
-    const uint64_t cell = 1 << 20;
-    EXPECT_EQ(lockstepBatchWarning(0, cell, 4 * cell), "");
-    EXPECT_EQ(lockstepBatchWarning(1, cell, 4 * cell), "");
-    EXPECT_EQ(lockstepBatchWarning(4, cell, 4 * cell), "")
-        << "a batch that exactly fits is not warned about";
-
-    const std::string warn = lockstepBatchWarning(8, cell, 4 * cell);
-    EXPECT_NE(warn.find("--batch 8"), std::string::npos) << warn;
-    EXPECT_NE(warn.find("net-negative"), std::string::npos) << warn;
-}
-
-TEST(LockstepCellFootprint, TracksTheHierarchyPlanes)
-{
-    // Default hierarchy: 32K + 256K + 2M of modeled lines at 17
-    // plane bytes per 64-byte line, plus one clock byte per set
-    // (8-way L1/L2, 16-way LLC).
-    const uint64_t lines = (32 * 1024 + 256 * 1024 + 2048 * 1024) / 64;
-    const uint64_t sets = 32 * 1024 / (64 * 8) +
-        256 * 1024 / (64 * 8) + 2048 * 1024 / (64 * 16);
-    EXPECT_EQ(lockstepCellFootprintBytes(), lines * 17 + sets);
-
-    HierarchyConfig alt = skylakeLikeAltConfig();
-    EXPECT_GT(lockstepCellFootprintBytes(alt),
-              lockstepCellFootprintBytes())
-        << "the 1MB-L2 alt hierarchy is a bigger cell";
-}
-
 TEST(ResolveShards, DefaultsToOff)
 {
     Args args({});

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/lockstep.h"
+#include "cpu/core_model.h"
 #include "sim/shard.h"
 #include "trace/drift.h"
 #include "trace/generator.h"
@@ -19,10 +20,9 @@
  * Drifting trace-generator tests (trace/drift.h). The central
  * contract: a DriftProfile is an ordinary AppProfile plus a schedule,
  * so every property the stationary workloads enjoy — byte-exact
- * replay, lockstep identity, arena spill/warm-start, batch/shard
- * determinism — must hold for drifting streams unchanged, and the
- * regime switches must land on the exact instruction the schedule
- * names.
+ * replay, arena spill/warm-start, jobs/shard determinism — must hold
+ * for drifting streams unchanged, and the regime switches must land
+ * on the exact instruction the schedule names.
  */
 
 namespace mab {
@@ -289,27 +289,21 @@ driftTasks()
     return tasks;
 }
 
-TEST(DriftSweep, ByteIdenticalAcrossJobsAndBatch)
+TEST(DriftSweep, ByteIdenticalAcrossJobs)
 {
     TraceArena &arena = TraceArena::global();
     const bool enabled = arena.stats().enabled;
     arena.clear();
-    arena.setEnabled(true); // exercise the lockstep-batched path
+    arena.setEnabled(true);
 
     const std::vector<PfTask> tasks = driftTasks();
     const std::vector<uint64_t> want =
-        runFingerprint(sweepPrefetchRuns(1, 1, tasks));
+        runFingerprint(sweepPrefetchRuns(1, tasks));
     ASSERT_FALSE(want.empty());
 
-    for (int jobs : {1, 4}) {
-        for (int batch : {1, 8}) {
-            arena.clear();
-            const std::vector<uint64_t> got = runFingerprint(
-                sweepPrefetchRuns(jobs, batch, tasks));
-            EXPECT_EQ(got, want)
-                << "jobs=" << jobs << " batch=" << batch;
-        }
-    }
+    arena.clear();
+    EXPECT_EQ(runFingerprint(sweepPrefetchRuns(4, tasks)), want)
+        << "jobs 4 diverged from jobs 1";
 
     arena.clear();
     arena.setEnabled(enabled);
@@ -331,16 +325,20 @@ TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
     sh.reset();
     const std::vector<PfTask> tasks = driftTasks();
     const std::vector<uint64_t> want =
-        runFingerprint(sweepPrefetchRuns(1, 8, tasks));
+        runFingerprint(sweepPrefetchRuns(1, tasks));
 
     // Two workers, each owning i % 2 == k, then a merge pass — the
     // in-process version of --shards 2, which must reassemble the
-    // unsharded bytes exactly.
+    // unsharded bytes exactly. The workers and the merge run at
+    // different job counts, as hand-launched workers may: ownership
+    // is over grid indices, whatever order each process claims its
+    // cells in.
+    const int workerJobs[] = {1, 4};
     std::vector<std::string> paths;
     for (int k = 0; k < 2; ++k) {
         sh.reset();
         sh.configureWorker(2, k, "test_drift", "scale");
-        sweepPrefetchRuns(1, 8, tasks);
+        sweepPrefetchRuns(workerJobs[k], tasks);
         const std::string path =
             (tmp / ("part-" + std::to_string(k) + ".json")).string();
         std::string err;
@@ -354,7 +352,7 @@ TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
     ASSERT_TRUE(sh.loadPartials(paths, "test_drift", "scale", &err))
         << err;
     const std::vector<uint64_t> got =
-        runFingerprint(sweepPrefetchRuns(1, 8, tasks));
+        runFingerprint(sweepPrefetchRuns(2, tasks));
     EXPECT_EQ(got, want);
 
     sh.reset();
@@ -363,17 +361,18 @@ TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
     arena.setEnabled(enabled);
 }
 
-TEST(DriftLockstep, SurvivesMidStreamArenaEviction)
+TEST(DriftReplay, SurvivesMidStreamArenaEviction)
 {
     TraceArena &arena = TraceArena::global();
+    const bool enabled = arena.stats().enabled;
+    const uint64_t budget = arena.budgetBytes();
     arena.clear();
-    const uint64_t saved_budget = arena.budgetBytes();
+    arena.setEnabled(true);
     const uint64_t instr = 12'000;
     const std::vector<AppProfile> bases = driftBaseProfiles();
     const DriftProfile d = makeCyclicProfile(
         "evict_drift", bases[0], bases[1], 3'000, instr, 23);
 
-    // Independent reference over the same materialization.
     const auto counters = [](const CoreModel &core) {
         const CacheHierarchy &h = core.hierarchy();
         const PrefetchStats &ps = h.prefetchStats();
@@ -394,25 +393,33 @@ TEST(DriftLockstep, SurvivesMidStreamArenaEviction)
         want = counters(core);
     }
 
-    // Evict the drifting trace mid-run; the batch's shared_ptr must
-    // keep the stream alive and undisturbed through a phase boundary.
+    // Evict the drifting trace mid-run; the ReplaySource's shared_ptr
+    // must keep the stream alive and undisturbed through the phase
+    // boundaries, which the 2.5k-instruction slices straddle.
+    arena.clear();
     auto pf = bench::makePrefetcher("Stride", 7);
-    LockstepBatch lb(arena.acquireTrace(d.app, instr), instr);
-    lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{},
-               pf.get());
+    ReplaySource src(arena.acquireTrace(d.app, instr));
+    CoreModel core(CoreConfig{}, HierarchyConfig{}, src, pf.get(),
+                   nullptr, DramConfig{});
     arena.setBudgetBytes(1);
     uint64_t churn_seed = 1;
-    while (lb.position() < lb.records()) {
-        lb.advance(2'500); // slices straddle the 3k-instr boundaries
+    for (uint64_t done = 0; done < instr;) {
+        done = std::min<uint64_t>(done + 2'500, instr);
+        core.run(done);
         AppProfile other = bases[1];
         other.seed += churn_seed++;
-        arena.acquireTrace(other, 1'000);
+        ReplaySource churn(arena.acquireTrace(other, 1'000));
+        for (int i = 0; i < 1'000; ++i)
+            churn.next();
+        // Only the churn trace is resident.
+        EXPECT_EQ(arena.stats().entries, 1u);
     }
     EXPECT_GT(arena.stats().evictions, 0u);
-    EXPECT_EQ(counters(lb.core(0)), want);
+    EXPECT_EQ(counters(core), want);
 
-    arena.setBudgetBytes(saved_budget);
     arena.clear();
+    arena.setBudgetBytes(budget);
+    arena.setEnabled(enabled);
 }
 
 TEST(DriftArena, MabaSpillWarmStartsByteIdentically)

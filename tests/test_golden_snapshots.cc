@@ -16,7 +16,6 @@
 #include "cpu/multicore.h"
 #include "prefetch/stride.h"
 #include "sim/json.h"
-#include "sim/lockstep.h"
 #include "sim/parallel.h"
 #include "sim/shard.h"
 #include "sim/stats_registry.h"
@@ -319,67 +318,6 @@ TEST(GoldenSnapshot, MultiCoreShared)
     checkAgainstGolden("multicore", snapshot("multicore"));
 }
 
-/** The singlecore scenarios recomputed through a LockstepBatch, with
- *  a heterogeneous rider cell sharing each batch's stream. */
-json::Value
-lockstepSnapshot(const std::string &scenario)
-{
-    const uint64_t instr = 150'000;
-    const auto acquire = [&](const char *app) {
-        TraceArena &arena = TraceArena::global();
-        return arena.enabled()
-            ? arena.acquireTrace(appByName(app), instr)
-            : MaterializedTrace::generate(appByName(app), instr);
-    };
-
-    if (scenario == "singlecore_stride") {
-        StridePrefetcher pf(64, 1);
-        BanditPrefetchController rider(scaledBanditConfig());
-        LockstepBatch lb(acquire("lbm06"), instr);
-        lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{},
-                   &pf);
-        lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{},
-                   &rider);
-        lb.run();
-        StatsRegistry reg;
-        reg.setCounter("meta.instructions", instr);
-        lb.core(0).exportStats(reg, "core");
-        return wrap(scenario, reg);
-    }
-    // "singlecore_bandit"
-    BanditPrefetchController pf(scaledBanditConfig());
-    StridePrefetcher rider(64, 1);
-    LockstepBatch lb(acquire("bwaves06"), instr);
-    lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{}, &pf);
-    lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{},
-               &rider);
-    lb.run();
-    StatsRegistry reg;
-    reg.setCounter("meta.instructions", instr);
-    lb.core(0).exportStats(reg, "core");
-    pf.exportStats(reg, "bandit");
-    return wrap(scenario, reg);
-}
-
-TEST(GoldenSnapshot, LockstepBatchingLeavesGoldensUnchanged)
-{
-    // The batch engine's byte-identity contract at golden scale:
-    // recomputing the singlecore scenarios through a LockstepBatch
-    // (each with a rider cell of a different prefetcher sharing the
-    // stream) must serialize to the very bytes the per-run snapshots
-    // produce — so MAB_UPDATE_GOLDENS=1 with batching enabled
-    // regenerates identical files, i.e. no golden diff.
-    for (const char *scenario :
-         {"singlecore_stride", "singlecore_bandit"}) {
-        const json::Value snap = lockstepSnapshot(scenario);
-        if (!updateMode())
-            EXPECT_EQ(snap.dump(2), snapshot(scenario).dump(2))
-                << scenario
-                << " diverged between lockstep and per-run export";
-        checkAgainstGolden(scenario, snap);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Non-stationarity lab (trace/drift.h + core/drift_env.h)
 // ---------------------------------------------------------------------
@@ -398,13 +336,9 @@ driftWorkload(size_t i)
                                   bases[1], 12'500, kDriftInstr, 979);
 }
 
-/**
- * Full-stack metrics of drift cell @p i — either the plain per-run
- * path or a LockstepBatch with a bandit rider cell sharing the
- * drifting stream. The two must serialize to identical bytes.
- */
+/** Full-stack metrics of drift cell @p i. */
 json::Value
-driftCellMetrics(size_t i, bool lockstep)
+driftCellMetrics(size_t i)
 {
     const DriftProfile d = driftWorkload(i);
     TraceArena &arena = TraceArena::global();
@@ -416,21 +350,10 @@ driftCellMetrics(size_t i, bool lockstep)
     reg.setCounter("meta.instructions", kDriftInstr);
     reg.setCounter("meta.segments", d.schedule.size());
     StridePrefetcher pf(64, 1);
-    if (lockstep) {
-        BanditPrefetchController rider(scaledBanditConfig());
-        LockstepBatch lb(trace, kDriftInstr);
-        lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{},
-                   &pf);
-        lb.addCell(CoreConfig{}, HierarchyConfig{}, DramConfig{},
-                   &rider);
-        lb.run();
-        lb.core(0).exportStats(reg, "core");
-    } else {
-        ReplaySource src(trace);
-        CoreModel core(CoreConfig{}, HierarchyConfig{}, src, &pf);
-        core.run(kDriftInstr);
-        core.exportStats(reg, "core");
-    }
+    ReplaySource src(trace);
+    CoreModel core(CoreConfig{}, HierarchyConfig{}, src, &pf);
+    core.run(kDriftInstr);
+    core.exportStats(reg, "core");
     return reg.toJson();
 }
 
@@ -443,7 +366,7 @@ driftCellMetrics(size_t i, bool lockstep)
  * the sharding-invariance test below an end-to-end proof.
  */
 json::Value
-driftSnapshot(bool lockstep = false)
+driftSnapshot()
 {
     const size_t n = 2;
     ShardSession &sh = ShardSession::global();
@@ -454,12 +377,12 @@ driftSnapshot(bool lockstep = false)
         const std::vector<size_t> owned = sh.ownedIndices(n);
         std::vector<json::Value> vals;
         for (size_t i : owned)
-            vals.push_back(driftCellMetrics(i, lockstep));
+            vals.push_back(driftCellMetrics(i));
         sh.recordSweep(n, owned, std::move(vals));
         return json::Value::object();
     } else {
         for (size_t i = 0; i < n; ++i)
-            cells.push_back(driftCellMetrics(i, lockstep));
+            cells.push_back(driftCellMetrics(i));
     }
 
     json::Value root = json::Value::object();
@@ -495,23 +418,12 @@ TEST(GoldenSnapshot, DriftScurve)
     checkAgainstGolden("drift_scurve", driftSnapshot());
 }
 
-TEST(GoldenSnapshot, DriftBatchingAndShardingLeaveGoldenUnchanged)
+TEST(GoldenSnapshot, DriftShardingLeavesGoldenUnchanged)
 {
     namespace fs = std::filesystem;
     const json::Value direct = driftSnapshot();
 
-    // Batching: the same cells recomputed through a LockstepBatch
-    // (bandit rider sharing each drifting stream) must serialize to
-    // the very bytes of the per-run snapshot.
-    const json::Value batched = driftSnapshot(/*lockstep=*/true);
-    if (!updateMode()) {
-        EXPECT_EQ(batched.dump(2), direct.dump(2))
-            << "drift golden diverged between lockstep and per-run "
-               "export";
-    }
-    checkAgainstGolden("drift_scurve", batched);
-
-    // Sharding: a 2-worker worker/merge round trip (the in-process
+    // A 2-worker worker/merge round trip (the in-process
     // --shards 2) must reassemble the identical snapshot.
     const fs::path tmp = fs::path(::testing::TempDir()) /
         "mab_golden_drift_shards";

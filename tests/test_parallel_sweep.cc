@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -9,14 +12,17 @@
 #include <vector>
 
 #include "sim/parallel.h"
+#include "sim/rng.h"
 
 #include "common.h"
 
 /**
- * SweepRunner contract tests (tier 1), plus the determinism test the
+ * SweepRunner contract tests (tier 1), plus the determinism tests the
  * parallel bench harness relies on: a sweep submitted with --jobs 1
  * and --jobs 8 must produce byte-identical reports (outside the meta
- * block, which records the job count and wall-clock).
+ * block, which records the job count and wall-clock), and the claim
+ * order of prefetching sweeps (bench::claimOrder) must only reorder
+ * execution.
  */
 
 namespace mab {
@@ -166,6 +172,122 @@ TEST(SweepRunner, BenchSweepIsDeterministicAcrossJobCounts)
     // meta records jobs and per-task wall-clock and so legitimately
     // differs between job counts).
     EXPECT_EQ(serial, parallel);
+}
+
+TEST(ClaimOrder, JobsOneRunsEachStreamBackToBack)
+{
+    // Groups in order of first appearance, cells within a group in
+    // grid order.
+    const std::vector<std::string> keys = {"a", "b", "a", "c",
+                                           "b", "a"};
+    EXPECT_EQ(bench::claimOrder(keys, 1),
+              (std::vector<size_t>{0, 2, 5, 1, 4, 3}));
+}
+
+TEST(ClaimOrder, WindowsOfJobsGoRankMajor)
+{
+    // jobs 2 over a a a b b c: window {a, b} as a0 b0 a1 b1 a2, then
+    // window {c}.
+    const std::vector<std::string> keys = {"a", "a", "a",
+                                           "b", "b", "c"};
+    EXPECT_EQ(bench::claimOrder(keys, 2),
+              (std::vector<size_t>{0, 3, 1, 4, 2, 5}));
+}
+
+TEST(ClaimOrder, AlwaysAPermutation)
+{
+    Rng rng(7);
+    for (int trial = 0; trial < 200; ++trial) {
+        const size_t n = rng.below(40);
+        const uint64_t distinct = 1 + rng.below(8);
+        std::vector<std::string> keys;
+        for (size_t i = 0; i < n; ++i)
+            keys.push_back(std::to_string(rng.below(distinct)));
+        const int jobs = static_cast<int>(rng.below(10)) - 1;
+        std::vector<size_t> order = bench::claimOrder(keys, jobs);
+        std::sort(order.begin(), order.end());
+        std::vector<size_t> all(n);
+        std::iota(all.begin(), all.end(), size_t{0});
+        EXPECT_EQ(order, all) << "trial " << trial << " jobs " << jobs;
+    }
+}
+
+/** Bit-exact fingerprint of a prefetching sweep's results. */
+std::vector<uint64_t>
+pfFingerprint(const std::vector<bench::PfRun> &runs)
+{
+    std::vector<uint64_t> fp;
+    for (const bench::PfRun &r : runs) {
+        uint64_t ipc = 0;
+        std::memcpy(&ipc, &r.ipc, sizeof(ipc));
+        fp.insert(fp.end(), {ipc, r.pf.issued, r.pf.timely, r.pf.late,
+                             r.pf.wrong, r.llcDemandMisses,
+                             r.l2DemandAccesses, r.instructions});
+    }
+    return fp;
+}
+
+/** The bench-harness entry: a prefetching sweep returns every cell's
+ *  result at its grid index, the same at any jobs count. */
+TEST(SweepPrefetchRuns, ByteIdenticalAcrossJobs)
+{
+    TraceArena &arena = TraceArena::global();
+    const bool enabled = arena.stats().enabled;
+    arena.clear();
+    arena.setEnabled(true);
+    const uint64_t instr = 8'000;
+    // Prefetcher-major, so the claim order differs from grid order at
+    // every job count.
+    std::vector<bench::PfTask> tasks;
+    for (const char *pf : {"None", "Stride", "Bandit"})
+        for (const char *app : {"lbm06", "mcf06"})
+            tasks.push_back({appByName(app), pf, instr, {}, {}, 0, {}});
+
+    std::vector<bench::PfRun> direct;
+    for (const bench::PfTask &t : tasks)
+        direct.push_back(bench::runPfTask(t));
+    const std::vector<uint64_t> want = pfFingerprint(direct);
+
+    for (int jobs : {1, 4}) {
+        arena.clear();
+        EXPECT_EQ(pfFingerprint(bench::sweepPrefetchRuns(jobs, tasks)),
+                  want)
+            << "jobs " << jobs;
+    }
+    arena.clear();
+    arena.setEnabled(enabled);
+}
+
+/**
+ * A bandwidth-major grid (the shape of Fig. 10) under an arena that
+ * holds one stream: claimed in grid order, every bandwidth pass
+ * regenerates every workload's stream (6 misses); in claim order each
+ * stream is recorded once (3 misses).
+ */
+TEST(SweepPrefetchRuns, BandwidthMajorGridRecordsEachStreamOnce)
+{
+    TraceArena &arena = TraceArena::global();
+    const bool enabled = arena.stats().enabled;
+    const uint64_t budget = arena.budgetBytes();
+    arena.clear();
+    arena.setEnabled(true);
+    const uint64_t instr = 5'000;
+    arena.setBudgetBytes(instr * sizeof(PackedRecord));
+
+    std::vector<bench::PfTask> tasks;
+    for (double mtps : {150.0, 9600.0}) {
+        DramConfig dram;
+        dram.mtps = mtps;
+        for (const char *app : {"lbm06", "mcf06", "gcc06"})
+            tasks.push_back(
+                {appByName(app), "Stride", instr, {}, dram, 0, {}});
+    }
+    bench::sweepPrefetchRuns(1, tasks);
+    EXPECT_EQ(arena.stats().misses, 3u);
+
+    arena.clear();
+    arena.setBudgetBytes(budget);
+    arena.setEnabled(enabled);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +41,24 @@ expectSameRecord(const TraceRecord &a, const TraceRecord &b,
         << who << " record " << index;
     ASSERT_EQ(a.dependsOnPrevLoad, b.dependsOnPrevLoad)
         << who << " record " << index;
+}
+
+/** Every end-to-end counter of a run, bit-exact. */
+std::vector<uint64_t>
+coreCounters(const CoreModel &core)
+{
+    const CacheHierarchy &h = core.hierarchy();
+    const PrefetchStats &ps = h.prefetchStats();
+    uint64_t ipc = 0;
+    const double v = core.ipc();
+    std::memcpy(&ipc, &v, sizeof(ipc));
+    return {core.instructions(),      core.cycles(),
+            ipc,                      h.hitsAt(HitLevel::L1),
+            h.hitsAt(HitLevel::L2),   h.hitsAt(HitLevel::Llc),
+            h.hitsAt(HitLevel::Dram), h.l2DemandAccesses(),
+            h.llcDemandMisses(),      ps.issued,
+            ps.timely,                ps.late,
+            ps.wrong};
 }
 
 /**
@@ -312,6 +332,52 @@ TEST_F(ReplayTest, CoreModelRunIsIdenticalOnAndOffArena)
     EXPECT_EQ(recorded, live);
     EXPECT_EQ(replayed, live);
     TraceArena::global().setEnabled(true);
+}
+
+/**
+ * A consumer keeps its trace alive through its ReplaySource, so the
+ * arena may evict the entry mid-run without disturbing the stream.
+ * The run advances in 4k-instruction slices; between slices the
+ * budget is 1 byte and other fully materialized traces churn through
+ * the arena. The counters must equal one uninterrupted run.
+ */
+TEST_F(ReplayTest, ConsumerSurvivesMidStreamArenaEviction)
+{
+    TraceArena &arena = TraceArena::global();
+    const uint64_t budget = arena.budgetBytes();
+    const AppProfile app = appByName("lbm06");
+    const uint64_t instr = 20'000;
+
+    arena.clear();
+    arena.setBudgetBytes(budget);
+    std::vector<uint64_t> want;
+    {
+        StridePrefetcher pf(64, 1);
+        ReplaySource src(arena.acquireTrace(app, instr));
+        CoreModel core(CoreConfig{}, HierarchyConfig{}, src, &pf);
+        core.run(instr);
+        want = coreCounters(core);
+    }
+
+    arena.clear();
+    StridePrefetcher pf(64, 1);
+    ReplaySource src(arena.acquireTrace(app, instr));
+    CoreModel core(CoreConfig{}, HierarchyConfig{}, src, &pf);
+    arena.setBudgetBytes(1);
+    uint64_t churnSeed = 1;
+    for (uint64_t done = 0; done < instr;) {
+        done = std::min<uint64_t>(done + 4'000, instr);
+        core.run(done);
+        AppProfile other = appByName("mcf06");
+        other.seed += churnSeed++;
+        ReplaySource churn(arena.acquireTrace(other, 1'000));
+        for (int i = 0; i < 1'000; ++i)
+            churn.next();
+        // Only the churn trace is resident: the arena has dropped
+        // the stream the core is still reading.
+        EXPECT_EQ(arena.stats().entries, 1u);
+    }
+    EXPECT_EQ(coreCounters(core), want) << "diverged across arena churn";
 }
 
 /** SMT leg: a ThreadSource replaying a shared UopStream must emit
