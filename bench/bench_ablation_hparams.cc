@@ -16,7 +16,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(600'000);
     auto tune = tuneSetPrefetch();
     tune.resize(16); // subset keeps the sweep affordable
@@ -27,8 +26,8 @@ main(int argc, char **argv)
     // One task per (gamma, c, app) point of the sweep.
     const size_t per_cell = tune.size();
     const size_t per_row = cs.size() * per_cell;
-    const std::vector<double> ipcs = shardedSweep<double>(
-        jobs, gammas.size() * per_row, doubleCodec(), [&](size_t i) {
+    const std::vector<double> ipcs = sweepMap<double>(
+        jobs, gammas.size() * per_row, [&](size_t i) {
             BanditPrefetchConfig cfg;
             cfg.hw.stepUnits = 125; // scaled (DESIGN.md 4b)
             cfg.mab.gamma = gammas[i / per_row];
@@ -36,8 +35,6 @@ main(int argc, char **argv)
             BanditPrefetchController pf(cfg);
             return runPrefetch(tune[i % per_cell], pf, instr).ipc;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::printf("Ablation: DUCB gamma x c sweep, gmean IPC over %zu "
                 "tune traces\n", tune.size());

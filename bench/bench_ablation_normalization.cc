@@ -17,7 +17,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(800'000);
     const auto tune = tuneSetPrefetch();
 
@@ -28,22 +27,8 @@ main(int argc, char **argv)
         double ipc = 0.0;
         double switches = 0.0;
     };
-    const ShardCodec<Point> codec{
-        [](const Point &p) {
-            json::Value v = json::Value::object();
-            v["ipc"] = encodeDouble(p.ipc);
-            v["switches"] = encodeDouble(p.switches);
-            return v;
-        },
-        [](const json::Value &v) {
-            Point p;
-            p.ipc = decodeDouble(v.find("ipc")->asString());
-            p.switches =
-                decodeDouble(v.find("switches")->asString());
-            return p;
-        }};
-    const std::vector<Point> runs = shardedSweep<Point>(
-        jobs, 2 * tune.size(), codec, [&](size_t i) {
+    const std::vector<Point> runs = sweepMap<Point>(
+        jobs, 2 * tune.size(), [&](size_t i) {
             BanditPrefetchConfig cfg;
             cfg.hw.stepUnits = 125; // scaled (DESIGN.md 4b)
             cfg.mab.c = 0.2;
@@ -57,8 +42,6 @@ main(int argc, char **argv)
                 static_cast<double>(pf.agent().history().size());
             return p;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::printf("Ablation: DUCB reward normalization "
                 "(%zu tune traces)\n", tune.size());

@@ -48,7 +48,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(400'000);
     const std::vector<std::string> apps = {
         "lbm06", "bwaves06", "fotonik17", "milc06", "roms17",
@@ -56,13 +55,11 @@ main(int argc, char **argv)
     };
 
     // Tasks: (app x {restart off, restart on}), interleaved per app.
-    const std::vector<double> sums = shardedSweep<double>(
-        jobs, 2 * apps.size(), doubleCodec(), [&](size_t i) {
+    const std::vector<double> sums = sweepMap<double>(
+        jobs, 2 * apps.size(), [&](size_t i) {
             return runFourCore(appByName(apps[i / 2]),
                                i % 2 == 0 ? 0.0 : 0.01, instr);
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::printf("Ablation: rr_restart_prob in 4-core homogeneous "
                 "mixes (IPC sum)\n");

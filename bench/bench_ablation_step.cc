@@ -15,7 +15,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(800'000);
     auto tune = tuneSetPrefetch();
     tune.resize(20);
@@ -23,16 +22,13 @@ main(int argc, char **argv)
     const std::vector<uint64_t> steps = {125, 250, 500,
                                          1000, 2000, 4000};
 
-    const std::vector<double> ipcs = shardedSweep<double>(
-        jobs, steps.size() * tune.size(), doubleCodec(),
-        [&](size_t i) {
+    const std::vector<double> ipcs = sweepMap<double>(
+        jobs, steps.size() * tune.size(), [&](size_t i) {
             BanditPrefetchConfig cfg;
             cfg.hw.stepUnits = steps[i / tune.size()];
             BanditPrefetchController pf(cfg);
             return runPrefetch(tune[i % tune.size()], pf, instr).ipc;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::printf("Ablation: bandit step duration (L2 demand accesses), "
                 "gmean IPC over %zu tune traces\n", tune.size());

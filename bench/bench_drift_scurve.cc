@@ -17,8 +17,8 @@
  *     (trace/drift.h) alternating a streaming regime against a
  *     pointer-chase regime, run through the full prefetching stack at
  *     several shift periods. Drifting profiles are plain AppProfiles,
- *     so the cells materialize/replay/shard like any other sweep
- *     (--jobs / --shards).
+ *     so the cells materialize, replay and parallelize (--jobs) like
+ *     any other sweep.
  */
 #include "common.h"
 #include "core/drift_env.h"
@@ -29,8 +29,7 @@ using namespace mab::bench;
 
 namespace {
 
-/** One cell of the oracle sweep: the tracker summary, transported
- *  losslessly (bit-pattern doubles) through shard partials. */
+/** One cell of the oracle sweep: the tracker summary. */
 struct OracleCell
 {
     double cumRegret = 0.0;
@@ -39,33 +38,6 @@ struct OracleCell
     double meanRecoverySteps = 0.0;
 };
 
-ShardCodec<OracleCell>
-oracleCodec()
-{
-    return {[](const OracleCell &c) {
-                json::Value v = json::Value::object();
-                v["cumRegret"] = encodeDouble(c.cumRegret);
-                v["tailRate"] = encodeDouble(c.tailRate);
-                v["recoveredFraction"] =
-                    encodeDouble(c.recoveredFraction);
-                v["meanRecoverySteps"] =
-                    encodeDouble(c.meanRecoverySteps);
-                return v;
-            },
-            [](const json::Value &v) {
-                OracleCell c;
-                c.cumRegret =
-                    decodeDouble(v.find("cumRegret")->asString());
-                c.tailRate =
-                    decodeDouble(v.find("tailRate")->asString());
-                c.recoveredFraction = decodeDouble(
-                    v.find("recoveredFraction")->asString());
-                c.meanRecoverySteps = decodeDouble(
-                    v.find("meanRecoverySteps")->asString());
-                return c;
-            }};
-}
-
 } // namespace
 
 int
@@ -73,7 +45,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
 
     // ---- Oracle section: shift period x policy over known means.
     const uint64_t steps = std::max<uint64_t>(600, scaled(60'000));
@@ -85,8 +56,8 @@ main(int argc, char **argv)
     };
     const std::vector<DriftPolicySpec> policies = driftPolicyGrid();
     const size_t cells = periods.size() * policies.size();
-    const std::vector<OracleCell> oracle = shardedSweep<OracleCell>(
-        jobs, cells, oracleCodec(), [&](size_t i) {
+    const std::vector<OracleCell> oracle = sweepMap<OracleCell>(
+        jobs, cells, [&](size_t i) {
             const DriftPolicySpec &spec =
                 policies[i % policies.size()];
             DriftBanditConfig cfg;
@@ -130,8 +101,6 @@ main(int argc, char **argv)
         for (const std::string &pf : pfs)
             grid.push_back({w.app, pf, instr, {}, {}, 0, {}});
     const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     // ---- Report.
     std::printf("Drift s-curve, oracle section: synthetic drifting "

@@ -52,7 +52,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
     auto tune = tuneSetPrefetch();
     tune.resize(24); // every other-variant subset keeps this quick
@@ -62,8 +61,8 @@ main(int argc, char **argv)
     };
 
     const size_t per_app = 1 + algos.size();
-    const std::vector<double> ipcs = shardedSweep<double>(
-        jobs, tune.size() * per_app, doubleCodec(), [&](size_t i) {
+    const std::vector<double> ipcs = sweepMap<double>(
+        jobs, tune.size() * per_app, [&](size_t i) {
             const AppProfile &app = tune[i / per_app];
             const size_t c = i % per_app;
             if (c == 0)
@@ -71,8 +70,6 @@ main(int argc, char **argv)
             auto pf = makeExt(algos[c - 1], app.seed);
             return runPrefetch(app, *pf, instr).ipc;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::map<std::string, std::vector<double>> speedups;
     for (size_t a = 0; a < tune.size(); ++a) {

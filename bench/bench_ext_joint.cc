@@ -53,13 +53,12 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
     const auto workloads = allWorkloads();
 
     // Three independent runs per workload: base, joint, split.
-    const std::vector<double> ipcs = shardedSweep<double>(
-        jobs, 3 * workloads.size(), doubleCodec(), [&](size_t i) {
+    const std::vector<double> ipcs = sweepMap<double>(
+        jobs, 3 * workloads.size(), [&](size_t i) {
             const AppProfile &app = workloads[i / 3].app;
             switch (i % 3) {
             case 0:
@@ -70,8 +69,6 @@ main(int argc, char **argv)
                 return runSplit(app, instr);
             }
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::vector<double> joint, split;
     for (size_t w = 0; w < workloads.size(); ++w) {

@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'200'000);
     const std::vector<double> mtps_list = {150, 600, 2400, 9600};
     const std::vector<std::string> pfs = {"Pythia", "Bandit"};
@@ -44,8 +43,6 @@ main(int argc, char **argv)
         }
     }
     const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::printf("Figure 10: geomean IPC vs available DRAM bandwidth "
                 "(normalized to no-prefetch at same bandwidth)\n");

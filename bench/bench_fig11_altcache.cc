@@ -15,7 +15,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
     const HierarchyConfig hier = skylakeLikeAltConfig();
     const auto pf_names = comparisonPrefetchers();
@@ -30,8 +29,6 @@ main(int argc, char **argv)
                 {workloads[w].app, pf, instr, hier, {}, 0, {}});
     }
     const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::map<std::string, std::vector<double>> speedups;
     size_t g = 0;

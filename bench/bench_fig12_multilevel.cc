@@ -44,7 +44,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(800'000);
     const std::vector<Combo> combos = {
         {"Stride_Stride", "Stride", "Stride"},
@@ -56,16 +55,13 @@ main(int argc, char **argv)
     const auto workloads = allWorkloads();
     const Combo base_combo{"None", "", "None"};
     const size_t per_app = 1 + combos.size();
-    const std::vector<double> ipcs = shardedSweep<double>(
-        jobs, workloads.size() * per_app, doubleCodec(),
-        [&](size_t i) {
+    const std::vector<double> ipcs = sweepMap<double>(
+        jobs, workloads.size() * per_app, [&](size_t i) {
             const size_t c = i % per_app;
             return runCombo(workloads[i / per_app].app,
                             c == 0 ? base_combo : combos[c - 1],
                             instr);
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::map<std::string, std::vector<double>> speedups;
     for (size_t w = 0; w < workloads.size(); ++w) {

@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     SmtRunConfig run_cfg;
     run_cfg.maxCycles = scaled(1'000'000);
 
@@ -34,23 +33,8 @@ main(int argc, char **argv)
         double icount = 0.0;
         double bandit = 0.0;
     };
-    const ShardCodec<MixResult> codec{
-        [](const MixResult &r) {
-            json::Value v = json::Value::object();
-            v["choi"] = encodeDouble(r.choi);
-            v["icount"] = encodeDouble(r.icount);
-            v["bandit"] = encodeDouble(r.bandit);
-            return v;
-        },
-        [](const json::Value &v) {
-            MixResult r;
-            r.choi = decodeDouble(v.find("choi")->asString());
-            r.icount = decodeDouble(v.find("icount")->asString());
-            r.bandit = decodeDouble(v.find("bandit")->asString());
-            return r;
-        }};
-    const std::vector<MixResult> results = shardedSweep<MixResult>(
-        jobs, mixes.size(), codec, [&](size_t i) {
+    const std::vector<MixResult> results = sweepMap<MixResult>(
+        jobs, mixes.size(), [&](size_t i) {
             const auto &[a, b] = mixes[i];
             SmtSimulator sim(a, b, run_cfg);
             MixResult r;
@@ -59,8 +43,6 @@ main(int argc, char **argv)
             r.bandit = sim.runBandit().ipcSum;
             return r;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::vector<std::pair<double, std::string>> ratios;
     std::vector<double> vs_choi, vs_icount;

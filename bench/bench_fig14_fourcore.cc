@@ -66,22 +66,18 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(600'000);
     const auto pf_names = comparisonPrefetchers();
     const auto workloads = allWorkloads();
 
     const size_t per_app = 1 + pf_names.size();
-    const std::vector<double> sums = shardedSweep<double>(
-        jobs, workloads.size() * per_app, doubleCodec(),
-        [&](size_t i) {
+    const std::vector<double> sums = sweepMap<double>(
+        jobs, workloads.size() * per_app, [&](size_t i) {
             const size_t c = i % per_app;
             return runHomogeneous(workloads[i / per_app].app,
                                   c == 0 ? "None" : pf_names[c - 1],
                                   instr);
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::map<std::string, std::vector<double>> speedups;
     for (size_t w = 0; w < workloads.size(); ++w) {

@@ -45,7 +45,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     SmtRunConfig run_cfg;
     run_cfg.maxCycles = scaled(600'000);
 
@@ -57,47 +56,8 @@ main(int argc, char **argv)
         RenameStats choi;
         RenameStats bandit;
     };
-    const auto renameToJson = [](const RenameStats &s) {
-        json::Value v = json::Value::object();
-        v["rob"] = s.stallRob;
-        v["iq"] = s.stallIq;
-        v["lq"] = s.stallLq;
-        v["sq"] = s.stallSq;
-        v["rf"] = s.stallRf;
-        v["stalled"] = s.stalled;
-        v["idle"] = s.idle;
-        v["running"] = s.running;
-        v["cycles"] = s.cycles;
-        return v;
-    };
-    const auto renameFromJson = [](const json::Value &v) {
-        RenameStats s;
-        s.stallRob = v.find("rob")->asUint();
-        s.stallIq = v.find("iq")->asUint();
-        s.stallLq = v.find("lq")->asUint();
-        s.stallSq = v.find("sq")->asUint();
-        s.stallRf = v.find("rf")->asUint();
-        s.stalled = v.find("stalled")->asUint();
-        s.idle = v.find("idle")->asUint();
-        s.running = v.find("running")->asUint();
-        s.cycles = v.find("cycles")->asUint();
-        return s;
-    };
-    const ShardCodec<MixStats> codec{
-        [&](const MixStats &s) {
-            json::Value v = json::Value::object();
-            v["choi"] = renameToJson(s.choi);
-            v["bandit"] = renameToJson(s.bandit);
-            return v;
-        },
-        [&](const json::Value &v) {
-            MixStats s;
-            s.choi = renameFromJson(*v.find("choi"));
-            s.bandit = renameFromJson(*v.find("bandit"));
-            return s;
-        }};
-    const std::vector<MixStats> results = shardedSweep<MixStats>(
-        jobs, mixes.size(), codec, [&](size_t i) {
+    const std::vector<MixStats> results = sweepMap<MixStats>(
+        jobs, mixes.size(), [&](size_t i) {
             const auto &[a, b] = mixes[i];
             SmtSimulator sim(a, b, run_cfg);
             MixStats s;
@@ -105,8 +65,6 @@ main(int argc, char **argv)
             s.bandit = sim.runBandit().rename;
             return s;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     Breakdown choi, bandit;
     for (const MixStats &s : results) {

@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
 
     std::vector<AppProfile> apps;
@@ -35,23 +34,8 @@ main(int argc, char **argv)
         double p2 = 0.0;
         int top1 = 0;
     };
-    const ShardCodec<TopActions> codec{
-        [](const TopActions &t) {
-            json::Value v = json::Value::object();
-            v["p1"] = encodeDouble(t.p1);
-            v["p2"] = encodeDouble(t.p2);
-            v["top1"] = t.top1;
-            return v;
-        },
-        [](const json::Value &v) {
-            TopActions t;
-            t.p1 = decodeDouble(v.find("p1")->asString());
-            t.p2 = decodeDouble(v.find("p2")->asString());
-            t.top1 = static_cast<int>(v.find("top1")->asInt());
-            return t;
-        }};
-    const std::vector<TopActions> results = shardedSweep<TopActions>(
-        jobs, apps.size(), codec, [&](size_t i) {
+    const std::vector<TopActions> results = sweepMap<TopActions>(
+        jobs, apps.size(), [&](size_t i) {
             PythiaConfig cfg;
             cfg.seed = apps[i].seed;
             PythiaPrefetcher pythia(cfg);
@@ -74,8 +58,6 @@ main(int argc, char **argv)
                 static_cast<double>(std::max<uint64_t>(total, 1));
             return t;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::printf("Figure 2: top-2 Pythia action selection frequency "
                 "(SPEC traces)\n");

@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     SmtRunConfig run_cfg;
     run_cfg.maxCycles = scaled(350'000);
 
@@ -36,34 +35,8 @@ main(int argc, char **argv)
         double worst = 1e9;
         PgPolicy bestPolicy;
     };
-    const ShardCodec<MixResult> codec{
-        [](const MixResult &r) {
-            json::Value v = json::Value::object();
-            v["choi"] = encodeDouble(r.choi);
-            v["best"] = encodeDouble(r.best);
-            v["worst"] = encodeDouble(r.worst);
-            v["priority"] = static_cast<int>(r.bestPolicy.priority);
-            v["gateIq"] = r.bestPolicy.gateIq;
-            v["gateLsq"] = r.bestPolicy.gateLsq;
-            v["gateRob"] = r.bestPolicy.gateRob;
-            v["gateIrf"] = r.bestPolicy.gateIrf;
-            return v;
-        },
-        [](const json::Value &v) {
-            MixResult r;
-            r.choi = decodeDouble(v.find("choi")->asString());
-            r.best = decodeDouble(v.find("best")->asString());
-            r.worst = decodeDouble(v.find("worst")->asString());
-            r.bestPolicy.priority = static_cast<FetchPriority>(
-                v.find("priority")->asInt());
-            r.bestPolicy.gateIq = v.find("gateIq")->asBool();
-            r.bestPolicy.gateLsq = v.find("gateLsq")->asBool();
-            r.bestPolicy.gateRob = v.find("gateRob")->asBool();
-            r.bestPolicy.gateIrf = v.find("gateIrf")->asBool();
-            return r;
-        }};
-    const std::vector<MixResult> results = shardedSweep<MixResult>(
-        jobs, mixes.size(), codec, [&](size_t i) {
+    const std::vector<MixResult> results = sweepMap<MixResult>(
+        jobs, mixes.size(), [&](size_t i) {
             const auto &[a, b] = mixes[i];
             SmtSimulator sim(a, b, run_cfg);
             MixResult r;
@@ -78,8 +51,6 @@ main(int argc, char **argv)
             }
             return r;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::printf("Figure 5: best/worst fetch PG policy vs Choi "
                 "(IC_1011), %zu tune mixes x %zu policies\n",

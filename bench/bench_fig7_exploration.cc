@@ -54,23 +54,6 @@ struct Row
     std::string tl;
 };
 
-ShardCodec<Row>
-rowCodec()
-{
-    return {[](const Row &r) {
-                json::Value v = json::Value::object();
-                v["ipc"] = encodeDouble(r.ipc);
-                v["tl"] = r.tl;
-                return v;
-            },
-            [](const json::Value &v) {
-                Row r;
-                r.ipc = decodeDouble(v.find("ipc")->asString());
-                r.tl = v.find("tl")->asString();
-                return r;
-            }};
-}
-
 void
 prefetchColumn(int jobs, const std::string &app_name)
 {
@@ -82,8 +65,8 @@ prefetchColumn(int jobs, const std::string &app_name)
     // Tasks: one per static arm, then one per bandit algorithm.
     const size_t num_arms =
         static_cast<size_t>(BanditEnsemblePrefetcher::numArms());
-    const std::vector<Row> rows = shardedSweep<Row>(
-        jobs, num_arms + kNumAlgos, rowCodec(), [&](size_t i) {
+    const std::vector<Row> rows = sweepMap<Row>(
+        jobs, num_arms + kNumAlgos, [&](size_t i) {
             Row row;
             if (i < num_arms) {
                 MabConfig mcfg;
@@ -137,8 +120,8 @@ smtColumn(int jobs, const std::string &a, const std::string &b)
     // Every run resets the trace sources and builds a fresh
     // pipeline, so each task can own its own simulator.
     const size_t num_arms = smtArmTable().size();
-    const std::vector<Row> rows = shardedSweep<Row>(
-        jobs, num_arms + kNumAlgos, rowCodec(), [&](size_t i) {
+    const std::vector<Row> rows = sweepMap<Row>(
+        jobs, num_arms + kNumAlgos, [&](size_t i) {
             SmtSimulator sim(a, b, run_cfg);
             Row row;
             if (i < num_arms) {
@@ -179,7 +162,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     std::printf("Figure 7: arm index explored over time "
                 "(24 samples per run)\n\n");
     prefetchColumn(jobs, "cactusADM06");
@@ -189,8 +171,5 @@ main(int argc, char **argv)
     smtColumn(jobs, "gcc", "lbm");
     std::printf("\n");
     smtColumn(jobs, "cactuBSSN", "lbm");
-    // A worker printed placeholder rows above (its sweeps ran only
-    // the owned cells); its partial report is the real product.
-    shardPartialDone(argc, argv);
     return 0;
 }

@@ -19,7 +19,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
     const auto pf_names = comparisonPrefetchers();
     const auto workloads = allWorkloads();
@@ -33,8 +32,6 @@ main(int argc, char **argv)
             grid.push_back({workloads[w].app, pf, instr, {}, {}, 0, {}});
     }
     const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     // speedups[pf][suite] -> per-app normalized IPCs.
     std::map<std::string, std::map<std::string, std::vector<double>>>

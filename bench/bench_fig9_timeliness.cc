@@ -21,7 +21,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'000'000);
     std::vector<std::string> configs = comparisonPrefetchers();
     configs.push_back("BanditIdeal");
@@ -35,8 +34,6 @@ main(int argc, char **argv)
     }
     const size_t per_app = 1 + configs.size();
     const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     struct Acc
     {

@@ -22,7 +22,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     const uint64_t instr = scaled(1'500'000);
     const auto tune = tuneSetPrefetch();
 
@@ -59,8 +58,6 @@ main(int argc, char **argv)
             grid.push_back({app, algo, instr, {}, {}, 0, {}});
     }
     const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
-    if (shardPartialDone(argc, argv))
-        return 0;
     std::vector<double> ipcs;
     ipcs.reserve(runs.size());
     for (const PfRun &r : runs)

@@ -22,7 +22,6 @@ main(int argc, char **argv)
 {
     TracingSession observability(argc, argv);
     const int jobs = benchJobs(argc, argv);
-    benchShards(argc, argv);
     SmtRunConfig run_cfg;
     run_cfg.maxCycles = scaled(800'000);
 
@@ -43,28 +42,8 @@ main(int argc, char **argv)
         double choi = 0.0;
         std::vector<double> algo;
     };
-    const ShardCodec<MixResult> codec{
-        [](const MixResult &r) {
-            json::Value v = json::Value::object();
-            v["bestStatic"] = encodeDouble(r.bestStatic);
-            v["choi"] = encodeDouble(r.choi);
-            json::Value arr = json::Value::array();
-            for (double d : r.algo)
-                arr.push(encodeDouble(d));
-            v["algo"] = std::move(arr);
-            return v;
-        },
-        [](const json::Value &v) {
-            MixResult r;
-            r.bestStatic =
-                decodeDouble(v.find("bestStatic")->asString());
-            r.choi = decodeDouble(v.find("choi")->asString());
-            for (const json::Value &d : v.find("algo")->items())
-                r.algo.push_back(decodeDouble(d.asString()));
-            return r;
-        }};
-    const std::vector<MixResult> results = shardedSweep<MixResult>(
-        jobs, mixes.size(), codec, [&](size_t i) {
+    const std::vector<MixResult> results = sweepMap<MixResult>(
+        jobs, mixes.size(), [&](size_t i) {
             const auto &[a, b] = mixes[i];
             SmtSimulator sim(a, b, run_cfg);
             MixResult r;
@@ -79,8 +58,6 @@ main(int argc, char **argv)
             }
             return r;
         });
-    if (shardPartialDone(argc, argv))
-        return 0;
 
     std::map<std::string, std::vector<double>> ratios;
     for (const MixResult &r : results) {

@@ -16,12 +16,13 @@
  */
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,7 +39,6 @@
 #include "prefetch/stride.h"
 #include "sim/json.h"
 #include "sim/parallel.h"
-#include "sim/shard.h"
 #include "sim/stats.h"
 #include "sim/tracing.h"
 #include "trace/replay.h"
@@ -46,23 +46,84 @@
 
 namespace mab::bench {
 
-/** Global run-length multiplier (MAB_BENCH_SCALE, default 1.0). */
+/** Print the usage error @p err on stderr and exit 2 if it is set. */
+inline void
+exitOnUsageError(const std::string &err)
+{
+    if (!err.empty()) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        std::exit(2);
+    }
+}
+
+/**
+ * Testable core of benchScale(): the run-length multiplier named by
+ * @p env (MAB_BENCH_SCALE), 1.0 when unset. The value must be one
+ * whole token holding a finite number above 0; anything else is a
+ * usage error naming the value, so a typo cannot silently run at
+ * scale 1 or push scaled() into an out-of-range double -> uint64 cast.
+ */
+inline std::string
+resolveScale(const char *env, double *out)
+{
+    *out = 1.0;
+    if (!env)
+        return "";
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(env, &end);
+    if (std::isspace(static_cast<unsigned char>(*env)) || end == env ||
+        *end != '\0' || errno == ERANGE || !std::isfinite(v) || v <= 0.0)
+        return std::string("usage error: MAB_BENCH_SCALE needs a "
+                           "finite number above 0, got '") +
+            env + "'";
+    *out = v;
+    return "";
+}
+
+/** Global run-length multiplier (MAB_BENCH_SCALE, default 1.0); a bad
+ *  value exits 2. */
 inline double
 benchScale()
 {
-    if (const char *env = std::getenv("MAB_BENCH_SCALE")) {
-        const double f = std::atof(env);
-        if (f > 0.0)
-            return f;
-    }
-    return 1.0;
+    double scale = 1.0;
+    exitOnUsageError(resolveScale(std::getenv("MAB_BENCH_SCALE"), &scale));
+    return scale;
 }
 
-/** Scale an instruction/cycle budget by the global multiplier. */
+/**
+ * Testable core of scaled(): @p n scaled by @p scale, truncated, in
+ * @p out. A zero budget stays zero; a nonzero one must land in
+ * [1, 2^64) — a run of no instructions would print a table of zeros,
+ * and a product past 2^64 has no uint64 value at all.
+ */
+inline std::string
+scaledBudget(uint64_t n, double scale, uint64_t *out)
+{
+    *out = 0;
+    if (n == 0)
+        return "";
+    const double budget = static_cast<double>(n) * scale;
+    if (!(budget >= 1.0 && budget < 0x1p64)) {
+        char msg[160]; // %g: to_string would print 1e-9 as 0.000000
+        std::snprintf(msg, sizeof msg,
+                      "usage error: MAB_BENCH_SCALE=%g scales a budget "
+                      "of %llu to %g, outside [1, 2^64)",
+                      scale, static_cast<unsigned long long>(n), budget);
+        return msg;
+    }
+    *out = static_cast<uint64_t>(budget);
+    return "";
+}
+
+/** Scale an instruction/cycle budget by the global multiplier; a
+ *  budget the scale pushes out of range exits 2. */
 inline uint64_t
 scaled(uint64_t n)
 {
-    return static_cast<uint64_t>(static_cast<double>(n) * benchScale());
+    uint64_t budget = 0;
+    exitOnUsageError(scaledBudget(n, benchScale(), &budget));
+    return budget;
 }
 
 /**
@@ -132,11 +193,7 @@ inline const char *
 argValue(int argc, char **argv, const char *flag)
 {
     const char *value = nullptr;
-    const std::string err = findFlagValue(argc, argv, flag, &value);
-    if (!err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-    }
+    exitOnUsageError(findFlagValue(argc, argv, flag, &value));
     return value;
 }
 
@@ -205,12 +262,8 @@ inline int
 benchJobs(int argc, char **argv)
 {
     int jobs = 1;
-    const std::string err = resolveJobs(
-        argc, argv, std::getenv("MAB_BENCH_JOBS"), &jobs);
-    if (!err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-    }
+    exitOnUsageError(
+        resolveJobs(argc, argv, std::getenv("MAB_BENCH_JOBS"), &jobs));
     if (jobs > 1 && tracing::Tracer::global().enabled()) {
         std::printf(
             "tracing/audit sink open: serializing sweep (jobs 1)\n");
@@ -240,79 +293,6 @@ sweepMap(int jobs, size_t n, Fn &&fn)
 }
 
 /**
- * Lossless JSON transport of one sweep result type, for shard
- * partials. Integers ride as native JSON integers (the writer emits
- * them exactly); doubles must go through encodeDouble/decodeDouble —
- * the bit pattern as a hex string — because the JSON writer rounds
- * non-finite doubles to null, and the merge must hand the aggregation
- * code the *identical* value the worker computed.
- */
-template <typename T>
-struct ShardCodec
-{
-    std::function<json::Value(const T &)> encode;
-    std::function<T(const json::Value &)> decode;
-};
-
-/** Codec for plain-double sweeps (most ablation grids). */
-inline ShardCodec<double>
-doubleCodec()
-{
-    return {[](const double &d) {
-                return json::Value(encodeDouble(d));
-            },
-            [](const json::Value &v) {
-                return decodeDouble(v.asString());
-            }};
-}
-
-/**
- * Shard-aware sweepMap: the one call a sharded bench binary routes
- * each independent sweep through.
- *
- *  - Off: exactly sweepMap (the unsharded path).
- *  - Worker: runs only the cells this shard owns (i % N == K) through
- *    sweepMap, records the encoded results for the partial report,
- *    and returns a grid-sized vector with the unowned slots
- *    default-constructed — the worker's own aggregation output is
- *    garbage by design; the driver discards worker stdout and only
- *    the partial leaves the process (shardPartialDone()).
- *  - Merge: runs nothing and returns every cell decoded from the
- *    loaded partials, so aggregation and printing downstream see
- *    exactly what an unsharded run would have computed.
- */
-template <typename T, typename Fn>
-std::vector<T>
-shardedSweep(int jobs, size_t n, const ShardCodec<T> &codec, Fn &&fn)
-{
-    ShardSession &sh = ShardSession::global();
-    if (sh.mode() == ShardSession::Mode::Merge) {
-        std::vector<json::Value> vals = sh.takeSweep(n);
-        std::vector<T> out;
-        out.reserve(n);
-        for (const json::Value &v : vals)
-            out.push_back(codec.decode(v));
-        return out;
-    }
-    if (sh.mode() == ShardSession::Mode::Worker) {
-        const std::vector<size_t> owned = sh.ownedIndices(n);
-        std::vector<T> sub = sweepMap<T>(
-            jobs, owned.size(),
-            [&](size_t k) { return fn(owned[k]); });
-        std::vector<json::Value> vals;
-        vals.reserve(sub.size());
-        for (const T &r : sub)
-            vals.push_back(codec.encode(r));
-        sh.recordSweep(n, owned, std::move(vals));
-        std::vector<T> out(n);
-        for (size_t k = 0; k < owned.size(); ++k)
-            out[owned[k]] = std::move(sub[k]);
-        return out;
-    }
-    return sweepMap<T>(jobs, n, std::forward<Fn>(fn));
-}
-
-/**
  * Structured-output destination: `--json <path>` on the command line,
  * else the MAB_BENCH_JSON environment variable, else none. Every
  * bench binary keeps printing its human-readable table; the JSON file
@@ -325,170 +305,6 @@ jsonOutPath(int argc, char **argv)
     if (const char *path = argValue(argc, argv, "--json"))
         return path;
     return std::getenv("MAB_BENCH_JSON");
-}
-
-/** The binary's basename — the bench identity stamped into shard
- *  partials so merging fig9 partials into fig8 fails loudly. */
-inline std::string
-benchName(const char *argv0)
-{
-    const std::string s = argv0 ? argv0 : "";
-    const size_t slash = s.find_last_of('/');
-    return slash == std::string::npos ? s : s.substr(slash + 1);
-}
-
-/**
- * Testable core of benchShards(): resolve `--shards N` / `--shard-id
- * K` (env fallbacks MAB_BENCH_SHARDS / MAB_BENCH_SHARD_ID — flags
- * win, so a CI matrix can export the count and pass per-job ids).
- * Same strict validation as resolveJobs: a duplicate, non-numeric,
- * non-positive shard count, a negative shard id, an id without a
- * count, or an id >= the count is a usage error — reported here,
- * exit 2 in benchShards().
- */
-inline std::string
-resolveShards(int argc, char **argv, const char *envShards,
-              const char *envId, ShardSpec *out)
-{
-    *out = ShardSpec{};
-    const char *vs = nullptr;
-    const char *vi = nullptr;
-    std::string err = findFlagValue(argc, argv, "--shards", &vs);
-    if (!err.empty())
-        return err;
-    err = findFlagValue(argc, argv, "--shard-id", &vi);
-    if (!err.empty())
-        return err;
-    if (!vs)
-        vs = envShards;
-    if (!vi)
-        vi = envId;
-    if (vs) {
-        int64_t n = 0;
-        if (!parseInt64(vs, &n) || n < 1)
-            return std::string("usage error: --shards needs a "
-                               "positive integer, got '") +
-                vs + "'";
-        out->shards = static_cast<int>(std::min<int64_t>(n, 1 << 12));
-    }
-    if (vi) {
-        if (!vs)
-            return "usage error: --shard-id needs --shards (or "
-                   "MAB_BENCH_SHARDS)";
-        int64_t k = 0;
-        if (!parseInt64(vi, &k) || k < 0)
-            return std::string("usage error: --shard-id needs a "
-                               "non-negative integer, got '") +
-                vi + "'";
-        if (k >= out->shards)
-            return "usage error: --shard-id " + std::to_string(k) +
-                " must be below --shards " +
-                std::to_string(out->shards);
-        out->shardId = static_cast<int>(k);
-    }
-    return "";
-}
-
-/**
- * Configure the process's shard role; call after benchJobs
- * (the spawn below must happen before any SweepRunner thread exists —
- * forking a multithreaded process is where the dragons live).
- *
- *  - no shard flags: Off, nothing happens.
- *  - `--shards N --shard-id K`: worker K of N. Requires --json (the
- *    partial report is the worker's entire product).
- *  - `--shards N` alone: driver — spawn N workers of this very
- *    binary over a shared trace-arena directory, merge their
- *    partials, and continue main() in merge mode, so the process's
- *    output is byte-identical to an unsharded run (modulo meta).
- *  - `--merge-reports a.json,b.json,...`: merge independently-run
- *    workers' partials (CI matrix mode), same continuation.
- *
- * Like --jobs, sharding is clamped off when a tracing/audit sink is
- * open: N traced processes would write N timelines.
- */
-inline void
-benchShards(int argc, char **argv)
-{
-    const char *mergeList = argValue(argc, argv, "--merge-reports");
-    ShardSpec spec;
-    const std::string err = resolveShards(
-        argc, argv, std::getenv("MAB_BENCH_SHARDS"),
-        std::getenv("MAB_BENCH_SHARD_ID"), &spec);
-    if (!err.empty()) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        std::exit(2);
-    }
-    const std::string bench = benchName(argv[0]);
-    const std::string scaleHex = encodeDouble(benchScale());
-    ShardSession &sh = ShardSession::global();
-
-    if (mergeList) {
-        if (spec.shards > 1 || spec.shardId >= 0) {
-            std::fprintf(stderr, "usage error: --merge-reports "
-                                 "conflicts with --shards/--shard-id\n");
-            std::exit(2);
-        }
-        std::vector<std::string> paths;
-        const std::string list = mergeList;
-        for (size_t at = 0; at <= list.size();) {
-            const size_t comma = std::min(list.find(',', at),
-                                          list.size());
-            if (comma > at)
-                paths.push_back(list.substr(at, comma - at));
-            at = comma + 1;
-        }
-        std::string lerr;
-        if (paths.empty() ||
-            !sh.loadPartials(paths, bench, scaleHex, &lerr)) {
-            std::fprintf(stderr, "%s\n",
-                         paths.empty()
-                             ? "usage error: --merge-reports needs a "
-                               "comma-separated list of partials"
-                             : lerr.c_str());
-            std::exit(paths.empty() ? 2 : 1);
-        }
-        return;
-    }
-
-    if (spec.shardId >= 0) {
-        if (!jsonOutPath(argc, argv)) {
-            std::fprintf(stderr,
-                         "usage error: a shard worker (--shard-id) "
-                         "needs --json <path> for its partial "
-                         "report\n");
-            std::exit(2);
-        }
-        sh.configureWorker(spec.shards, spec.shardId, bench,
-                           scaleHex);
-        return;
-    }
-    if (spec.shards <= 1)
-        return;
-    if (tracing::Tracer::global().enabled()) {
-        std::printf(
-            "tracing/audit sink open: disabling sweep sharding "
-            "(shards 1)\n");
-        return;
-    }
-
-    std::vector<std::string> parts;
-    std::string tmp;
-    const std::string serr = spawnShardWorkers(
-        argc, argv, spec.shards, TraceArena::global().enabled(),
-        &parts, &tmp);
-    if (!serr.empty()) {
-        std::fprintf(stderr, "%s\n", serr.c_str());
-        std::exit(1);
-    }
-    std::string lerr;
-    const bool ok = sh.loadPartials(parts, bench, scaleHex, &lerr);
-    std::error_code ec;
-    std::filesystem::remove_all(tmp, ec);
-    if (!ok) {
-        std::fprintf(stderr, "%s\n", lerr.c_str());
-        std::exit(1);
-    }
 }
 
 /**
@@ -594,16 +410,38 @@ runMetaJson(int argc, char **argv)
     ar["fileRejects"] = arena.fileRejects;
     meta["traceArena"] = std::move(ar);
 
-    const ShardSession &sh = ShardSession::global();
-    json::Value shd = json::Value::object();
-    shd["shards"] =
-        sh.mode() == ShardSession::Mode::Off ? 1 : sh.shards();
-    shd["shardId"] = sh.shardId();
-    shd["mode"] = sh.mode() == ShardSession::Mode::Off ? "off"
-        : sh.mode() == ShardSession::Mode::Worker     ? "worker"
-                                                      : "merged";
-    meta["shard"] = std::move(shd);
     return meta;
+}
+
+/**
+ * Testable core of the TracingSession's sampler period:
+ * `--trace-granularity <cycles>`, else @p env (MAB_TRACE_GRANULARITY),
+ * written to @p out; 0 when neither is set (keep the tracer's
+ * default). The value must be a positive base-10 integer; anything
+ * else is a usage error, so `-5` cannot wrap to 2^64 - 5 (a sampler
+ * that never fires) and `abc` cannot parse to an ignored 0.
+ */
+inline std::string
+resolveGranularity(int argc, char **argv, const char *env,
+                   uint64_t *out)
+{
+    *out = 0;
+    const char *v = nullptr;
+    const std::string err =
+        findFlagValue(argc, argv, "--trace-granularity", &v);
+    if (!err.empty())
+        return err;
+    if (!v)
+        v = env;
+    if (!v)
+        return "";
+    uint64_t cycles = 0;
+    if (!parseUint64(v, &cycles) || cycles == 0)
+        return std::string("usage error: --trace-granularity needs a "
+                           "positive integer, got '") +
+            v + "'";
+    *out = cycles;
+    return "";
 }
 
 /**
@@ -641,13 +479,12 @@ class TracingSession
 
         tracing::Tracer &tracer = tracing::Tracer::global();
 
-        const char *granularity =
-            argValue(argc, argv, "--trace-granularity");
-        if (!granularity)
-            granularity = std::getenv("MAB_TRACE_GRANULARITY");
-        if (granularity)
-            tracer.setGranularity(
-                std::strtoull(granularity, nullptr, 10));
+        uint64_t granularity = 0;
+        exitOnUsageError(resolveGranularity(
+            argc, argv, std::getenv("MAB_TRACE_GRANULARITY"),
+            &granularity));
+        if (granularity != 0)
+            tracer.setGranularity(granularity);
 
         const char *trace_path = argValue(argc, argv, "--trace");
         if (!trace_path)
@@ -717,34 +554,6 @@ writeJsonReport(const json::Value &root, int argc, char **argv)
         return false;
     }
     std::printf("json report written to %s\n", path);
-    return true;
-}
-
-/**
- * Worker-mode epilogue: call right after the binary's last sweep. In
- * worker mode it writes the partial report to the --json path (the
- * meta block rides along for provenance) and returns true — the
- * binary returns immediately, skipping aggregation and printing,
- * whose inputs are the full grid this worker never ran. Off/merge
- * modes return false and the binary proceeds normally.
- */
-inline bool
-shardPartialDone(int argc, char **argv)
-{
-    ShardSession &sh = ShardSession::global();
-    if (sh.mode() != ShardSession::Mode::Worker)
-        return false;
-    const char *path = jsonOutPath(argc, argv);
-    std::string err;
-    if (!path ||
-        !sh.writePartial(path, runMetaJson(argc, argv), &err)) {
-        std::fprintf(stderr, "%s\n",
-                     path ? err.c_str()
-                          : "shard worker lost its --json path");
-        std::exit(1);
-    }
-    std::printf("shard partial %d/%d written to %s\n", sh.shardId(),
-                sh.shards(), path);
     return true;
 }
 
@@ -943,47 +752,6 @@ runPfTask(const PfTask &t)
     return runPrefetch(t.app, *pf, t.instr, t.hier, t.dram, t.seed);
 }
 
-/** Lossless shard transport of a PfRun (doubles as bit patterns,
- *  counters as native JSON integers). */
-inline json::Value
-pfRunToJson(const PfRun &r)
-{
-    json::Value v = json::Value::object();
-    v["ipc"] = encodeDouble(r.ipc);
-    v["issued"] = r.pf.issued;
-    v["timely"] = r.pf.timely;
-    v["late"] = r.pf.late;
-    v["wrong"] = r.pf.wrong;
-    v["dropped"] = r.pf.dropped;
-    v["llcDemandMisses"] = r.llcDemandMisses;
-    v["l2DemandAccesses"] = r.l2DemandAccesses;
-    v["instructions"] = r.instructions;
-    return v;
-}
-
-inline PfRun
-pfRunFromJson(const json::Value &v)
-{
-    PfRun r;
-    r.ipc = decodeDouble(v.find("ipc")->asString());
-    r.pf.issued = v.find("issued")->asUint();
-    r.pf.timely = v.find("timely")->asUint();
-    r.pf.late = v.find("late")->asUint();
-    r.pf.wrong = v.find("wrong")->asUint();
-    r.pf.dropped = v.find("dropped")->asUint();
-    r.llcDemandMisses = v.find("llcDemandMisses")->asUint();
-    r.l2DemandAccesses = v.find("l2DemandAccesses")->asUint();
-    r.instructions = v.find("instructions")->asUint();
-    return r;
-}
-
-inline ShardCodec<PfRun>
-pfRunCodec()
-{
-    return {[](const PfRun &r) { return pfRunToJson(r); },
-            [](const json::Value &v) { return pfRunFromJson(v); }};
-}
-
 /**
  * The order a prefetching sweep hands its cells to the lanes: a
  * permutation of [0, keys.size()), where keys[i] names the record
@@ -1039,7 +807,7 @@ claimOrder(const std::vector<std::string> &keys, int jobs)
  * the order; meta.parallel.taskWallMs lists the cells in claim order.
  */
 inline std::vector<PfRun>
-sweepPrefetchRunsLocal(int jobs, const std::vector<PfTask> &tasks)
+sweepPrefetchRuns(int jobs, const std::vector<PfTask> &tasks)
 {
     std::vector<std::string> keys;
     keys.reserve(tasks.size());
@@ -1054,48 +822,6 @@ sweepPrefetchRunsLocal(int jobs, const std::vector<PfTask> &tasks)
     for (size_t k = 0; k < order.size(); ++k)
         out[order[k]] = std::move(claimed[k]);
     return out;
-}
-
-/**
- * A prefetching sweep, shard-aware like shardedSweep: a worker runs
- * only the cells it owns (i % N == K over grid indices, whatever
- * --jobs the worker and the merge use) and orders them among
- * themselves; a merge run decodes every cell from the loaded
- * partials.
- */
-inline std::vector<PfRun>
-sweepPrefetchRuns(int jobs, const std::vector<PfTask> &tasks)
-{
-    ShardSession &sh = ShardSession::global();
-    if (sh.mode() == ShardSession::Mode::Merge) {
-        const std::vector<json::Value> vals =
-            sh.takeSweep(tasks.size());
-        std::vector<PfRun> out;
-        out.reserve(vals.size());
-        for (const json::Value &v : vals)
-            out.push_back(pfRunFromJson(v));
-        return out;
-    }
-    if (sh.mode() == ShardSession::Mode::Worker) {
-        const std::vector<size_t> owned =
-            sh.ownedIndices(tasks.size());
-        std::vector<PfTask> sub;
-        sub.reserve(owned.size());
-        for (size_t i : owned)
-            sub.push_back(tasks[i]);
-        const std::vector<PfRun> runs =
-            sweepPrefetchRunsLocal(jobs, sub);
-        std::vector<json::Value> vals;
-        vals.reserve(runs.size());
-        for (const PfRun &r : runs)
-            vals.push_back(pfRunToJson(r));
-        sh.recordSweep(tasks.size(), owned, std::move(vals));
-        std::vector<PfRun> out(tasks.size());
-        for (size_t k = 0; k < owned.size(); ++k)
-            out[owned[k]] = runs[k];
-        return out;
-    }
-    return sweepPrefetchRunsLocal(jobs, tasks);
 }
 
 /** Print a horizontal rule sized to @p width. */

@@ -1,15 +1,12 @@
 #!/usr/bin/env bash
-# Arena + shard identity gate: neither the trace arena nor
-# multi-process sharding may change anything observable.
+# Arena + jobs identity gate: neither the trace arena nor the job
+# count may change anything observable.
 #
 # For each sweep binary this runs one base configuration (arena on,
-# unsharded) and diffs it against:
+# MAB_BENCH_JOBS=[jobs]) and diffs it against:
 #
-#   - arena off    (MAB_TRACE_ARENA=0),
-#   - sharded runs (--shards 2 and --shards 4 driver mode, each at
-#                   jobs 1 and 4: the driver spawns that many worker
-#                   processes over a shared spill directory and merges
-#                   their partial reports)
+#   - arena off (MAB_TRACE_ARENA=0) at the same job count, and
+#   - jobs 1    (MAB_BENCH_JOBS=1, arena on) when [jobs] is above 1,
 #
 # asserting for every leg that:
 #
@@ -70,18 +67,15 @@ for b in "${benches[@]}"; do
     run_leg base
     run_leg off MAB_TRACE_ARENA=0
     compare_leg off "arena on vs off (jobs=$jobs)"
-    for shards in 2 4; do
-        for sj in 1 4; do
-            run_leg "s$shards.j$sj" \
-                MAB_BENCH_SHARDS=$shards MAB_BENCH_JOBS=$sj
-            compare_leg "s$shards.j$sj" \
-                "shards $shards jobs $sj vs unsharded (jobs=$jobs)"
-        done
-    done
+    legs="arena off"
+    if [ "$jobs" -gt 1 ]; then
+        run_leg j1 MAB_BENCH_JOBS=1
+        compare_leg j1 "jobs 1 vs jobs $jobs"
+        legs="$legs, jobs 1"
+    fi
 
     if [ "$ok" -eq 1 ]; then
-        echo "IDENTICAL  $b (jobs=$jobs, arena off," \
-            "shards 2/4 x jobs 1/4)"
+        echo "IDENTICAL  $b (jobs=$jobs, $legs)"
     else
         fail=1
     fi
@@ -91,4 +85,4 @@ if [ "$fail" -ne 0 ]; then
     echo "arena identity check FAILED" >&2
     exit 1
 fi
-echo "arena+shard identity check passed: ${#benches[@]} sweep(s), jobs=$jobs"
+echo "arena+jobs identity check passed: ${#benches[@]} sweep(s), jobs=$jobs"

@@ -1,5 +1,5 @@
 # Shared helpers of the sweep identity scripts (check_arena_identity.sh,
-# check_build_identity.sh, check_shard_warmstart.sh). Source it; it
+# check_build_identity.sh, check_arena_warmstart.sh). Source it; it
 # defines:
 #
 #   MAB_SWEEPS          every bench-smoke sweep binary of

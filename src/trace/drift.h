@@ -18,8 +18,9 @@ namespace mab {
  * whose phase list realizes a non-stationary schedule, so drifting
  * streams inherit the whole delivery stack for free: they fingerprint
  * (trace/replay.h), materialize into the trace arena, spill to .maba
- * files, replay byte-identically and shard like any stationary
- * workload — a drifting stream is still a pure function of one seed.
+ * files, replay byte-identically and run in parallel sweeps like any
+ * stationary workload — a drifting stream is still a pure function of
+ * one seed.
  */
 
 /** One segment of a drift schedule: which base profile is active,

@@ -410,7 +410,7 @@ TraceArena::acquireTrace(const AppProfile &profile, uint64_t count)
         if (!diskDir.empty()) {
             // Persistent arena: a warm start mmaps the spilled file
             // (zero generation, one page-cache copy shared by every
-            // worker process); a cold or corrupt-file miss generates
+            // process); a cold or corrupt-file miss generates
             // eagerly and spills so the *next* process is warm.
             arena_file::LoadResult loaded =
                 arena_file::tryLoad(diskDir, key, profile, count);

@@ -438,8 +438,8 @@ class ReplaySource final : public TraceSource
  *                            (created if absent). A miss first tries
  *                            to mmap the workload's file — warm starts
  *                            skip generation entirely, and concurrent
- *                            worker processes share one copy of every
- *                            trace through the page cache. A miss with
+ *                            processes share one copy of every trace
+ *                            through the page cache. A miss with
  *                            no (or a corrupt) file generates eagerly,
  *                            then spills via an atomic rename so
  *                            racing writers can never expose a partial

@@ -6,13 +6,14 @@
 #include "common.h"
 
 /**
- * Bench arg-parsing edge cases (ISSUE 4 satellite, extending the PR 3
- * `argValue` flag-needs-value fix): duplicate flags, negative or
- * non-numeric `--jobs`, and flags with missing values must produce
- * usage errors instead of being silently clamped or atoi'd to 0. The
- * tests target the non-exiting cores (findFlagValue / parseInt64 /
- * parseUint64 / resolveJobs); the argValue / benchJobs wrappers print
- * the same message and exit 2.
+ * Bench arg-parsing edge cases: duplicate flags, negative or
+ * non-numeric `--jobs`, a malformed MAB_BENCH_SCALE or trace
+ * granularity, and flags with missing values must produce usage
+ * errors instead of being silently clamped or atoi'd to 0. The tests
+ * target the non-exiting cores (findFlagValue / parseInt64 /
+ * parseUint64 / resolveJobs / resolveScale / scaledBudget /
+ * resolveGranularity); the argValue / benchJobs / benchScale /
+ * scaled / TracingSession wrappers print the same message and exit 2.
  */
 
 namespace mab::bench {
@@ -179,111 +180,118 @@ TEST(ResolveJobs, DuplicateFlagIsAUsageError)
     EXPECT_NE(err.find("duplicate --jobs"), std::string::npos) << err;
 }
 
-TEST(ResolveShards, DefaultsToOff)
+TEST(ResolveScale, UnsetDefaultsToOne)
+{
+    double scale = 0.0;
+    EXPECT_EQ(resolveScale(nullptr, &scale), "");
+    EXPECT_EQ(scale, 1.0);
+}
+
+TEST(ResolveScale, AcceptsAFinitePositiveNumber)
+{
+    double scale = 0.0;
+    EXPECT_EQ(resolveScale("0.01", &scale), "");
+    EXPECT_EQ(scale, 0.01);
+    EXPECT_EQ(resolveScale("10", &scale), "");
+    EXPECT_EQ(scale, 10.0);
+}
+
+TEST(ResolveScale, RejectsEverythingElseNamingTheValue)
+{
+    // atof would run abc, -2 and nan at scale 1, and hand inf and
+    // 1e400 to an out-of-range double -> uint64 cast.
+    for (const char *bad :
+         {"abc", "-2", "0", "nan", "inf", "1e400", "0.5x", "", " 1"}) {
+        double scale = 0.0;
+        const std::string err = resolveScale(bad, &scale);
+        EXPECT_NE(err.find("usage error"), std::string::npos)
+            << "'" << bad << "': " << err;
+        EXPECT_NE(err.find(std::string("'") + bad + "'"),
+                  std::string::npos)
+            << "the message names the value: " << err;
+        EXPECT_EQ(scale, 1.0) << "the out-param stays at the default";
+    }
+}
+
+TEST(ResolveScale, BudgetMustLandInRange)
+{
+    uint64_t budget = 7;
+    EXPECT_EQ(scaledBudget(1'000'000, 0.01, &budget), "");
+    EXPECT_EQ(budget, 10'000u);
+    EXPECT_EQ(scaledBudget(0, 1e-9, &budget), "")
+        << "a zero budget stays zero at any scale";
+    EXPECT_EQ(budget, 0u);
+
+    // 1e-9 turns a 1M budget into 0.001 instructions: a table of
+    // zero IPCs, not a run.
+    std::string err = scaledBudget(1'000'000, 1e-9, &budget);
+    EXPECT_NE(err.find("usage error"), std::string::npos) << err;
+    EXPECT_NE(err.find("1e-09"), std::string::npos) << err;
+    EXPECT_EQ(budget, 0u);
+
+    // 1e30 overflows uint64: the product has no budget value at all.
+    err = scaledBudget(1'000'000, 1e30, &budget);
+    EXPECT_NE(err.find("usage error"), std::string::npos) << err;
+    EXPECT_NE(err.find("1e+30"), std::string::npos) << err;
+}
+
+TEST(ResolveGranularity, UnsetKeepsTheTracerDefault)
 {
     Args args({});
-    ShardSpec spec;
-    EXPECT_EQ(resolveShards(args.argc(), args.argv(), nullptr,
-                            nullptr, &spec),
-              "");
-    EXPECT_EQ(spec.shards, 1);
-    EXPECT_EQ(spec.shardId, -1) << "no worker role by default";
-}
-
-TEST(ResolveShards, FlagsSelectCountAndId)
-{
-    Args args({"--shards", "4", "--shard-id", "2"});
-    ShardSpec spec;
-    EXPECT_EQ(resolveShards(args.argc(), args.argv(), nullptr,
-                            nullptr, &spec),
-              "");
-    EXPECT_EQ(spec.shards, 4);
-    EXPECT_EQ(spec.shardId, 2);
-}
-
-TEST(ResolveShards, FlagOutranksEnvironment)
-{
-    Args args({"--shards", "3"});
-    ShardSpec spec;
+    uint64_t cycles = 9;
     EXPECT_EQ(
-        resolveShards(args.argc(), args.argv(), "8", "1", &spec), "");
-    EXPECT_EQ(spec.shards, 3) << "the flag outranks the environment";
-    EXPECT_EQ(spec.shardId, 1)
-        << "each knob falls back to the environment independently";
+        resolveGranularity(args.argc(), args.argv(), nullptr, &cycles),
+        "");
+    EXPECT_EQ(cycles, 0u);
+}
 
-    // The env id is validated against the effective (flag) count.
-    ShardSpec bad;
+TEST(ResolveGranularity, FlagOutranksEnvironment)
+{
+    Args args({"--trace-granularity", "500"});
+    uint64_t cycles = 0;
+    EXPECT_EQ(
+        resolveGranularity(args.argc(), args.argv(), "2000", &cycles),
+        "");
+    EXPECT_EQ(cycles, 500u);
+
+    Args noflag({});
+    EXPECT_EQ(resolveGranularity(noflag.argc(), noflag.argv(), "2000",
+                                 &cycles),
+              "");
+    EXPECT_EQ(cycles, 2000u);
+}
+
+TEST(ResolveGranularity, NonPositiveOrNonNumericIsAUsageError)
+{
+    // strtoull would turn -5 into 2^64 - 5 (a sampler that never
+    // fires) and abc into 0, which the tracer ignores.
+    for (const char *bad : {"abc", "-5", "0", "12x"}) {
+        Args args({"--trace-granularity", bad});
+        uint64_t cycles = 0;
+        const std::string err = resolveGranularity(
+            args.argc(), args.argv(), nullptr, &cycles);
+        EXPECT_NE(err.find("usage error"), std::string::npos)
+            << "--trace-granularity " << bad << ": " << err;
+        EXPECT_EQ(cycles, 0u);
+
+        Args noflag({});
+        EXPECT_NE(resolveGranularity(noflag.argc(), noflag.argv(), bad,
+                                     &cycles),
+                  "")
+            << "MAB_TRACE_GRANULARITY=" << bad;
+    }
+}
+
+TEST(ResolveGranularity, DuplicateFlagIsAUsageError)
+{
+    Args args({"--trace-granularity", "100", "--trace-granularity",
+               "200"});
+    uint64_t cycles = 0;
     const std::string err =
-        resolveShards(args.argc(), args.argv(), "8", "5", &bad);
-    EXPECT_NE(err.find("must be below"), std::string::npos) << err;
-}
-
-TEST(ResolveShards, EnvironmentAloneConfiguresAWorker)
-{
-    Args args({});
-    ShardSpec spec;
-    EXPECT_EQ(
-        resolveShards(args.argc(), args.argv(), "4", "0", &spec), "");
-    EXPECT_EQ(spec.shards, 4);
-    EXPECT_EQ(spec.shardId, 0);
-}
-
-TEST(ResolveShards, DuplicateFlagIsAUsageError)
-{
-    Args args({"--shards", "2", "--shards", "4"});
-    ShardSpec spec;
-    const std::string err = resolveShards(args.argc(), args.argv(),
-                                          nullptr, nullptr, &spec);
-    EXPECT_NE(err.find("duplicate --shards"), std::string::npos)
+        resolveGranularity(args.argc(), args.argv(), nullptr, &cycles);
+    EXPECT_NE(err.find("duplicate --trace-granularity"),
+              std::string::npos)
         << err;
-}
-
-TEST(ResolveShards, NonPositiveCountIsAUsageError)
-{
-    for (const char *bad : {"0", "-2", "many", "2.5", ""}) {
-        Args args({"--shards", bad});
-        ShardSpec spec;
-        const std::string err = resolveShards(
-            args.argc(), args.argv(), nullptr, nullptr, &spec);
-        EXPECT_NE(err.find("usage error"), std::string::npos)
-            << "--shards " << bad << ": " << err;
-        EXPECT_EQ(spec.shards, 1)
-            << "the out-param stays at the safe default";
-    }
-}
-
-TEST(ResolveShards, ShardIdWithoutACountIsAUsageError)
-{
-    Args args({"--shard-id", "0"});
-    ShardSpec spec;
-    const std::string err = resolveShards(args.argc(), args.argv(),
-                                          nullptr, nullptr, &spec);
-    EXPECT_NE(err.find("needs --shards"), std::string::npos) << err;
-}
-
-TEST(ResolveShards, NegativeOrNonNumericIdIsAUsageError)
-{
-    for (const char *bad : {"-1", "two", "1.0"}) {
-        Args args({"--shards", "4", "--shard-id", bad});
-        ShardSpec spec;
-        const std::string err = resolveShards(
-            args.argc(), args.argv(), nullptr, nullptr, &spec);
-        EXPECT_NE(err.find("usage error"), std::string::npos)
-            << "--shard-id " << bad << ": " << err;
-        EXPECT_EQ(spec.shardId, -1);
-    }
-}
-
-TEST(ResolveShards, IdAtOrAboveTheCountIsAUsageError)
-{
-    for (const char *bad : {"4", "9"}) {
-        Args args({"--shards", "4", "--shard-id", bad});
-        ShardSpec spec;
-        const std::string err = resolveShards(
-            args.argc(), args.argv(), nullptr, nullptr, &spec);
-        EXPECT_NE(err.find("must be below"), std::string::npos)
-            << "--shard-id " << bad << ": " << err;
-    }
 }
 
 } // namespace

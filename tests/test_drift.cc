@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cpu/core_model.h"
-#include "sim/shard.h"
 #include "trace/drift.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
@@ -20,7 +19,7 @@
  * Drifting trace-generator tests (trace/drift.h). The central
  * contract: a DriftProfile is an ordinary AppProfile plus a schedule,
  * so every property the stationary workloads enjoy — byte-exact
- * replay, arena spill/warm-start, jobs/shard determinism — must hold
+ * replay, arena spill/warm-start, jobs determinism — must hold
  * for drifting streams unchanged, and the regime switches must land
  * on the exact instruction the schedule names.
  */
@@ -305,58 +304,6 @@ TEST(DriftSweep, ByteIdenticalAcrossJobs)
     EXPECT_EQ(runFingerprint(sweepPrefetchRuns(4, tasks)), want)
         << "jobs 4 diverged from jobs 1";
 
-    arena.clear();
-    arena.setEnabled(enabled);
-}
-
-TEST(DriftSweep, ShardedWorkerMergeReassemblesEveryCell)
-{
-    TraceArena &arena = TraceArena::global();
-    const bool enabled = arena.stats().enabled;
-    arena.clear();
-    arena.setEnabled(true);
-
-    const fs::path tmp = fs::path(::testing::TempDir()) /
-        "mab_drift_shards";
-    fs::remove_all(tmp);
-    fs::create_directories(tmp);
-
-    ShardSession &sh = ShardSession::global();
-    sh.reset();
-    const std::vector<PfTask> tasks = driftTasks();
-    const std::vector<uint64_t> want =
-        runFingerprint(sweepPrefetchRuns(1, tasks));
-
-    // Two workers, each owning i % 2 == k, then a merge pass — the
-    // in-process version of --shards 2, which must reassemble the
-    // unsharded bytes exactly. The workers and the merge run at
-    // different job counts, as hand-launched workers may: ownership
-    // is over grid indices, whatever order each process claims its
-    // cells in.
-    const int workerJobs[] = {1, 4};
-    std::vector<std::string> paths;
-    for (int k = 0; k < 2; ++k) {
-        sh.reset();
-        sh.configureWorker(2, k, "test_drift", "scale");
-        sweepPrefetchRuns(workerJobs[k], tasks);
-        const std::string path =
-            (tmp / ("part-" + std::to_string(k) + ".json")).string();
-        std::string err;
-        ASSERT_TRUE(sh.writePartial(path, json::Value::object(),
-                                    &err))
-            << err;
-        paths.push_back(path);
-    }
-    sh.reset();
-    std::string err;
-    ASSERT_TRUE(sh.loadPartials(paths, "test_drift", "scale", &err))
-        << err;
-    const std::vector<uint64_t> got =
-        runFingerprint(sweepPrefetchRuns(2, tasks));
-    EXPECT_EQ(got, want);
-
-    sh.reset();
-    fs::remove_all(tmp);
     arena.clear();
     arena.setEnabled(enabled);
 }

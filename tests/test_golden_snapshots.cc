@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,7 +16,6 @@
 #include "prefetch/stride.h"
 #include "sim/json.h"
 #include "sim/parallel.h"
-#include "sim/shard.h"
 #include "sim/stats_registry.h"
 #include "smt/smt_sim.h"
 #include "trace/drift.h"
@@ -360,44 +358,23 @@ driftCellMetrics(size_t i)
 /**
  * The drift_scurve golden: both drifting workloads through the full
  * stack plus the per-phase regret oracle of a DUCB rollout on the
- * synthetic drifting bandit. Shard-aware like the bench sweeps: a
- * worker computes only the cells it owns (returning an empty
- * partial), a merge run decodes them — which is exactly what makes
- * the sharding-invariance test below an end-to-end proof.
+ * synthetic drifting bandit.
  */
 json::Value
 driftSnapshot()
 {
-    const size_t n = 2;
-    ShardSession &sh = ShardSession::global();
-    std::vector<json::Value> cells;
-    if (sh.mode() == ShardSession::Mode::Merge) {
-        cells = sh.takeSweep(n);
-    } else if (sh.mode() == ShardSession::Mode::Worker) {
-        const std::vector<size_t> owned = sh.ownedIndices(n);
-        std::vector<json::Value> vals;
-        for (size_t i : owned)
-            vals.push_back(driftCellMetrics(i));
-        sh.recordSweep(n, owned, std::move(vals));
-        return json::Value::object();
-    } else {
-        for (size_t i = 0; i < n; ++i)
-            cells.push_back(driftCellMetrics(i));
-    }
-
     json::Value root = json::Value::object();
     root["scenario"] = "drift_scurve";
     json::Value arr = json::Value::array();
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < 2; ++i) {
         json::Value entry = json::Value::object();
         entry["workload"] = driftWorkload(i).app.name;
-        entry["metrics"] = std::move(cells[i]);
+        entry["metrics"] = driftCellMetrics(i);
         arr.push(std::move(entry));
     }
     root["cells"] = std::move(arr);
 
-    // Oracle leg: a pure function of its seeds, identical in every
-    // mode.
+    // Oracle leg: a pure function of its seeds.
     DriftBanditConfig cfg;
     cfg.numArms = 4;
     cfg.steps = 4'000;
@@ -416,45 +393,6 @@ driftSnapshot()
 TEST(GoldenSnapshot, DriftScurve)
 {
     checkAgainstGolden("drift_scurve", driftSnapshot());
-}
-
-TEST(GoldenSnapshot, DriftShardingLeavesGoldenUnchanged)
-{
-    namespace fs = std::filesystem;
-    const json::Value direct = driftSnapshot();
-
-    // A 2-worker worker/merge round trip (the in-process
-    // --shards 2) must reassemble the identical snapshot.
-    const fs::path tmp = fs::path(::testing::TempDir()) /
-        "mab_golden_drift_shards";
-    fs::remove_all(tmp);
-    fs::create_directories(tmp);
-    ShardSession &sh = ShardSession::global();
-    std::vector<std::string> paths;
-    for (int k = 0; k < 2; ++k) {
-        sh.reset();
-        sh.configureWorker(2, k, "golden_drift", "s");
-        driftSnapshot();
-        const std::string path =
-            (tmp / ("part-" + std::to_string(k) + ".json")).string();
-        std::string err;
-        ASSERT_TRUE(
-            sh.writePartial(path, json::Value::object(), &err))
-            << err;
-        paths.push_back(path);
-    }
-    sh.reset();
-    std::string err;
-    ASSERT_TRUE(sh.loadPartials(paths, "golden_drift", "s", &err))
-        << err;
-    const json::Value merged = driftSnapshot();
-    sh.reset();
-    fs::remove_all(tmp);
-    if (!updateMode()) {
-        EXPECT_EQ(merged.dump(2), direct.dump(2))
-            << "drift golden diverged across the shard round trip";
-    }
-    checkAgainstGolden("drift_scurve", merged);
 }
 
 TEST(GoldenSnapshot, ExportIsDeterministicWithinProcess)
