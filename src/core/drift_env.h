@@ -65,11 +65,15 @@ runDriftingBandit(MabPolicy &policy, const DriftBanditConfig &cfg)
     std::vector<double> means = driftPhaseMeans(cfg, 0);
     PhasedRegretTracker tracker(means, cfg.recoveryWindow);
     Rng noiseRng(cfg.seed * 0x2545F4914F6CDD1Dull + 0x9E37);
+    uint64_t phase = 0;
+    uint64_t untilShift = cfg.periodSteps;
     for (uint64_t t = 0; t < cfg.steps; ++t) {
-        if (t > 0 && t % cfg.periodSteps == 0) {
-            means = driftPhaseMeans(cfg, t / cfg.periodSteps);
+        if (untilShift == 0) {
+            means = driftPhaseMeans(cfg, ++phase);
             tracker.setMeans(means);
+            untilShift = cfg.periodSteps;
         }
+        --untilShift;
         const ArmId arm = policy.selectArm();
         tracker.record(arm);
         double r = means[static_cast<size_t>(arm)] +

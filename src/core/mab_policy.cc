@@ -1,13 +1,18 @@
 #include "core/mab_policy.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mab {
 
 MabPolicy::MabPolicy(const MabConfig &config)
     : config_(config), rng_(config.seed)
 {
-    assert(config_.numArms >= 1);
+    if (config_.numArms < 1)
+        throw std::invalid_argument(
+            "MabPolicy: numArms must be >= 1, got " +
+            std::to_string(config_.numArms));
     r_.assign(config_.numArms, 0.0);
     n_.assign(config_.numArms, 0.0);
 }

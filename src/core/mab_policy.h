@@ -72,6 +72,7 @@ struct MabConfig
 class MabPolicy
 {
   public:
+    /** @throws std::invalid_argument if config.numArms < 1. */
     explicit MabPolicy(const MabConfig &config);
     virtual ~MabPolicy() = default;
 

@@ -1,21 +1,37 @@
 #include "core/swucb.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mab {
 
 SwUcb::SwUcb(const MabConfig &config, int window)
     : Ucb(config), window_(window), sum_(config.numArms, 0.0)
 {
-    assert(window_ >= config.numArms &&
-           "window must cover at least one sample per arm");
+    // Checked before the ring is sized from the window.
+    if (window_ < config.numArms)
+        throw std::invalid_argument(
+            "SwUcb: window must cover at least one sample per arm (" +
+            std::to_string(config.numArms) + "), got " +
+            std::to_string(window_));
+    ring_.resize(static_cast<size_t>(window_) + 1);
+}
+
+void
+SwUcb::reset()
+{
+    Ucb::reset();
+    head_ = tail_ = size_ = 0;
+    sum_.assign(sum_.size(), 0.0);
 }
 
 void
 SwUcb::evictOldest()
 {
-    const Sample old = samples_.front();
-    samples_.pop_front();
+    const Sample old = ring_[head_];
+    if (++head_ == ring_.size())
+        head_ = 0;
+    --size_;
     if (old.hasReward) {
         sum_[old.arm] -= old.reward;
         n_[old.arm] -= 1.0;
@@ -37,32 +53,32 @@ SwUcb::recomputeArm(ArmId arm)
 void
 SwUcb::updSels(ArmId arm)
 {
-    samples_.push_back({arm, 0.0, false});
+    ring_[tail_] = {0.0, arm, false};
+    if (++tail_ == ring_.size())
+        tail_ = 0;
+    ++size_;
     n_[arm] += 1.0;
     nTotal_ += 1.0;
-    while (static_cast<int>(samples_.size()) > window_)
+    if (size_ > static_cast<size_t>(window_))
         evictOldest();
 }
 
 void
 SwUcb::updRew(ArmId arm, double r_step)
 {
-    // Attach the reward to the youngest pending sample of this arm.
-    // In the selectArm()/observeReward() lifecycle that sample is the
-    // one updSels() just pushed — eviction only pops the front — so
-    // the back() probe resolves every step without the scan; the
-    // reverse walk stays as a fallback for out-of-order callers.
-    if (!samples_.empty() && samples_.back().arm == arm &&
-        !samples_.back().hasReward) {
-        samples_.back().hasReward = true;
-        samples_.back().reward = r_step;
-    } else {
-        for (auto it = samples_.rbegin(); it != samples_.rend(); ++it) {
-            if (it->arm == arm && !it->hasReward) {
-                it->hasReward = true;
-                it->reward = r_step;
-                break;
-            }
+    // Attach the reward to the youngest pending sample of this arm:
+    // walk back from the newest slot. In the selectArm()/
+    // observeReward() lifecycle that sample is the one updSels() just
+    // pushed — eviction only pops the oldest — so the first probe
+    // resolves every step; the rest of the walk serves out-of-order
+    // callers.
+    size_t slot = prevSlot(tail_);
+    for (size_t k = 0; k < size_; ++k, slot = prevSlot(slot)) {
+        Sample &s = ring_[slot];
+        if (s.arm == arm && !s.hasReward) {
+            s.hasReward = true;
+            s.reward = r_step;
+            break;
         }
     }
     sum_[arm] += r_step;

@@ -1,8 +1,7 @@
 #ifndef MAB_CORE_SWUCB_H
 #define MAB_CORE_SWUCB_H
 
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 #include <vector>
 
 #include "core/ucb.h"
@@ -26,11 +25,15 @@ namespace mab {
 class SwUcb : public Ucb
 {
   public:
+    /** @throws std::invalid_argument if @p window < config.numArms. */
     SwUcb(const MabConfig &config, int window);
 
     std::string name() const override { return "SW-UCB"; }
 
     int window() const { return window_; }
+
+    /** Also empties the window and the per-arm window sums. */
+    void reset() override;
 
   protected:
     void updSels(ArmId arm) override;
@@ -40,15 +43,26 @@ class SwUcb : public Ucb
     void evictOldest();
     void recomputeArm(ArmId arm);
 
+    /** Ring index one slot before @p i. */
+    size_t prevSlot(size_t i) const
+    {
+        return (i == 0 ? ring_.size() : i) - 1;
+    }
+
     struct Sample
     {
-        ArmId arm;
         double reward;
+        ArmId arm;
         bool hasReward;
     };
 
     int window_;
-    std::deque<Sample> samples_;
+    /** The window as a ring of window + 1 slots: updSels() pushes
+     *  before it evicts, so the window briefly holds W + 1 samples. */
+    std::vector<Sample> ring_;
+    size_t head_ = 0; ///< oldest sample
+    size_t tail_ = 0; ///< next free slot
+    size_t size_ = 0;
     std::vector<double> sum_;
 };
 

@@ -10,6 +10,14 @@ ThompsonSampling::ThompsonSampling(const MabConfig &config,
 {
 }
 
+void
+ThompsonSampling::reset()
+{
+    MabPolicy::reset();
+    cachedSpare_ = false;
+    spare_ = 0.0;
+}
+
 double
 ThompsonSampling::gaussian()
 {

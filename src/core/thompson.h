@@ -46,6 +46,9 @@ class ThompsonSampling : public MabPolicy
         return tcfg_.decay < 1.0 ? "dThompson" : "Thompson";
     }
 
+    /** Also drops the cached Marsaglia spare. */
+    void reset() override;
+
     /** Posterior mean / effective samples of @p arm (introspection). */
     double posteriorMean(ArmId arm) const { return r_[arm]; }
     double effectiveCount(ArmId arm) const { return n_[arm]; }

@@ -3,7 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 namespace mab {
+
+Ucb::Ucb(const MabConfig &config)
+    : MabPolicy(config), scores_(static_cast<size_t>(config.numArms))
+{
+}
 
 double
 Ucb::potential(ArmId arm) const
@@ -16,42 +25,66 @@ Ucb::potential(ArmId arm) const
     return r_[arm] + config_.c * std::sqrt(log_total / n);
 }
 
-std::vector<double>
-Ucb::selectionScores() const
+double
+Ucb::logTotal() const
 {
-    // ln(n_total) is arm-independent: hoist it so the per-arm loop is
-    // a flat add/sqrt/fma sweep over the contiguous r_/n_ arrays.
-    // The per-arm expression keeps potential()'s exact operation
-    // order, so the scores are bit-identical to the scalar path.
-    const double log_total = std::log(std::max(nTotal_, 1.0));
+    // Keyed by the exact n_total: a DUCB total reaches a floating-point
+    // fixed point and an SW-UCB total is constant once the window is
+    // full, so libm runs only when the value moves. NaN never hits.
+    if (nTotal_ != logKey_) {
+        logKey_ = nTotal_;
+        logTotal_ = std::log(std::max(nTotal_, 1.0));
+    }
+    return logTotal_;
+}
+
+void
+Ucb::scoreArms(double *out) const
+{
+    // potential()'s operations in its order: IEEE div, sqrt, mul and
+    // add are correctly rounded in both the packed and the scalar
+    // forms, and max(1e-9, n) returns n for a NaN n as std::max(n,
+    // 1e-9) does, so every lane is bit-identical to potential(i).
+    const double log_total = logTotal();
     const double c = config_.c;
     const double *r = r_.data();
     const double *n = n_.data();
     const ArmId arms = config_.numArms;
-    std::vector<double> scores(arms);
-    double *out = scores.data();
-    for (ArmId i = 0; i < arms; ++i)
+    ArmId i = 0;
+#ifdef __SSE2__
+    const __m128d vlog = _mm_set1_pd(log_total);
+    const __m128d vc = _mm_set1_pd(c);
+    const __m128d n_floor = _mm_set1_pd(1e-9);
+    for (; i + 1 < arms; i += 2) {
+        const __m128d ni = _mm_max_pd(n_floor, _mm_loadu_pd(n + i));
+        const __m128d bonus =
+            _mm_mul_pd(vc, _mm_sqrt_pd(_mm_div_pd(vlog, ni)));
+        _mm_storeu_pd(out + i, _mm_add_pd(_mm_loadu_pd(r + i), bonus));
+    }
+#endif
+    for (; i < arms; ++i)
         out[i] = r[i] + c * std::sqrt(log_total / std::max(n[i], 1e-9));
+}
+
+std::vector<double>
+Ucb::selectionScores() const
+{
+    std::vector<double> scores(scores_.size());
+    scoreArms(scores.data());
     return scores;
 }
 
 ArmId
 Ucb::nextArm()
 {
-    // Same hoisted form as selectionScores(); the comparison sequence
-    // matches the scalar loop exactly (strict >, first-max wins).
-    const double log_total = std::log(std::max(nTotal_, 1.0));
-    const double c = config_.c;
-    const double *r = r_.data();
-    const double *n = n_.data();
+    scoreArms(scores_.data());
+    // First max wins (strict >), as in the scalar scan over potential().
+    const double *s = scores_.data();
     ArmId best = 0;
-    double best_pot =
-        r[0] + c * std::sqrt(log_total / std::max(n[0], 1e-9));
+    double best_pot = s[0];
     for (ArmId i = 1; i < config_.numArms; ++i) {
-        const double pot =
-            r[i] + c * std::sqrt(log_total / std::max(n[i], 1e-9));
-        if (pot > best_pot) {
-            best_pot = pot;
+        if (s[i] > best_pot) {
+            best_pot = s[i];
             best = i;
         }
     }

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <numbers>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/ducb.h"
 #include "core/egreedy.h"
 #include "core/factory.h"
 #include "core/heuristics.h"
+#include "core/swucb.h"
 #include "core/ucb.h"
 #include "sim/rng.h"
 
@@ -132,6 +139,113 @@ TEST(MabTemplate, GreedyArmTracksHighestReward)
     policy.selectArm();
     policy.observeReward(0.4);
     EXPECT_EQ(policy.greedyArm(), 1);
+}
+
+/** Every MabAlgorithm the factory builds. */
+const std::vector<MabAlgorithm> kAllAlgorithms = {
+    MabAlgorithm::EpsilonGreedy, MabAlgorithm::Ucb,
+    MabAlgorithm::Ducb,          MabAlgorithm::Single,
+    MabAlgorithm::Periodic,      MabAlgorithm::SwUcb,
+    MabAlgorithm::Thompson,      MabAlgorithm::Hierarchical,
+};
+
+uint64_t
+bits(double x)
+{
+    return std::bit_cast<uint64_t>(x);
+}
+
+class ResetTest : public ::testing::TestWithParam<MabAlgorithm>
+{
+};
+
+TEST_P(ResetTest, ReplayAfterResetMatchesAFreshPolicy)
+{
+    const MabAlgorithm algo = GetParam();
+    const std::vector<double> means = {0.2, 0.8, 0.5, 0.3, 0.6};
+    // Both parities of warm-up length: Thompson's Gaussian sampler
+    // holds a spare draw after an odd number of draws.
+    for (int warm : {333, 334}) {
+        auto used = makePolicy(algo, config(5));
+        auto fresh = makePolicy(algo, config(5));
+
+        BernoulliEnv warmup(means, 3);
+        for (int i = 0; i < warm; ++i)
+            used->observeReward(warmup.pull(used->selectArm()));
+        used->reset();
+
+        // One draw per step whatever the arm: both replays see the
+        // same reward stream.
+        BernoulliEnv env_used(means, 11), env_fresh(means, 11);
+        int differing = 0;
+        for (int i = 0; i < 600; ++i) {
+            const ArmId a = used->selectArm();
+            const ArmId b = fresh->selectArm();
+            differing += a != b;
+            used->observeReward(env_used.pull(a));
+            fresh->observeReward(env_fresh.pull(b));
+        }
+        EXPECT_EQ(differing, 0) << "of 600 decisions, warm-up " << warm;
+        for (int i = 0; i < 5; ++i) {
+            EXPECT_EQ(bits(used->armRewards()[i]),
+                      bits(fresh->armRewards()[i]))
+                << "r[" << i << "], warm-up " << warm;
+            EXPECT_EQ(bits(used->armCounts()[i]),
+                      bits(fresh->armCounts()[i]))
+                << "n[" << i << "], warm-up " << warm;
+        }
+        EXPECT_EQ(bits(used->totalCount()), bits(fresh->totalCount()))
+            << "warm-up " << warm;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, ResetTest, ::testing::ValuesIn(kAllAlgorithms),
+    [](const ::testing::TestParamInfo<MabAlgorithm> &info) {
+        std::string name = toString(info.param);
+        for (char &ch : name) {
+            if (ch == '-')
+                ch = '_';
+        }
+        return name;
+    });
+
+// ---------------------------------------------------------------------
+// Release-mode constructor guards: both checks stay in NDEBUG builds.
+// ---------------------------------------------------------------------
+
+/** @p make throws std::invalid_argument whose message ends in
+ *  "got <value>". */
+template <class Make>
+void
+expectInvalidNaming(Make make, int value)
+{
+    const std::string want = "got " + std::to_string(value);
+    try {
+        make();
+        ADD_FAILURE() << "no exception for " << value;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_TRUE(std::string(e.what()).ends_with(want)) << e.what();
+    }
+}
+
+TEST(MabTemplate, FewerThanOneArmThrowsInEveryAlgorithm)
+{
+    for (int arms : {0, -1, std::numeric_limits<int>::min()}) {
+        for (MabAlgorithm algo : kAllAlgorithms) {
+            expectInvalidNaming([&] { makePolicy(algo, config(arms)); },
+                                arms);
+        }
+    }
+}
+
+TEST(SwUcb, WindowBelowArmCountThrows)
+{
+    for (int window : {3, 0, -1, std::numeric_limits<int>::min()})
+        expectInvalidNaming([&] { SwUcb policy(config(4), window); },
+                            window);
+    SwUcb smallest(config(4), 4);
+    EXPECT_EQ(smallest.window(), 4);
 }
 
 // ---------------------------------------------------------------------
@@ -445,6 +559,169 @@ TEST(Ducb, UcbFailsWherDucbAdapts)
         ucb_arm1 += ua == 1;
     }
     EXPECT_GT(ducb_arm1, ucb_arm1);
+}
+
+// ---------------------------------------------------------------------
+// Score kernel: the paired-lane scores, the cached ln(n_total) and the
+// paired DUCB discount are bit-identical to the scalar forms.
+// ---------------------------------------------------------------------
+
+/** Writes the score inputs r_i, n_i and n_total directly. */
+template <class Policy>
+class ScoreProbe : public Policy
+{
+  public:
+    using Policy::Policy;
+
+    void
+    setState(const std::vector<double> &r, const std::vector<double> &n,
+             double total)
+    {
+        this->r_ = r;
+        this->n_ = n;
+        this->nTotal_ = total;
+    }
+};
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+const std::vector<double> kEdgeCounts = {0.0,  5e-324, 1e-12, 1e-9,
+                                         1.0,  1e300,  kNaN};
+const std::vector<double> kEdgeRewards = {0.0,   -0.0, 1e308, -1e308, kInf,
+                                          -kInf, kNaN, 0.5,   0.5};
+/** Repeated and alternated, so the ln(n_total) cache hits and misses. */
+const std::vector<double> kEdgeTotals = {
+    0.0, 0.0, 0.5, 1.0, 1.0, std::numbers::e, 0.5,
+    1e6, 1e6, kNaN, kNaN, std::numbers::e, 1.0, 0.0};
+
+/** 1-17 arms cover every lane-pair/odd-tail split; 64 a wide table. */
+std::vector<int>
+kernelArmCounts()
+{
+    std::vector<int> out;
+    for (int arms = 1; arms <= 17; ++arms)
+        out.push_back(arms);
+    out.push_back(64);
+    return out;
+}
+
+void
+finishRoundRobin(MabPolicy &policy)
+{
+    while (policy.inRoundRobin()) {
+        policy.selectArm();
+        policy.observeReward(0.5);
+    }
+}
+
+/** Edge-value table @p t for @p arms arms. Arms come in runs of
+ *  @p group identical (r, n) pairs, so exact ties fall inside a lane
+ *  pair (group 2) and across lane pairs (group 3). */
+void
+edgeState(int arms, size_t t, int group, std::vector<double> &r,
+          std::vector<double> &n)
+{
+    r.resize(arms);
+    n.resize(arms);
+    for (int i = 0; i < arms; ++i) {
+        const size_t k = static_cast<size_t>(i / group);
+        r[i] = kEdgeRewards[(k + t) % kEdgeRewards.size()];
+        n[i] = kEdgeCounts[(3 * k + t) % kEdgeCounts.size()];
+    }
+}
+
+/** selectionScores() against potential(), and selectArm() against a
+ *  scalar first-max scan over potential(), on every edge table.
+ *  @p extra follows the config in the policy's constructor. */
+template <class Policy, class... Extra>
+void
+checkScoreKernel(Extra... extra)
+{
+    std::vector<double> r, n;
+    for (int arms : kernelArmCounts()) {
+        ScoreProbe<Policy> policy(config(arms), extra...);
+        finishRoundRobin(policy);
+        for (int group : {1, 2, 3}) {
+            for (size_t t = 0; t < 3 * kEdgeTotals.size(); ++t) {
+                edgeState(arms, t, group, r, n);
+                const double total = kEdgeTotals[t % kEdgeTotals.size()];
+                policy.setState(r, n, total);
+                std::vector<double> pot(arms);
+                for (ArmId i = 0; i < arms; ++i)
+                    pot[i] = policy.potential(i);
+
+                const std::vector<double> scores = policy.selectionScores();
+                ASSERT_EQ(scores.size(), static_cast<size_t>(arms));
+                for (ArmId i = 0; i < arms; ++i) {
+                    ASSERT_EQ(bits(scores[i]), bits(pot[i]))
+                        << policy.name() << " arms=" << arms
+                        << " t=" << t << " group=" << group
+                        << " arm=" << i << " r=" << r[i]
+                        << " n=" << n[i] << " total=" << total;
+                }
+
+                ArmId best = 0;
+                for (ArmId i = 1; i < arms; ++i) {
+                    if (pot[i] > pot[best])
+                        best = i;
+                }
+                ASSERT_EQ(policy.selectArm(), best)
+                    << policy.name() << " arms=" << arms << " t=" << t
+                    << " group=" << group;
+                policy.observeReward(0.5);
+            }
+        }
+    }
+}
+
+TEST(ScoreKernel, UcbScoresAndArgmaxMatchScalarPotential)
+{
+    checkScoreKernel<Ucb>();
+}
+
+TEST(ScoreKernel, DucbScoresAndArgmaxMatchScalarPotential)
+{
+    checkScoreKernel<Ducb>();
+}
+
+TEST(ScoreKernel, SwUcbScoresAndArgmaxMatchScalarPotential)
+{
+    checkScoreKernel<SwUcb>(64); // the widest table's arm count
+}
+
+TEST(ScoreKernel, DucbDiscountMatchesScalarRecurrence)
+{
+    std::vector<double> r, n;
+    for (int arms : kernelArmCounts()) {
+        for (double gamma : {0.5, 0.9, 0.99, 0.999, 1.0}) {
+            MabConfig cfg = config(arms);
+            cfg.gamma = gamma;
+            ScoreProbe<Ducb> policy(cfg);
+            finishRoundRobin(policy);
+            edgeState(arms, static_cast<size_t>(arms), 1, r, n);
+            const double start_total = static_cast<double>(arms);
+            policy.setState(r, n, start_total);
+
+            std::vector<double> expect = n;
+            double expect_total = start_total;
+            Rng rng(static_cast<uint64_t>(arms));
+            for (int k = 0; k < 100; ++k) {
+                const ArmId a = policy.selectArm();
+                for (double &x : expect)
+                    x = x * gamma;
+                expect[a] += 1.0;
+                expect_total = expect_total * gamma + 1.0;
+                policy.observeReward(rng.uniform());
+                for (int i = 0; i < arms; ++i) {
+                    ASSERT_EQ(bits(policy.armCounts()[i]), bits(expect[i]))
+                        << "arms=" << arms << " gamma=" << gamma
+                        << " step=" << k << " arm=" << i;
+                }
+                ASSERT_EQ(bits(policy.totalCount()), bits(expect_total));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -17,7 +17,11 @@ class TraceIoTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "mab_trace_test.mabt";
+        // One file per case and process: ctest runs each case as its
+        // own process, concurrently under -j.
+        path_ = ::testing::TempDir() + "mab_trace_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".mabt";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
