@@ -1,21 +1,20 @@
 /**
  * @file
- * Differential-fuzzing driver (sim/fuzz.h): random-but-valid cache op
- * streams, bandit rollouts, end-to-end CoreModel runs and sweep grids,
- * each derived from a replayable uint64 seed, checked against naive
- * reference models and structural property checks.
+ * Differential-fuzzing driver (fuzz/fuzz.h): seeded random cases of
+ * every registered domain, each derived from a replayable uint64 seed,
+ * checked against naive reference models and structural property
+ * checks.
  *
  *   bench_fuzz                          200 iterations from seed 1
  *   bench_fuzz --iters 1000 --seed 7    fixed-budget campaign
  *   bench_fuzz --max-seconds 60         time-capped campaign (CI)
  *   bench_fuzz --replay <caseSeed>      re-run one failing case
  *   bench_fuzz --replay <seed> --shrink ...and minimize the witness
- *   bench_fuzz --domain drift           restrict to one oracle domain
- *                                       (cache, bandit, sim, replay,
- *                                       drift, smt, sweep)
+ *   bench_fuzz --domain drift           restrict to one registered
+ *                                       domain (see fuzz/registry.cc)
  *   bench_fuzz --self-test              prove the harness catches
- *                                       planted cache bugs and shrinks
- *                                       them to short repros
+ *                                       planted bugs and shrinks them
+ *                                       to short repros
  *
  * Exit codes: 0 = all checks passed, 1 = mismatch or property
  * violation (repro lines printed), 2 = usage error.
@@ -26,7 +25,7 @@
 #include <cstring>
 
 #include "common.h"
-#include "sim/fuzz.h"
+#include "fuzz/fuzz.h"
 
 namespace {
 
@@ -46,59 +45,24 @@ printFailures(const fuzz::FuzzReport &report)
 void
 printSummary(const fuzz::FuzzReport &report)
 {
-    std::printf("fuzz: %" PRIu64 " iterations (%" PRIu64
-                " cache, %" PRIu64 " bandit, %" PRIu64
-                " sim, %" PRIu64 " replay, %" PRIu64
-                " drift, %" PRIu64 " smt, %" PRIu64
-                " sweep cases), %zu failure(s)\n",
-                report.iterations, report.cacheCases,
-                report.banditCases, report.simCases,
-                report.replayCases, report.driftCases,
-                report.smtCases, report.sweepCases,
-                report.failures.size());
+    std::printf("fuzz: %" PRIu64 " iterations (", report.iterations);
+    for (size_t i = 0; i < report.cases.size(); ++i)
+        std::printf("%s%" PRIu64 " %s", i ? ", " : "", report.cases[i],
+                    fuzz::domains()[i].name);
+    std::printf(" cases), %zu failure(s)\n", report.failures.size());
 }
 
-/**
- * Harness self-test: every planted cache mutation must be caught by
- * the differential loop within a bounded number of case seeds, and the
- * shrinker must reduce the witness to a short repro. This is the
- * standing proof that a real regression in the single-pass fill probe
- * would be noticed.
- */
+/** Every domain's planted-fault proof (Domain::selfTest). */
 int
 runSelfTest(uint64_t seed_base)
 {
-    constexpr int kMaxSeeds = 50;
-    constexpr size_t kMaxShrunkOps = 20;
     bool ok = true;
-    for (const fuzz::CacheMutation m : fuzz::allCacheMutations()) {
-        const fuzz::CacheModelFactory mutant =
-            fuzz::mutantCacheFactory(m);
-        bool caught = false;
-        for (int i = 0; i < kMaxSeeds && !caught; ++i) {
-            const uint64_t cs = fuzz::iterationSeed(seed_base, i);
-            const fuzz::CacheCase c =
-                fuzz::genCacheCase(fuzz::subSeed(cs, 1));
-            const std::string err = fuzz::diffCacheCase(c, mutant);
-            if (err.empty())
-                continue;
-            caught = true;
-            const fuzz::CacheCase min = fuzz::shrinkCacheCase(c, mutant);
-            std::printf("mutant %-28s caught at seed #%d, "
-                        "shrunk %zu -> %zu ops\n",
-                        fuzz::toString(m), i, c.ops.size(),
-                        min.ops.size());
-            if (min.ops.size() > kMaxShrunkOps) {
-                std::printf("  ERROR: shrunk repro exceeds %zu ops\n",
-                            kMaxShrunkOps);
-                ok = false;
-            }
-        }
-        if (!caught) {
-            std::printf("mutant %-28s NOT caught in %d seeds\n",
-                        fuzz::toString(m), kMaxSeeds);
-            ok = false;
-        }
+    for (const fuzz::Domain &d : fuzz::domains()) {
+        if (!d.selfTest)
+            continue;
+        std::string log;
+        ok = d.selfTest(seed_base, d.lane, log) && ok;
+        std::fputs(log.c_str(), stdout);
     }
     std::printf("self-test: %s\n", ok ? "all mutants caught" : "FAILED");
     return ok ? 0 : 1;
@@ -120,10 +84,10 @@ main(int argc, char **argv)
     std::string err = findFlagValue(argc, argv, "--iters", &v);
     if (!err.empty())
         return usageError(err);
-    if (v && !parseUint64(v, &opt.iters))
+    if (v && (!parseUint64(v, &opt.iters) || opt.iters == 0))
         return usageError(
-            std::string("usage error: --iters needs an unsigned "
-                        "integer, got '") +
+            std::string("usage error: --iters needs an integer above "
+                        "0, got '") +
             v + "'");
 
     err = findFlagValue(argc, argv, "--seed", &v);
@@ -138,15 +102,14 @@ main(int argc, char **argv)
     err = findFlagValue(argc, argv, "--max-seconds", &v);
     if (!err.empty())
         return usageError(err);
-    if (v) {
-        char *end = nullptr;
-        opt.maxSeconds = std::strtod(v, &end);
-        if (end == v || *end != '\0' || opt.maxSeconds <= 0.0)
-            return usageError(
-                std::string("usage error: --max-seconds needs a "
-                            "positive number, got '") +
-                v + "'");
-    }
+    // MAB_BENCH_SCALE's rule: one whole token holding a finite number
+    // above 0, no ERANGE. inf and 1e999 would lift the time cap, and
+    // nan would silently fall back to the iteration cap.
+    if (v && !resolveScale(v, &opt.maxSeconds).empty())
+        return usageError(
+            std::string("usage error: --max-seconds needs a finite "
+                        "number above 0, got '") +
+            v + "'");
 
     uint64_t replay_seed = 0;
     bool replay = false;
@@ -166,15 +129,10 @@ main(int argc, char **argv)
     if (!err.empty())
         return usageError(err);
     if (v) {
-        static const char *const kDomains[] = {
-            "cache", "bandit", "sim", "replay", "drift", "smt", "sweep"};
-        bool known = false;
-        for (const char *d : kDomains)
-            known = known || std::strcmp(v, d) == 0;
-        if (!known)
+        if (!fuzz::findDomain(v))
             return usageError(
                 std::string("usage error: unknown --domain '") + v +
-                "' (cache, bandit, sim, replay, drift, smt, sweep)");
+                "' (" + fuzz::domainNames() + ")");
         opt.domain = v;
     }
 

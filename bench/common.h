@@ -566,11 +566,14 @@ comparisonPrefetchers()
 
 /**
  * Instantiate a prefetcher by report name. "Bandit" builds the DUCB
- * Micro-Armed Bandit controller; "Bandit:<algo>" selects another MAB
- * algorithm; "BanditIdeal" removes the 500-cycle selection latency.
+ * Micro-Armed Bandit controller; "Bandit:<algo>" selects the MAB
+ * algorithm whose toString() is <algo>; "BanditIdeal" removes the
+ * 500-cycle selection latency. The bandit takes a step every
+ * @p banditStepUnits L2 accesses. An unknown name aborts.
  */
 inline std::unique_ptr<Prefetcher>
-makePrefetcher(const std::string &name, uint64_t seed = 1)
+makePrefetcher(const std::string &name, uint64_t seed = 1,
+               uint64_t banditStepUnits = benchBanditConfig().hw.stepUnits)
 {
     if (name == "None")
         return std::make_unique<NullPrefetcher>();
@@ -599,22 +602,18 @@ makePrefetcher(const std::string &name, uint64_t seed = 1)
         // proportionally and (per the paper's own tune-set
         // procedure) c/gamma are retuned to the shorter horizon.
         BanditPrefetchConfig cfg = benchBanditConfig(seed);
+        cfg.hw.stepUnits = banditStepUnits;
         if (name == "BanditIdeal")
             cfg.hw.selectionLatencyCycles = 0;
-        if (name.rfind("Bandit:", 0) == 0) {
-            const std::string algo = name.substr(7);
-            if (algo == "eGreedy")
-                cfg.algorithm = MabAlgorithm::EpsilonGreedy;
-            else if (algo == "UCB")
-                cfg.algorithm = MabAlgorithm::Ucb;
-            else if (algo == "DUCB")
-                cfg.algorithm = MabAlgorithm::Ducb;
-            else if (algo == "Single")
-                cfg.algorithm = MabAlgorithm::Single;
-            else if (algo == "Periodic")
-                cfg.algorithm = MabAlgorithm::Periodic;
+        if (name.rfind("Bandit:", 0) != 0)
+            return std::make_unique<BanditPrefetchController>(cfg);
+        // Hierarchical is the last MabAlgorithm enumerator.
+        for (int a = 0; a <= static_cast<int>(MabAlgorithm::Hierarchical);
+             ++a) {
+            cfg.algorithm = static_cast<MabAlgorithm>(a);
+            if (name.substr(7) == toString(cfg.algorithm))
+                return std::make_unique<BanditPrefetchController>(cfg);
         }
-        return std::make_unique<BanditPrefetchController>(cfg);
     }
     std::fprintf(stderr, "unknown prefetcher: %s\n", name.c_str());
     std::abort();

@@ -1,22 +1,18 @@
-#ifndef MAB_SIM_FUZZ_H
-#define MAB_SIM_FUZZ_H
+#ifndef MAB_FUZZ_FUZZ_H
+#define MAB_FUZZ_FUZZ_H
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/drift_env.h"
 #include "core/factory.h"
 #include "memory/cache.h"
 #include "memory/dram.h"
 #include "memory/hierarchy.h"
-#include "smt/fetch_policy.h"
-#include "smt/pipeline.h"
-#include "smt/thread_source.h"
-#include "trace/drift.h"
 #include "trace/generator.h"
 
 namespace mab::fuzz {
@@ -24,44 +20,74 @@ namespace mab::fuzz {
 /**
  * Differential fuzzing harness for the optimized simulator paths.
  *
- * PR 3 rewrote the hottest loops (single-pass Cache::fill probe,
- * devirtualized CoreModel dispatch, thread-pooled sweeps); the golden
- * snapshots pin a handful of fixed configurations, but the paper's
- * claims rest on relative orderings across a large config x workload
- * space. This subsystem generates random-but-valid cases from a single
- * replayable uint64 seed, runs them through the optimized
+ * The golden snapshots pin a handful of fixed configurations, but the
+ * paper's claims rest on relative orderings across a large config x
+ * workload space. This library generates random-but-valid cases from
+ * a single replayable uint64 seed, runs them through the optimized
  * implementations and through slow-but-obviously-correct reference
- * models, and checks structural invariants on every iteration:
+ * models, and checks structural invariants on every iteration. Each
+ * domain (cache, bandit, sim, replay, drift, smt) is one family of
+ * checks in one source file of fuzz/; registry.cc lists them.
  *
- *  - ReferenceCache: a textbook multi-pass LRU/MSHR cache checked
- *    op-for-op against the fused single-pass mab::Cache probe.
- *  - Bandit shadow replay: long-form (long double, recompute-from-
- *    history) DUCB / SW-UCB / UCB / eGreedy update math checked
- *    against the incremental implementations in src/core, including
- *    a closed-form discounted-count cross-check for DUCB.
- *  - Sweep oracle: serial vs parallel SweepRunner equivalence.
- *  - SMT fast-forward oracle: an SmtPipeline stepped one cycle at a
- *    time vs a twin that skips quiescent cycles, on random thread
- *    profiles, geometries, PG policies and share schedules.
- *  - End-to-end property checks on random CoreModel runs (counter
- *    conservation, MSHR/queue bounds, IPC in (0, commitWidth]).
- *
- * On mismatch the failing case is shrunk automatically (chunk removal
- * over the op stream / trace, then config-dimension reduction) and a
- * one-line repro command is reported:
+ * On mismatch the failing case can be shrunk (chunk removal over the
+ * op stream, or halving the run, then config-dimension reduction) and
+ * a one-line repro command is reported:
  *
  *     bench_fuzz --replay <seed> --shrink
  *
  * Every generator consumes only the seed it is handed, so a case seed
- * replays the identical case forever.
+ * replays the identical case forever (tests/test_fuzz.cc pins the
+ * case streams).
  */
 
 /** Derive an independent, well-mixed sub-seed for @p lane of @p seed
  *  (splitmix64 over the pair; lanes never collide across domains). */
 uint64_t subSeed(uint64_t seed, uint64_t lane);
 
+/** Case seed of iteration @p index under @p seedBase — the value
+ *  `bench_fuzz --replay` takes. */
+uint64_t iterationSeed(uint64_t seedBase, uint64_t index);
+
 // ---------------------------------------------------------------------
-// Cache differential
+// Domain registry (fuzz/registry.cc)
+// ---------------------------------------------------------------------
+
+/**
+ * One fuzz domain: a family of seeded checks. The registry lists every
+ * domain once; runFuzzIteration, the report's case counts, and
+ * bench_fuzz's --domain, --self-test and summary line all read it.
+ */
+struct Domain
+{
+    /** `--domain` value, summary column and failure label. */
+    const char *name;
+    /** The domain's case for case seed cs is drawn from
+     *  subSeed(cs, lane). */
+    uint64_t lane;
+    /** Generate the case for @p seed and check it: "" when it passes,
+     *  else the first divergence, followed by the shrunk case when
+     *  @p shrink is set. */
+    std::string (*check)(uint64_t seed, bool shrink);
+    /** Description of the case @p seed generates. */
+    std::string (*describe)(uint64_t seed);
+    /** Planted-fault proof of check (nullptr: none): appends one line
+     *  per fault to @p log and returns whether every fault was caught
+     *  and shrunk, drawing case i from subSeed(iterationSeed(seedBase,
+     *  i), lane). */
+    bool (*selfTest)(uint64_t seedBase, uint64_t lane, std::string &log);
+};
+
+/** Every registered domain, in summary order. */
+std::span<const Domain> domains();
+
+/** The domain named @p name, else nullptr. */
+const Domain *findDomain(std::string_view name);
+
+/** The registered names, comma-separated in summary order. */
+std::string domainNames();
+
+// ---------------------------------------------------------------------
+// Cache differential (fuzz/cache.cc)
 // ---------------------------------------------------------------------
 
 /** One operation of a cache fuzz case (the Cache public API). */
@@ -81,8 +107,6 @@ struct CacheOp
     uint64_t line = 0;  ///< line-aligned address
     uint64_t cycle = 0; ///< lookup cycle / fill ready cycle
 };
-
-const char *toString(CacheOp::Kind kind);
 
 /** A complete, self-contained cache differential case. */
 struct CacheCase
@@ -117,50 +141,6 @@ class CacheModel
     virtual uint64_t occupancy() const = 0;
 };
 
-/** The implementation under test: wraps mab::Cache unchanged. */
-class OptimizedCacheModel final : public CacheModel
-{
-  public:
-    explicit OptimizedCacheModel(const CacheConfig &config)
-        : cache_(config)
-    {
-    }
-
-    Cache::LookupResult
-    lookupDemand(uint64_t line, uint64_t cycle) override
-    {
-        return cache_.lookupDemand(line, cycle);
-    }
-
-    bool contains(uint64_t line) const override
-    {
-        return cache_.contains(line);
-    }
-
-    Cache::EvictInfo
-    fill(uint64_t line, uint64_t readyCycle, bool prefetch) override
-    {
-        return cache_.fill(line, readyCycle, prefetch);
-    }
-
-    void invalidate(uint64_t line) override
-    {
-        cache_.invalidate(line);
-    }
-
-    void clear() override { cache_.clear(); }
-
-    uint64_t demandHits() const override { return cache_.demandHits; }
-    uint64_t demandMisses() const override
-    {
-        return cache_.demandMisses;
-    }
-    uint64_t occupancy() const override { return cache_.occupancy(); }
-
-  private:
-    Cache cache_;
-};
-
 /**
  * Textbook reference cache: per-set line vectors, explicit separate
  * passes for hit probe, invalid-way scan and LRU victim scan — the
@@ -185,8 +165,6 @@ class ReferenceCache final : public CacheModel
     uint64_t demandHits() const override { return hits_; }
     uint64_t demandMisses() const override { return misses_; }
     uint64_t occupancy() const override;
-
-    uint64_t numSets() const { return static_cast<uint64_t>(sets_.size()); }
 
     /**
      * Structural invariants of the reference state: occupancy within
@@ -290,7 +268,7 @@ CacheCase shrinkCacheCase(const CacheCase &c,
                           const CacheModelFactory &impl);
 
 // ---------------------------------------------------------------------
-// Bandit differential
+// Bandit differential (fuzz/bandit.cc)
 // ---------------------------------------------------------------------
 
 /** A bandit shadow-replay case. */
@@ -311,9 +289,6 @@ std::string formatBanditCase(const BanditCase &c);
 /** Generate a bandit case (DUCB / SW-UCB / UCB / eGreedy pool). */
 BanditCase genBanditCase(uint64_t seed);
 
-/** Instantiate the policy a case describes. */
-std::unique_ptr<MabPolicy> makeCasePolicy(const BanditCase &c);
-
 /**
  * Drive @p policy through @p c while a long-form long-double shadow
  * replays the observed (arm, reward) sequence from scratch: round-
@@ -327,14 +302,14 @@ std::unique_ptr<MabPolicy> makeCasePolicy(const BanditCase &c);
  */
 std::string diffBanditPolicy(MabPolicy &policy, const BanditCase &c);
 
-/** diffBanditPolicy over a freshly built makeCasePolicy(c). */
+/** diffBanditPolicy over a fresh policy of the case's algorithm. */
 std::string diffBanditCase(const BanditCase &c);
 
 /** Shrink a failing bandit case (halve steps, drop config knobs). */
 BanditCase shrinkBanditCase(const BanditCase &c);
 
 // ---------------------------------------------------------------------
-// End-to-end property checks
+// End-to-end property checks (fuzz/sim.cc)
 // ---------------------------------------------------------------------
 
 /** A random end-to-end CoreModel run. */
@@ -369,128 +344,7 @@ std::string checkSimProperties(const SimCase &c);
 SimCase shrinkSimCase(const SimCase &c);
 
 // ---------------------------------------------------------------------
-// Live-vs-replay trace oracle
-// ---------------------------------------------------------------------
-
-/**
- * Differential check of the trace arena's byte-identity invariant on
- * a fuzzed sim config: materialize the case's workload, then
- *  - diff a live SyntheticTrace against a ReplaySource field-for-
- *    field over every record (including again after reset()), and
- *  - run the case's CoreModel once over the live generator and once
- *    over the replay source, diffing every exported counter.
- * Returns "" on agreement, else the first divergence.
- */
-std::string checkReplayEquivalence(uint64_t seed);
-
-// ---------------------------------------------------------------------
-// Drifting-generator oracle
-// ---------------------------------------------------------------------
-
-/**
- * A drift differential case: one seeded drifting profile (phase-
- * shifting, cyclic or adversarial — trace/drift.h) checked across the
- * whole delivery stack, plus a drifting-bandit rollout checked for
- * regret conservation against the per-phase oracle (core/regret.h).
- */
-struct DriftCase
-{
-    /** 0 = phase-shift, 1 = cyclic, 2 = adversarial. */
-    int kind = 1;
-    DriftProfile drift;
-    uint64_t instructions = 2000;
-    /** Machine of the live-vs-replay counter leg. */
-    HierarchyConfig hier;
-    DramConfig dram;
-    std::string prefetcher = "None";
-    /** Regret-conservation rollout over the moving oracle. */
-    DriftBanditConfig env;
-    DriftPolicySpec policy;
-};
-
-std::string formatDriftCase(const DriftCase &c);
-
-/** Generate a drift case: random generator kind, shift schedule,
- *  machine and bandit environment, all from @p seed. */
-DriftCase genDriftCase(uint64_t seed);
-
-/**
- * Check the case end to end:
- *  - schedule structure: contiguous segments covering the profile's
- *    phase lengths exactly, driftSegmentAt agreeing at boundaries;
- *  - replay equivalence: a live SyntheticTrace of the drifting
- *    profile vs its materialized replay, record-for-record (fresh and
- *    post-reset) and end-to-end counters (arena-on vs arena-off
- *    delivery of the same drifting stream);
- *  - regret conservation: per-phase regrets of the
- *    PhasedRegretTracker sum exactly to cumulative(), per-phase step
- *    counts to steps(), with the expected phase count.
- * Returns "" on agreement, else the first divergence.
- */
-std::string diffDriftCase(const DriftCase &c);
-
-/** Shrink a failing drift case: halve the run and the rollout, then
- *  default the machine config. */
-DriftCase shrinkDriftCase(const DriftCase &c);
-
-/** diffDriftCase over a freshly generated case. */
-std::string checkDriftEquivalence(uint64_t seed);
-
-// ---------------------------------------------------------------------
-// SMT fast-forward oracle
-// ---------------------------------------------------------------------
-
-/**
- * An SMT pipeline case: two random thread profiles, a random geometry
- * and fetch PG policy, and a share schedule applied at epoch edges
- * (the way Hill Climbing moves the gating thresholds).
- */
-struct SmtCase
-{
-    std::array<SmtAppParams, SmtConfig::kThreads> apps;
-    std::array<uint64_t, SmtConfig::kThreads> seeds{1, 2};
-    SmtConfig config;
-    PgPolicy policy;
-    uint64_t cycles = 4000;
-    uint64_t epoch = 500;
-    /** Shares installed at edge k: shares[k % size()]. */
-    std::vector<std::array<double, SmtConfig::kThreads>> shares;
-};
-
-std::string formatSmtCase(const SmtCase &c);
-
-/** Generate an SMT case: mixes from serial DRAM chains to branchy
- *  compute, widths and structure sizes down to 1, any of the 64
- *  fetch PG policies, DRAM latencies past the calendar horizon. */
-SmtCase genSmtCase(uint64_t seed);
-
-/**
- * Drive one SmtPipeline with advance(1) and a twin with free-running
- * advance(edge - cycles()) calls, applying the same share change to
- * both at every epoch edge, and compare at each edge: cycles,
- * per-thread committed/fetched, every per-thread occupancy and all
- * RenameStats fields. Also checks that no advance overruns its limit.
- * Returns "" on agreement, else the first divergence.
- */
-std::string diffSmtCase(const SmtCase &c);
-
-/** Shrink a failing SMT case: halve the run, then default the
- *  geometry, policy, share schedule and thread profiles. */
-SmtCase shrinkSmtCase(const SmtCase &c);
-
-// ---------------------------------------------------------------------
-// Serial-vs-parallel sweep oracle
-// ---------------------------------------------------------------------
-
-/**
- * Build a random grid of pure simulation tasks and run it through
- * SweepRunner with jobs=1 and jobs=4: results must be identical and
- * in submission order. Returns "" on agreement.
- */
-std::string checkSweepEquivalence(uint64_t seed);
-
-// ---------------------------------------------------------------------
-// Top-level harness
+// Top-level harness (fuzz/registry.cc)
 // ---------------------------------------------------------------------
 
 struct FuzzOptions
@@ -501,20 +355,17 @@ struct FuzzOptions
     double maxSeconds = 0.0;
     /** Shrink failing cases before reporting. */
     bool shrink = false;
-    /** Stop at the first failing iteration (default on). */
-    bool stopOnFailure = true;
     /** Parallel fuzz lanes (iterations are independent). */
     int jobs = 1;
-    /** Restrict to one domain ("cache", "bandit", "sim", "replay",
-     *  "drift", "smt", "sweep"); empty runs them all. */
+    /** Restrict to the registered domain of this name; empty runs
+     *  them all. */
     std::string domain;
 };
 
 struct FuzzFailure
 {
     uint64_t caseSeed = 0;
-    std::string domain;  ///< "cache", "bandit", "sim", "replay",
-                         ///< "drift", "smt", "sweep"
+    std::string domain;  ///< Domain::name
     std::string message; ///< divergence + (when shrunk) minimal case
     std::string repro;   ///< one-line replay command
 };
@@ -522,38 +373,27 @@ struct FuzzFailure
 struct FuzzReport
 {
     uint64_t iterations = 0;
-    uint64_t cacheCases = 0;
-    uint64_t banditCases = 0;
-    uint64_t simCases = 0;
-    uint64_t replayCases = 0;
-    uint64_t driftCases = 0;
-    uint64_t smtCases = 0;
-    uint64_t sweepCases = 0;
+    /** Cases run per domain, in domains() order. */
+    std::vector<uint64_t> cases = std::vector<uint64_t>(domains().size());
     std::vector<FuzzFailure> failures;
 
     bool ok() const { return failures.empty(); }
     void merge(const FuzzReport &other);
 };
 
-/** Case seed of iteration @p index under @p seedBase — the value
- *  `bench_fuzz --replay` takes. */
-uint64_t iterationSeed(uint64_t seedBase, uint64_t index);
-
 /**
- * Run every domain check for one case seed (the sweep oracle runs on
- * a deterministic subset of seeds — thread spawn is comparatively
- * expensive). Failures are appended to @p report, shrunk first when
- * @p shrink is set. A non-empty @p domain restricts the iteration to
- * that single domain (the CI drift leg, `bench_fuzz --domain`).
+ * Run every domain's check for one case seed, each on its own lane.
+ * Failures are appended to @p report, shrunk first when @p shrink is
+ * set. A non-empty @p domain restricts the iteration to that single
+ * domain (the CI drift leg, `bench_fuzz --domain`).
  */
-void runFuzzIteration(uint64_t caseSeed, FuzzReport &report,
-                      bool shrink);
 void runFuzzIteration(uint64_t caseSeed, FuzzReport &report,
                       bool shrink, const std::string &domain);
 
-/** The full fuzz loop (the core of the bench_fuzz driver). */
+/** The full fuzz loop (the core of the bench_fuzz driver). It stops
+ *  after the first batch of iterations with a failure. */
 FuzzReport runFuzz(const FuzzOptions &opt);
 
 } // namespace mab::fuzz
 
-#endif // MAB_SIM_FUZZ_H
+#endif // MAB_FUZZ_FUZZ_H

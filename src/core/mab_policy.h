@@ -129,7 +129,7 @@ class MabPolicy
     /**
      * The r_avg divisor fixed at the end of the initial round-robin
      * phase (1.0 before that, or when normalization is disabled).
-     * Exposed for the differential-fuzzing shadow (sim/fuzz.h).
+     * Exposed for the differential-fuzzing shadow (fuzz/bandit.cc).
      */
     double rewardNormalizer() const { return rAvg_; }
 

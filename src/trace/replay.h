@@ -45,7 +45,7 @@ namespace mab {
  * materialized trace holds exactly the records the equivalent
  * SyntheticTrace would produce, so every sweep's output is unchanged
  * — to the byte, at any job count — whether the arena is on or off
- * (enforced by tests/test_replay.cc and fuzzed by sim/fuzz.cc).
+ * (enforced by tests/test_replay.cc and fuzzed by fuzz/replay.cc).
  */
 
 /**

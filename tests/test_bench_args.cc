@@ -8,8 +8,9 @@
 /**
  * Bench arg-parsing edge cases: duplicate flags, negative or
  * non-numeric `--jobs`, a malformed MAB_BENCH_SCALE or trace
- * granularity, and flags with missing values must produce usage
- * errors instead of being silently clamped or atoi'd to 0. The tests
+ * granularity, flags with missing values and unknown prefetcher names
+ * must produce usage errors (or abort) instead of being silently
+ * clamped, atoi'd to 0 or run as a default. The tests
  * target the non-exiting cores (findFlagValue / parseInt64 /
  * parseUint64 / resolveJobs / resolveScale / scaledBudget /
  * resolveGranularity); the argValue / benchJobs / benchScale /
@@ -292,6 +293,29 @@ TEST(ResolveGranularity, DuplicateFlagIsAUsageError)
     EXPECT_NE(err.find("duplicate --trace-granularity"),
               std::string::npos)
         << err;
+}
+
+TEST(MakePrefetcher, BanditSuffixBuildsTheNamedAlgorithm)
+{
+    // Hierarchical is the last MabAlgorithm enumerator.
+    for (int a = 0; a <= static_cast<int>(MabAlgorithm::Hierarchical);
+         ++a) {
+        const std::string algo = toString(static_cast<MabAlgorithm>(a));
+        SCOPED_TRACE(algo);
+        const std::unique_ptr<Prefetcher> pf =
+            makePrefetcher("Bandit:" + algo, 1);
+        const auto *ctrl =
+            dynamic_cast<const BanditPrefetchController *>(pf.get());
+        ASSERT_NE(ctrl, nullptr);
+        EXPECT_EQ(ctrl->agent().policy().name(), algo);
+    }
+}
+
+TEST(MakePrefetcherDeathTest, UnknownBanditAlgorithmAborts)
+{
+    // A typo used to run DUCB under the misspelled label.
+    EXPECT_DEATH(makePrefetcher("Bandit:DUBC", 1),
+                 "unknown prefetcher: Bandit:DUBC");
 }
 
 } // namespace

@@ -3,7 +3,7 @@
 #include <set>
 
 #include "memory/cache.h"
-#include "sim/fuzz.h"
+#include "fuzz/fuzz.h"
 #include "sim/rng.h"
 #include "trace/record.h"
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <unistd.h>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -10,22 +14,42 @@
 #include "core/bandit_agent.h"
 #include "core/ducb.h"
 #include "core/factory.h"
-#include "sim/fuzz.h"
+#include "fuzz/fuzz.h"
+#include "fuzz/shrink.h"
 #include "sim/parallel.h"
 #include "sim/tracing.h"
 
 /**
- * Differential-fuzzing harness tests (sim/fuzz.h): reference-model
+ * Differential-fuzzing harness tests (fuzz/fuzz.h): reference-model
  * agreement across many generated cases, the mutant self-test that
  * proves planted cache bugs are caught and shrunk to short repros (the
  * ISSUE 4 acceptance criterion, kept as a permanent regression test),
  * the bandit shadow replay incl. a planted DUCB bug, sim property
- * checks, the sweep oracle, and the cross-seed determinism of the
- * stochastic policies (byte-identical audit logs).
+ * checks, the domain registry, the shared shrink loop, the pinned case
+ * streams, and the cross-seed determinism of the stochastic policies
+ * (byte-identical audit logs).
  */
 
 namespace mab {
 namespace {
+
+/** Sub-seed lane of the registered domain @p name. */
+uint64_t
+laneOf(const char *name)
+{
+    const fuzz::Domain *d = fuzz::findDomain(name);
+    EXPECT_NE(d, nullptr) << name;
+    return d ? d->lane : 0;
+}
+
+/** Position of the registered domain @p name in domains(), which is
+ *  also its index into FuzzReport::cases. */
+size_t
+indexOf(const char *name)
+{
+    return static_cast<size_t>(fuzz::findDomain(name) -
+                               fuzz::domains().data());
+}
 
 // ---------------------------------------------------------------------------
 // Seed derivation
@@ -77,7 +101,7 @@ TEST(CacheDifferential, OptimizedCacheAgreesWithReferenceOnManySeeds)
     for (uint64_t i = 0; i < 300; ++i) {
         const uint64_t cs = fuzz::iterationSeed(1, i);
         const fuzz::CacheCase c =
-            fuzz::genCacheCase(fuzz::subSeed(cs, 1));
+            fuzz::genCacheCase(fuzz::subSeed(cs, laneOf("cache")));
         const std::string err = fuzz::diffCacheCase(c);
         ASSERT_EQ(err, "") << "case seed " << cs;
     }
@@ -98,7 +122,7 @@ TEST(CacheDifferential, EveryMutantIsCaughtAndShrunkToShortRepro)
         for (uint64_t i = 0; i < 50 && !caught; ++i) {
             const uint64_t cs = fuzz::iterationSeed(1, i);
             const fuzz::CacheCase c =
-                fuzz::genCacheCase(fuzz::subSeed(cs, 1));
+                fuzz::genCacheCase(fuzz::subSeed(cs, laneOf("cache")));
             if (fuzz::diffCacheCase(c, mutant).empty())
                 continue;
             caught = true;
@@ -185,7 +209,7 @@ TEST(BanditDifferential, GeneratedCasesAgree)
     for (uint64_t i = 0; i < 150; ++i) {
         const uint64_t cs = fuzz::iterationSeed(3, i);
         const fuzz::BanditCase c =
-            fuzz::genBanditCase(fuzz::subSeed(cs, 2));
+            fuzz::genBanditCase(fuzz::subSeed(cs, laneOf("bandit")));
         ASSERT_EQ(fuzz::diffBanditCase(c), "")
             << fuzz::formatBanditCase(c);
     }
@@ -238,7 +262,7 @@ TEST(SimProperties, HoldOnGeneratedCases)
     for (uint64_t i = 0; i < 25; ++i) {
         const uint64_t cs = fuzz::iterationSeed(5, i);
         const fuzz::SimCase c =
-            fuzz::genSimCase(fuzz::subSeed(cs, 3));
+            fuzz::genSimCase(fuzz::subSeed(cs, laneOf("sim")));
         ASSERT_EQ(fuzz::checkSimProperties(c), "");
     }
 }
@@ -252,12 +276,168 @@ TEST(SimProperties, ShrinkIsANoOpOnPassingCases)
 }
 
 // ---------------------------------------------------------------------------
-// Sweep oracle
+// Shared shrink loop (fuzz/shrink.h)
 
-TEST(SweepOracle, SerialAndParallelRunsAgree)
+/** A synthetic case: two lengths and three knobs. */
+struct ToyCase
 {
-    for (uint64_t seed = 0; seed < 6; ++seed)
-        ASSERT_EQ(fuzz::checkSweepEquivalence(seed), "");
+    uint64_t len = 0;
+    int width = 0;
+    int a = 1;
+    int b = 1;
+    int c = 1;
+
+    bool operator==(const ToyCase &) const = default;
+};
+
+/** The toy domain's halvings (floors 100 and 4) and knobs (a, b, c
+ *  reset to 0, in that order). */
+ToyCase
+shrinkToy(const ToyCase &t,
+          const std::function<bool(const ToyCase &)> &fails)
+{
+    return fuzz::shrinkCase(
+        t, fails,
+        {[](ToyCase &x) { return fuzz::halveAbove(x.len, 100); },
+         [](ToyCase &x) { return fuzz::halveAbove(x.width, 4); }},
+        {[](ToyCase &x) { x.a = 0; }, [](ToyCase &x) { x.b = 0; },
+         [](ToyCase &x) { x.c = 0; }});
+}
+
+TEST(FuzzShrink, PassingCaseComesBackUnchanged)
+{
+    const ToyCase t{1000, 64};
+    int calls = 0;
+    const ToyCase s = shrinkToy(t, [&](const ToyCase &) {
+        ++calls;
+        return false;
+    });
+    EXPECT_EQ(s, t);
+    EXPECT_EQ(calls, 1) << "a passing case must not be shrunk at all";
+}
+
+TEST(FuzzShrink, HalvingStopsAtTheFloor)
+{
+    // Always failing: each length halves until it is at or below its
+    // floor (1000 -> 500 -> 250 -> 125 -> 62; 64 -> 32 -> 16 -> 8 ->
+    // 4), and every knob is kept.
+    const ToyCase s =
+        shrinkToy({1000, 64}, [](const ToyCase &) { return true; });
+    EXPECT_EQ(s.len, 62u);
+    EXPECT_EQ(s.width, 4);
+    EXPECT_EQ(s.a + s.b + s.c, 0);
+}
+
+TEST(FuzzShrink, HalvingStopsAtTheFirstPassingTrial)
+{
+    // Fails only while len >= 300: 1000 -> 500 fails, 250 passes, so
+    // len stops at 500 even though 250 is above the floor. The second
+    // length starts only once the first is done.
+    std::vector<std::pair<uint64_t, int>> trials;
+    const ToyCase s = shrinkToy({1000, 64}, [&](const ToyCase &x) {
+        trials.push_back({x.len, x.width});
+        return x.len >= 300 && x.width >= 16;
+    });
+    EXPECT_EQ(s.len, 500u);
+    EXPECT_EQ(s.width, 16);
+    const std::vector<std::pair<uint64_t, int>> want = {
+        {1000, 64}, {500, 64}, {250, 64}, {500, 32}, {500, 16},
+        {500, 8},   {500, 16}, {500, 16}, {500, 16}};
+    EXPECT_EQ(trials, want);
+}
+
+TEST(FuzzShrink, KnobsAreTriedInOrderAndKeptOnlyWhileFailing)
+{
+    // Fails only while b == 1: resetting a is kept, resetting b passes
+    // and is dropped, resetting c is kept on top of the kept a.
+    std::vector<std::array<int, 3>> trials;
+    const ToyCase s = shrinkToy({50, 2}, [&](const ToyCase &x) {
+        trials.push_back({x.a, x.b, x.c});
+        return x.b == 1;
+    });
+    EXPECT_EQ(s.len, 50u) << "already at its floor";
+    EXPECT_EQ(s.a, 0);
+    EXPECT_EQ(s.b, 1);
+    EXPECT_EQ(s.c, 0);
+    const std::vector<std::array<int, 3>> want = {
+        {1, 1, 1}, {0, 1, 1}, {0, 0, 1}, {0, 1, 0}};
+    EXPECT_EQ(trials, want);
+}
+
+// ---------------------------------------------------------------------------
+// Domain registry
+
+TEST(FuzzRegistry, NamesAndLanesAreUnique)
+{
+    std::set<std::string> names;
+    std::set<uint64_t> lanes;
+    for (const fuzz::Domain &d : fuzz::domains()) {
+        EXPECT_TRUE(names.insert(d.name).second) << d.name;
+        EXPECT_TRUE(lanes.insert(d.lane).second) << d.name;
+        EXPECT_EQ(fuzz::findDomain(d.name), &d);
+        EXPECT_NE(d.check, nullptr) << d.name;
+        EXPECT_NE(d.describe, nullptr) << d.name;
+    }
+}
+
+TEST(FuzzRegistry, EveryDomainCountsOnlyItsOwnCases)
+{
+    for (const fuzz::Domain &d : fuzz::domains()) {
+        SCOPED_TRACE(d.name);
+        fuzz::FuzzOptions opt;
+        opt.iters = 2;
+        opt.domain = d.name;
+        const fuzz::FuzzReport report = fuzz::runFuzz(opt);
+        EXPECT_TRUE(report.ok());
+        EXPECT_EQ(report.iterations, 2u);
+        for (size_t i = 0; i < report.cases.size(); ++i)
+            EXPECT_EQ(report.cases[i], i == indexOf(d.name) ? 2u : 0u)
+                << fuzz::domains()[i].name;
+    }
+}
+
+TEST(FuzzRegistry, UnknownNamesAreRejectedAndTheUsageListsEveryName)
+{
+    // `--domain sweep` was retired with the serial-vs-parallel oracle.
+    EXPECT_EQ(fuzz::findDomain("sweep"), nullptr);
+    EXPECT_EQ(fuzz::findDomain(""), nullptr);
+    EXPECT_EQ(fuzz::findDomain("Cache"), nullptr);
+    std::string want;
+    for (const fuzz::Domain &d : fuzz::domains())
+        want += (want.empty() ? "" : ", ") + std::string(d.name);
+    EXPECT_EQ(fuzz::domainNames(), want);
+}
+
+// ---------------------------------------------------------------------------
+// Case streams: a case seed replays the identical case forever, so a
+// `bench_fuzz --replay <seed>` line in an old CI log keeps working.
+
+TEST(FuzzCaseStreams, DigestsArePinned)
+{
+    // FNV-1a 64 over describe(subSeed(iterationSeed(1, i), lane)) + "\n"
+    // for i = 0..63. A new domain adds its digest here; a changed one
+    // means a generator moved and old repro seeds are dead.
+    const std::map<std::string, uint64_t> pinned = {
+        {"cache", 0xe288f4a66156d4b0ull},
+        {"bandit", 0x7072854b06166c87ull},
+        {"sim", 0x52bf18d4ef435308ull},
+        {"replay", 0x256dab841a3f76a4ull},
+        {"drift", 0xf0a4ef9fcb5ed737ull},
+        {"smt", 0x764c43e7ed6a3efdull},
+    };
+    for (const fuzz::Domain &d : fuzz::domains()) {
+        uint64_t h = 1469598103934665603ull;
+        for (uint64_t i = 0; i < 64; ++i) {
+            const uint64_t cs = fuzz::iterationSeed(1, i);
+            for (const unsigned char ch :
+                 d.describe(fuzz::subSeed(cs, d.lane)) + "\n") {
+                h ^= ch;
+                h *= 1099511628211ull;
+            }
+        }
+        ASSERT_EQ(pinned.count(d.name), 1u) << d.name << " has no digest";
+        EXPECT_EQ(h, pinned.at(d.name)) << d.name << " case stream moved";
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -272,39 +452,34 @@ TEST(FuzzHarness, SmokeRunPassesAndCountsCases)
     const fuzz::FuzzReport report = fuzz::runFuzz(opt);
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.iterations, 40u);
-    EXPECT_EQ(report.cacheCases, 40u);
-    EXPECT_EQ(report.banditCases, 40u);
-    EXPECT_EQ(report.simCases, 40u);
-
-    uint64_t expected_sweeps = 0;
-    for (uint64_t i = 0; i < 40; ++i)
-        expected_sweeps += (fuzz::iterationSeed(1, i) & 7) == 0;
-    EXPECT_EQ(report.sweepCases, expected_sweeps);
+    ASSERT_EQ(report.cases.size(), fuzz::domains().size());
+    for (size_t i = 0; i < report.cases.size(); ++i)
+        EXPECT_EQ(report.cases[i], 40u) << fuzz::domains()[i].name;
 }
 
 TEST(FuzzHarness, IterationReplayIsDeterministic)
 {
     const uint64_t cs = fuzz::iterationSeed(1, 17);
     fuzz::FuzzReport a, b;
-    fuzz::runFuzzIteration(cs, a, false);
-    fuzz::runFuzzIteration(cs, b, false);
+    fuzz::runFuzzIteration(cs, a, false, "");
+    fuzz::runFuzzIteration(cs, b, false, "");
     EXPECT_EQ(a.ok(), b.ok());
-    EXPECT_EQ(a.cacheCases, b.cacheCases);
-    EXPECT_EQ(a.sweepCases, b.sweepCases);
+    EXPECT_EQ(a.cases, b.cases);
+    EXPECT_EQ(a.cases, std::vector<uint64_t>(fuzz::domains().size(), 1));
 }
 
 TEST(FuzzHarness, ReportMergeAccumulates)
 {
     fuzz::FuzzReport a, b;
     a.iterations = 3;
-    a.cacheCases = 3;
+    a.cases[indexOf("cache")] = 3;
     b.iterations = 2;
-    b.sweepCases = 1;
+    b.cases[indexOf("smt")] = 1;
     b.failures.push_back({7, "cache", "msg", "repro"});
     a.merge(b);
     EXPECT_EQ(a.iterations, 5u);
-    EXPECT_EQ(a.cacheCases, 3u);
-    EXPECT_EQ(a.sweepCases, 1u);
+    EXPECT_EQ(a.cases[indexOf("cache")], 3u);
+    EXPECT_EQ(a.cases[indexOf("smt")], 1u);
     ASSERT_EQ(a.failures.size(), 1u);
     EXPECT_FALSE(a.ok());
 }
