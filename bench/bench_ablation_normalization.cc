@@ -7,7 +7,7 @@
  * and without normalization and reports per-app arm-switch counts
  * (exploration churn) and the IPC geomean.
  */
-#include "common.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
@@ -15,40 +15,42 @@ using namespace mab::bench;
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
-    const uint64_t instr = scaled(800'000);
+    Sweep sweep(argc, argv, "ablation_normalization");
+    const uint64_t instr = sweep.scaled(800'000);
     const auto tune = tuneSetPrefetch();
 
-    // Each task returns the run IPC plus the arm-switch count read
-    // from the controller it owned.
+    // Each cell records the run IPC plus the arm-switch count read
+    // from the controller it owned: every tune trace with
+    // normalization, then every one without.
     struct Point
     {
         double ipc = 0.0;
         double switches = 0.0;
     };
-    const std::vector<Point> runs = sweepMap<Point>(
-        jobs, 2 * tune.size(), [&](size_t i) {
-            BanditPrefetchConfig cfg;
-            cfg.hw.stepUnits = 125; // scaled (DESIGN.md 4b)
-            cfg.mab.c = 0.2;
-            cfg.mab.gamma = 0.99;
-            cfg.mab.normalizeRewards = i < tune.size();
-            cfg.hw.recordHistory = true;
-            BanditPrefetchController pf(cfg);
-            Point p;
-            p.ipc = runPrefetch(tune[i % tune.size()], pf, instr).ipc;
-            p.switches =
-                static_cast<double>(pf.agent().history().size());
-            return p;
-        });
+    const json::Value machine =
+        describe(CoreConfig{}, HierarchyConfig{}, DramConfig{});
+    std::vector<Point> runs(2 * tune.size());
+    std::vector<Cell> cells;
+    for (bool normalize : {true, false}) {
+        BanditPrefetchConfig cfg = benchBanditConfig();
+        cfg.mab.normalizeRewards = normalize;
+        cfg.hw.recordHistory = true;
+        for (const AppProfile &app : tune) {
+            cells.push_back(
+                {streamKey(app, instr), config(machine, {describe(cfg)}),
+                 [=, p = &runs[cells.size()]] {
+                     BanditPrefetchController pf(cfg);
+                     p->ipc = runPrefetch(app, pf, instr).ipc;
+                     p->switches = static_cast<double>(
+                         pf.agent().history().size());
+                 }});
+        }
+    }
+    sweep.run(std::move(cells));
 
-    std::printf("Ablation: DUCB reward normalization "
-                "(%zu tune traces)\n", tune.size());
-    std::printf("%-8s %14s %14s %16s\n", "", "gmean IPC",
-                "switches/low", "switches/high");
-    rule(56);
-
+    json::Value &body = sweep.body();
+    body["instructions"] = instr;
+    body["traces"] = static_cast<uint64_t>(tune.size());
     for (bool normalize : {true, false}) {
         const size_t off = normalize ? 0 : tune.size();
         std::vector<double> ipcs;
@@ -66,14 +68,29 @@ main(int argc, char **argv)
                 ++n_high;
             }
         }
+        json::Value row = json::Value::object();
+        row["normalize"] = normalize;
+        row["gmeanIpc"] = gmean(ipcs);
+        row["switchesLowIpc"] = switches_low / std::max(n_low, 1);
+        row["switchesHighIpc"] = switches_high / std::max(n_high, 1);
+        body["rows"].push(std::move(row));
+    }
+
+    std::printf("Ablation: DUCB reward normalization "
+                "(%zu tune traces)\n",
+                static_cast<size_t>(body["traces"].asUint()));
+    std::printf("%-8s %14s %14s %16s\n", "", "gmean IPC",
+                "switches/low", "switches/high");
+    rule(56);
+    for (const json::Value &row : body["rows"].items()) {
         std::printf("%-8s %14s %14.1f %16.1f\n",
-                    normalize ? "norm" : "no-norm", fmt(gmean(ipcs),
-                    3).c_str(),
-                    switches_low / std::max(n_low, 1),
-                    switches_high / std::max(n_high, 1));
+                    row.find("normalize")->asBool() ? "norm" : "no-norm",
+                    fmt(row.find("gmeanIpc")->asDouble(), 3).c_str(),
+                    row.find("switchesLowIpc")->asDouble(),
+                    row.find("switchesHighIpc")->asDouble());
     }
     rule(56);
     std::printf("Expected: without normalization, low-IPC apps see "
                 "disproportionately more arm switching.\n");
-    return 0;
+    return sweep.finish();
 }

@@ -8,77 +8,83 @@
  */
 #include <memory>
 
-#include "common.h"
-#include "cpu/multicore.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
 
-namespace {
-
-double
-runFourCore(const AppProfile &app, double restart_prob, uint64_t instr)
-{
-    DramConfig dram;
-    dram.mtps = 4800; // dual channel, as in the Figure 14 runs
-    MultiCoreSystem sys(CoreConfig{}, HierarchyConfig{}, dram, 4);
-    std::vector<std::unique_ptr<SyntheticTrace>> traces;
-    std::vector<std::unique_ptr<BanditPrefetchController>> pfs;
-    for (int c = 0; c < 4; ++c) {
-        AppProfile per_core = app;
-        per_core.seed = app.seed + static_cast<uint64_t>(c) * 911;
-        traces.push_back(std::make_unique<SyntheticTrace>(per_core));
-        BanditPrefetchConfig cfg;
-        cfg.mab.seed = per_core.seed;
-        cfg.hw.stepUnits = 125;
-        cfg.mab.c = 0.2;
-        cfg.mab.gamma = 0.99;
-        cfg.mab.rrRestartProb = restart_prob;
-        pfs.push_back(
-            std::make_unique<BanditPrefetchController>(cfg));
-        sys.attachCore(c, *traces.back(), pfs.back().get());
-    }
-    return sys.run(instr).sumIpc;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
-    const uint64_t instr = scaled(400'000);
+    Sweep sweep(argc, argv, "ablation_rrrestart");
+    const uint64_t instr = sweep.scaled(400'000);
     const std::vector<std::string> apps = {
         "lbm06", "bwaves06", "fotonik17", "milc06", "roms17",
         "ligra_pagerank", "parsec_streamcluster", "cactusADM06",
     };
+    const std::vector<double> probs = {0.0, 0.01};
 
-    // Tasks: (app x {restart off, restart on}), interleaved per app.
-    const std::vector<double> sums = sweepMap<double>(
-        jobs, 2 * apps.size(), [&](size_t i) {
-            return runFourCore(appByName(apps[i / 2]),
-                               i % 2 == 0 ? 0.0 : 0.01, instr);
-        });
+    // Cells: (app x {restart off, restart on}), interleaved per app,
+    // a Bandit agent on every core of the 4-core system.
+    const json::Value machine = describe(CoreConfig{}, HierarchyConfig{},
+                                         fourCoreDram(), kFourCores);
+    std::vector<double> sums(apps.size() * probs.size());
+    std::vector<Cell> cells;
+    for (const std::string &app : apps) {
+        for (double prob : probs) {
+            BanditPrefetchConfig cfg = benchBanditConfig();
+            cfg.mab.rrRestartProb = prob;
+            cells.push_back(
+                {"", config(machine, {describe(cfg)}),
+                 [=, sum = &sums[cells.size()]] {
+                     *sum = runFourCore(
+                         appByName(app), instr,
+                         [&](uint64_t seed) -> std::unique_ptr<Prefetcher> {
+                             BanditPrefetchConfig core_cfg = cfg;
+                             core_cfg.mab.seed = seed;
+                             return std::make_unique<
+                                 BanditPrefetchController>(core_cfg);
+                         });
+                 }});
+        }
+    }
+    sweep.run(std::move(cells));
 
-    std::printf("Ablation: rr_restart_prob in 4-core homogeneous "
-                "mixes (IPC sum)\n");
-    std::printf("%-22s %10s %10s %10s\n", "app", "p=0", "p=0.01",
-                "delta");
-    rule(56);
+    json::Value &body = sweep.body();
+    body["instructionsPerCore"] = instr;
     std::vector<double> off, on;
     for (size_t i = 0; i < apps.size(); ++i) {
         const double a = sums[2 * i];
         const double b = sums[2 * i + 1];
         off.push_back(a);
         on.push_back(b);
-        std::printf("%-22s %10s %10s %+9.1f%%\n", apps[i].c_str(),
-                    fmt(a, 3).c_str(), fmt(b, 3).c_str(),
-                    100.0 * (b / a - 1.0));
+        json::Value row = json::Value::object();
+        row["app"] = apps[i];
+        row["ipcSumOff"] = a;
+        row["ipcSumOn"] = b;
+        row["deltaPct"] = 100.0 * (b / a - 1.0);
+        body["apps"].push(std::move(row));
+    }
+    body["gmeanOff"] = gmean(off);
+    body["gmeanOn"] = gmean(on);
+    body["gmeanDeltaPct"] = 100.0 * (gmean(on) / gmean(off) - 1.0);
+
+    std::printf("Ablation: rr_restart_prob in 4-core homogeneous "
+                "mixes (IPC sum)\n");
+    std::printf("%-22s %10s %10s %10s\n", "app", "p=0", "p=0.01",
+                "delta");
+    rule(56);
+    for (const json::Value &row : body["apps"].items()) {
+        std::printf("%-22s %10s %10s %+9.1f%%\n",
+                    row.find("app")->asString().c_str(),
+                    fmt(row.find("ipcSumOff")->asDouble(), 3).c_str(),
+                    fmt(row.find("ipcSumOn")->asDouble(), 3).c_str(),
+                    row.find("deltaPct")->asDouble());
     }
     rule(56);
     std::printf("gmean: off %s, on %s (%+.1f%%)\n",
-                fmt(gmean(off), 3).c_str(), fmt(gmean(on), 3).c_str(),
-                100.0 * (gmean(on) / gmean(off) - 1.0));
-    return 0;
+                fmt(body["gmeanOff"].asDouble(), 3).c_str(),
+                fmt(body["gmeanOn"].asDouble(), 3).c_str(),
+                body["gmeanDeltaPct"].asDouble());
+    return sweep.finish();
 }

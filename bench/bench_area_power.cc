@@ -17,10 +17,7 @@
 #include "core/ducb.h"
 #include "power/power_model.h"
 
-#include "common.h"
-
 using namespace mab;
-using namespace mab::bench;
 
 static void
 BM_DucbSelectObserve(benchmark::State &state)
@@ -41,7 +38,6 @@ BENCHMARK(BM_DucbSelectObserve)->Arg(6)->Arg(11)->Arg(64);
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
     const BanditAreaPower ap = banditAreaPower();
     const RelativeOverhead rel = relativeOverhead();
     const StorageComparison st = storageComparison();

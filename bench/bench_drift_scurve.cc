@@ -20,8 +20,8 @@
  *     so the cells materialize, replay and parallelize (--jobs) like
  *     any other sweep.
  */
-#include "common.h"
 #include "core/drift_env.h"
+#include "sweep.h"
 #include "trace/drift.h"
 
 using namespace mab;
@@ -43,11 +43,10 @@ struct OracleCell
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
+    Sweep sweep(argc, argv, "drift_scurve");
 
     // ---- Oracle section: shift period x policy over known means.
-    const uint64_t steps = std::max<uint64_t>(600, scaled(60'000));
+    const uint64_t steps = std::max<uint64_t>(600, sweep.scaled(60'000));
     const std::vector<std::pair<std::string, uint64_t>> periods = {
         {"T/2", std::max<uint64_t>(1, steps / 2)},
         {"T/8", std::max<uint64_t>(1, steps / 8)},
@@ -55,32 +54,37 @@ main(int argc, char **argv)
         {"T/128", std::max<uint64_t>(1, steps / 128)},
     };
     const std::vector<DriftPolicySpec> policies = driftPolicyGrid();
-    const size_t cells = periods.size() * policies.size();
-    const std::vector<OracleCell> oracle = sweepMap<OracleCell>(
-        jobs, cells, [&](size_t i) {
-            const DriftPolicySpec &spec =
-                policies[i % policies.size()];
-            DriftBanditConfig cfg;
-            cfg.numArms = 4;
-            cfg.steps = steps;
-            cfg.periodSteps = periods[i / policies.size()].second;
-            cfg.seed = 7;
-            const std::unique_ptr<MabPolicy> policy = makeDriftPolicy(
-                spec, cfg.numArms, 0x5EED + static_cast<uint64_t>(i));
-            const PhasedRegretTracker tracker =
-                runDriftingBandit(*policy, cfg);
-            OracleCell c;
-            c.cumRegret = tracker.cumulative();
-            c.tailRate = tracker.tailRegretRate();
-            c.recoveredFraction = tracker.recoveredFraction();
-            c.meanRecoverySteps = tracker.meanRecoverySteps();
-            return c;
-        });
+    std::vector<OracleCell> oracle(periods.size() * policies.size());
+    std::vector<Cell> cells;
+    for (size_t q = 0; q < periods.size(); ++q) {
+        DriftBanditConfig cfg;
+        cfg.numArms = 4;
+        cfg.steps = steps;
+        cfg.periodSteps = periods[q].second;
+        cfg.seed = 7;
+        for (size_t p = 0; p < policies.size(); ++p) {
+            const size_t i = q * policies.size() + p;
+            cells.push_back(
+                {"", config(describe(cfg), {describe(policies[p])}),
+                 [&, cfg, p, i] {
+                     const std::unique_ptr<MabPolicy> policy =
+                         makeDriftPolicy(policies[p], cfg.numArms,
+                                         0x5EED + static_cast<uint64_t>(i));
+                     const PhasedRegretTracker tracker =
+                         runDriftingBandit(*policy, cfg);
+                     OracleCell &c = oracle[i];
+                     c.cumRegret = tracker.cumulative();
+                     c.tailRate = tracker.tailRegretRate();
+                     c.recoveredFraction = tracker.recoveredFraction();
+                     c.meanRecoverySteps = tracker.meanRecoverySteps();
+                 }});
+        }
+    }
 
     // ---- Simulator section: drifting workloads through the full
     // prefetching stack. All cells of one workload share its record
     // stream.
-    const uint64_t instr = scaled(1'200'000);
+    const uint64_t instr = sweep.scaled(1'200'000);
     const std::vector<AppProfile> bases = driftBaseProfiles();
     std::vector<DriftProfile> workloads;
     for (const auto &[label, div] :
@@ -99,57 +103,17 @@ main(int argc, char **argv)
     std::vector<PfTask> grid;
     for (const DriftProfile &w : workloads)
         for (const std::string &pf : pfs)
-            grid.push_back({w.app, pf, instr, {}, {}, 0, {}});
-    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
+            grid.push_back({w.app, pf, instr});
+    std::vector<PfRun> runs;
+    for (Cell &c : pfCells(grid, &runs))
+        cells.push_back(std::move(c));
+    sweep.run(std::move(cells));
 
     // ---- Report.
-    std::printf("Drift s-curve, oracle section: synthetic drifting "
-                "bandit, %llu steps, 4 arms\n",
-                static_cast<unsigned long long>(steps));
-    std::printf("(per cell: tail regret rate / recovered fraction; "
-                "the knee of a row is where the policy breaks)\n");
-    std::printf("%-14s", "policy");
-    for (const auto &[label, period] : periods)
-        std::printf("  %7s P=%-6llu", label.c_str(),
-                    static_cast<unsigned long long>(period));
-    std::printf("\n");
-    rule(14 + 17 * static_cast<int>(periods.size()));
-    for (size_t p = 0; p < policies.size(); ++p) {
-        std::printf("%-14s", policies[p].label.c_str());
-        for (size_t q = 0; q < periods.size(); ++q) {
-            const OracleCell &c =
-                oracle[q * policies.size() + p];
-            std::printf("    %6.4f/%-5.2f", c.tailRate,
-                        c.recoveredFraction);
-        }
-        std::printf("\n");
-    }
-    rule(14 + 17 * static_cast<int>(periods.size()));
-
-    std::printf("\nDrift s-curve, simulator section: IPC on drifting "
-                "workloads (%llu instrs)\n",
-                static_cast<unsigned long long>(instr));
-    std::printf("%-16s", "workload");
-    for (const std::string &pf : pfs)
-        std::printf("%16s", pf.c_str());
-    std::printf("\n");
-    rule(16 + 16 * static_cast<int>(pfs.size()));
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::printf("%-16s", workloads[w].app.name.c_str());
-        for (size_t p = 0; p < pfs.size(); ++p)
-            std::printf("%16s",
-                        fmt(runs[w * pfs.size() + p].ipc, 3).c_str());
-        std::printf("\n");
-    }
-    rule(16 + 16 * static_cast<int>(pfs.size()));
-
-    json::Value root = json::Value::object();
-    root["bench"] = "drift_scurve";
-    root["scale"] = benchScale();
-    json::Value oracleJson = json::Value::object();
+    json::Value &body = sweep.body();
+    json::Value &oracleJson = body["oracle"];
     oracleJson["steps"] = steps;
     oracleJson["numArms"] = static_cast<uint64_t>(4);
-    json::Value periodArr = json::Value::array();
     for (size_t q = 0; q < periods.size(); ++q) {
         json::Value entry = json::Value::object();
         entry["label"] = periods[q].first;
@@ -165,26 +129,67 @@ main(int argc, char **argv)
             byPolicy[policies[p].label] = std::move(cell);
         }
         entry["policies"] = std::move(byPolicy);
-        periodArr.push(std::move(entry));
+        oracleJson["periods"].push(std::move(entry));
     }
-    oracleJson["periods"] = std::move(periodArr);
-    root["oracle"] = std::move(oracleJson);
 
     json::Value simJson = json::Value::object();
     simJson["instructions"] = instr;
-    json::Value wlArr = json::Value::array();
     for (size_t w = 0; w < workloads.size(); ++w) {
         json::Value entry = json::Value::object();
         entry["workload"] = workloads[w].app.name;
         entry["segments"] =
             static_cast<uint64_t>(workloads[w].schedule.size());
-        json::Value ipc = json::Value::object();
         for (size_t p = 0; p < pfs.size(); ++p)
-            ipc[pfs[p]] = runs[w * pfs.size() + p].ipc;
-        entry["ipc"] = std::move(ipc);
-        wlArr.push(std::move(entry));
+            entry["ipc"][pfs[p]] = runs[w * pfs.size() + p].ipc;
+        simJson["workloads"].push(std::move(entry));
     }
-    simJson["workloads"] = std::move(wlArr);
-    root["sim"] = std::move(simJson);
-    return writeJsonReport(root, argc, argv) ? 0 : 1;
+    body["sim"] = std::move(simJson);
+
+    const json::Value &periodRows = body["oracle"]["periods"];
+    std::printf("Drift s-curve, oracle section: synthetic drifting "
+                "bandit, %llu steps, 4 arms\n",
+                static_cast<unsigned long long>(
+                    body["oracle"]["steps"].asUint()));
+    std::printf("(per cell: tail regret rate / recovered fraction; "
+                "the knee of a row is where the policy breaks)\n");
+    std::printf("%-14s", "policy");
+    for (const json::Value &period : periodRows.items())
+        std::printf("  %7s P=%-6llu",
+                    period.find("label")->asString().c_str(),
+                    static_cast<unsigned long long>(
+                        period.find("periodSteps")->asUint()));
+    std::printf("\n");
+    const int oracle_width = 14 + 17 * static_cast<int>(periodRows.size());
+    rule(oracle_width);
+    for (const DriftPolicySpec &spec : policies) {
+        std::printf("%-14s", spec.label.c_str());
+        for (const json::Value &period : periodRows.items()) {
+            const json::Value &c =
+                *period.find("policies")->find(spec.label);
+            std::printf("    %6.4f/%-5.2f",
+                        c.find("tailRegretRate")->asDouble(),
+                        c.find("recoveredFraction")->asDouble());
+        }
+        std::printf("\n");
+    }
+    rule(oracle_width);
+
+    std::printf("\nDrift s-curve, simulator section: IPC on drifting "
+                "workloads (%llu instrs)\n",
+                static_cast<unsigned long long>(
+                    body["sim"]["instructions"].asUint()));
+    std::printf("%-16s", "workload");
+    for (const std::string &pf : pfs)
+        std::printf("%16s", pf.c_str());
+    std::printf("\n");
+    const int sim_width = 16 + 16 * static_cast<int>(pfs.size());
+    rule(sim_width);
+    for (const json::Value &entry : body["sim"]["workloads"].items()) {
+        std::printf("%-16s", entry.find("workload")->asString().c_str());
+        for (const auto &[pf, ipc] : entry.find("ipc")->members())
+            std::printf("%16s", fmt(ipc.asDouble(), 3).c_str());
+        std::printf("\n");
+    }
+    rule(sim_width);
+    return sweep.finish();
 }

@@ -11,65 +11,62 @@
 #include <map>
 #include <memory>
 
-#include "common.h"
 #include "cpu/classifier_bandit.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
 
-namespace {
-
-std::unique_ptr<Prefetcher>
-makeExt(const std::string &name, uint64_t seed)
-{
-    MabConfig mab;
-    mab.numArms = BanditEnsemblePrefetcher::numArms();
-    mab.seed = seed;
-    mab.c = 0.2;
-    mab.gamma = 0.99;
-    BanditHwConfig hw;
-    hw.stepUnits = 125;
-
-    if (name == "Classifier") {
-        return std::make_unique<ClassifierBanditController>(
-            MabAlgorithm::Ducb, mab, hw);
-    }
-    MabAlgorithm algo = MabAlgorithm::Ducb;
-    if (name == "SW-UCB")
-        algo = MabAlgorithm::SwUcb;
-    else if (name == "Thompson")
-        algo = MabAlgorithm::Thompson;
-    else if (name == "Hierarchical")
-        algo = MabAlgorithm::Hierarchical;
-    return std::make_unique<BanditPrefetchController>(
-        BanditPrefetchConfig{algo, mab, hw});
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
-    const uint64_t instr = scaled(1'000'000);
+    Sweep sweep(argc, argv, "ext_algorithms");
+    const uint64_t instr = sweep.scaled(1'000'000);
     auto tune = tuneSetPrefetch();
     tune.resize(24); // every other-variant subset keeps this quick
 
+    // The bench-tuned agent under each algorithm, and the classifier
+    // controller (per-pattern-class DUCB agents).
     const std::vector<std::string> algos = {
         "DUCB", "SW-UCB", "Thompson", "Hierarchical", "Classifier",
     };
+    const auto agent = [](const std::string &algo) {
+        json::Value a = algo == "Classifier"
+            ? describe(benchBanditConfig())
+            : describePrefetcher("Bandit:" + algo, true);
+        if (algo == "Classifier")
+            a["kind"] = "classifierBandit";
+        return a;
+    };
 
+    const json::Value machine =
+        describe(CoreConfig{}, HierarchyConfig{}, DramConfig{});
     const size_t per_app = 1 + algos.size();
-    const std::vector<double> ipcs = sweepMap<double>(
-        jobs, tune.size() * per_app, [&](size_t i) {
-            const AppProfile &app = tune[i / per_app];
-            const size_t c = i % per_app;
-            if (c == 0)
-                return runPrefetchNamed(app, "None", instr).ipc;
-            auto pf = makeExt(algos[c - 1], app.seed);
-            return runPrefetch(app, *pf, instr).ipc;
-        });
+    std::vector<double> ipcs(tune.size() * per_app);
+    std::vector<Cell> cells;
+    for (const AppProfile &app : tune) {
+        for (size_t c = 0; c < per_app; ++c) {
+            const std::string name = c == 0 ? "None" : algos[c - 1];
+            cells.push_back(
+                {streamKey(app, instr),
+                 config(machine, {c == 0 ? describePrefetcher(name, true)
+                                         : agent(name)}),
+                 [=, ipc = &ipcs[cells.size()]] {
+                     std::unique_ptr<Prefetcher> pf;
+                     if (name == "Classifier") {
+                         const BanditPrefetchConfig cfg =
+                             benchBanditConfig(app.seed);
+                         pf = std::make_unique<ClassifierBanditController>(
+                             MabAlgorithm::Ducb, cfg.mab, cfg.hw);
+                     } else {
+                         pf = makePrefetcher(
+                             c == 0 ? name : "Bandit:" + name, app.seed);
+                     }
+                     *ipc = runPrefetch(app, *pf, instr).ipc;
+                 }});
+        }
+    }
+    sweep.run(std::move(cells));
 
     std::map<std::string, std::vector<double>> speedups;
     for (size_t a = 0; a < tune.size(); ++a) {
@@ -78,21 +75,29 @@ main(int argc, char **argv)
             speedups[algos[c]].push_back(ipcs[a * per_app + 1 + c] /
                                          base);
     }
-
-    std::printf("Extension study: bandit algorithm variants, geomean "
-                "IPC vs no prefetching (%zu tune traces)\n",
-                tune.size());
-    rule(52);
+    json::Value &body = sweep.body();
+    body["instructions"] = instr;
+    body["traces"] = static_cast<uint64_t>(tune.size());
     const double ducb = gmean(speedups["DUCB"]);
     for (const auto &name : algos) {
         const double g = gmean(speedups[name]);
+        body["gmeanSpeedup"][name] = g;
+        body["vsDucbPct"][name] = 100.0 * (g / ducb - 1.0);
+    }
+
+    std::printf("Extension study: bandit algorithm variants, geomean "
+                "IPC vs no prefetching (%zu tune traces)\n",
+                static_cast<size_t>(body["traces"].asUint()));
+    rule(52);
+    for (const auto &[name, g] : body["gmeanSpeedup"].members()) {
         std::printf("%-14s %8s   (vs DUCB %+5.1f%%)\n", name.c_str(),
-                    fmt(g, 3).c_str(), 100.0 * (g / ducb - 1.0));
+                    fmt(g.asDouble(), 3).c_str(),
+                    body["vsDucbPct"][name].asDouble());
     }
     rule(52);
     std::printf("Expected: all variants in the same band as DUCB; the "
                 "hierarchical and classifier agents trade a few\n"
                 "hundred extra bytes for robustness on mixed-phase "
                 "apps (Section 9's storage/performance tradeoff).\n");
-    return 0;
+    return sweep.finish();
 }

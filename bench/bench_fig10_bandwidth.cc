@@ -10,7 +10,7 @@
  */
 #include <map>
 
-#include "common.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
@@ -18,9 +18,8 @@ using namespace mab::bench;
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
-    const uint64_t instr = scaled(1'200'000);
+    Sweep sweep(argc, argv, "fig10_bandwidth");
+    const uint64_t instr = sweep.scaled(1'200'000);
     const std::vector<double> mtps_list = {150, 600, 2400, 9600};
     const std::vector<std::string> pfs = {"Pythia", "Bandit"};
     const auto workloads = allWorkloads();
@@ -34,15 +33,36 @@ main(int argc, char **argv)
     for (double mtps : mtps_list) {
         DramConfig dram;
         dram.mtps = mtps;
-        for (size_t w = 0; w < workloads.size(); ++w) {
-            grid.push_back(
-                {workloads[w].app, "None", instr, {}, dram, 0, {}});
+        for (const auto &spec : workloads) {
+            grid.push_back({spec.app, "None", instr, {}, dram});
             for (const auto &pf : pfs)
-                grid.push_back(
-                    {workloads[w].app, pf, instr, {}, dram, 0, {}});
+                grid.push_back({spec.app, pf, instr, {}, dram});
         }
     }
-    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
+    std::vector<PfRun> runs;
+    sweep.run(pfCells(grid, &runs));
+
+    json::Value &body = sweep.body();
+    body["instructions"] = instr;
+    json::Value points = json::Value::array();
+    size_t g = 0;
+    for (double mtps : mtps_list) {
+        std::map<std::string, std::vector<double>> speedups;
+        for (size_t w = 0; w < workloads.size(); ++w) {
+            const PfRun &base = runs[g++];
+            for (const auto &pf : pfs)
+                speedups[pf].push_back(runs[g++].ipc / base.ipc);
+        }
+        json::Value point = json::Value::object();
+        point["mtps"] = mtps;
+        const double pyt = gmean(speedups["Pythia"]);
+        const double ban = gmean(speedups["Bandit"]);
+        point["Pythia"] = pyt;
+        point["Bandit"] = ban;
+        point["banditVsPythiaPct"] = 100.0 * (ban / pyt - 1.0);
+        points.push(std::move(point));
+    }
+    body["gmeanSpeedup"] = std::move(points);
 
     std::printf("Figure 10: geomean IPC vs available DRAM bandwidth "
                 "(normalized to no-prefetch at same bandwidth)\n");
@@ -51,23 +71,16 @@ main(int argc, char **argv)
         std::printf("%10s", pf.c_str());
     std::printf("%12s\n", "Bandit/Pyt");
     rule(42);
-
-    size_t g = 0;
-    for (double mtps : mtps_list) {
-        std::map<std::string, std::vector<double>> speedups;
-        for (size_t w = 0; w < workloads.size(); ++w) {
-            const PfRun base = runs[g++];
-            for (const auto &pf : pfs)
-                speedups[pf].push_back(runs[g++].ipc / base.ipc);
-        }
-        const double pyt = gmean(speedups["Pythia"]);
-        const double ban = gmean(speedups["Bandit"]);
-        std::printf("%-10s%10s%10s%11.1f%%\n", fmt(mtps, 0).c_str(),
-                    fmt(pyt, 3).c_str(), fmt(ban, 3).c_str(),
-                    100.0 * (ban / pyt - 1.0));
+    for (const json::Value &point : body["gmeanSpeedup"].items()) {
+        const auto at = [&](const char *k) {
+            return point.find(k)->asDouble();
+        };
+        std::printf("%-10s%10s%10s%11.1f%%\n", fmt(at("mtps"), 0).c_str(),
+                    fmt(at("Pythia"), 3).c_str(),
+                    fmt(at("Bandit"), 3).c_str(), at("banditVsPythiaPct"));
     }
     rule(42);
     std::printf("Paper: Bandit ~= Pythia at all points; +2.5%% at "
                 "150 MTPS.\n");
-    return 0;
+    return sweep.finish();
 }

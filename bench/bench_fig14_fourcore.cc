@@ -11,97 +11,85 @@
 #include <map>
 #include <memory>
 
-#include "common.h"
-#include "cpu/multicore.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
 
-namespace {
-
-constexpr int kCores = 4;
-
-double
-runHomogeneous(const AppProfile &app, const std::string &pf_name,
-               uint64_t instr_per_core)
-{
-    // 4-core system with a dual-channel memory system (the per-core
-    // bandwidth the multi-programmed ChampSim studies provision).
-    DramConfig dram;
-    dram.mtps = 4800;
-    MultiCoreSystem sys(CoreConfig{}, HierarchyConfig{}, dram,
-                        kCores);
-    std::vector<std::unique_ptr<SyntheticTrace>> traces;
-    std::vector<std::unique_ptr<Prefetcher>> pfs;
-    for (int c = 0; c < kCores; ++c) {
-        AppProfile per_core = app;
-        // Different trace regions of the same app per core.
-        per_core.seed = app.seed + static_cast<uint64_t>(c) * 911;
-        traces.push_back(
-            std::make_unique<SyntheticTrace>(per_core));
-
-        if (pf_name == "Bandit") {
-            BanditPrefetchConfig cfg;
-            cfg.mab.seed = per_core.seed;
-            cfg.hw.stepUnits = 125; // scaled (DESIGN.md 4b)
-            cfg.mab.c = 0.2;
-            cfg.mab.gamma = 0.99;
-            // Table 6 uses 0.001 per step over ~10^5 steps; scaled to
-            // the ~10^2-step runs.
-            cfg.mab.rrRestartProb = 0.005;
-            pfs.push_back(
-                std::make_unique<BanditPrefetchController>(cfg));
-        } else {
-            pfs.push_back(makePrefetcher(pf_name, per_core.seed));
-        }
-        sys.attachCore(c, *traces.back(), pfs.back().get());
-    }
-    return sys.run(instr_per_core).sumIpc;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
-    const uint64_t instr = scaled(600'000);
+    Sweep sweep(argc, argv, "fig14_fourcore");
+    const uint64_t instr = sweep.scaled(600'000);
     const auto pf_names = comparisonPrefetchers();
     const auto workloads = allWorkloads();
 
-    const size_t per_app = 1 + pf_names.size();
-    const std::vector<double> sums = sweepMap<double>(
-        jobs, workloads.size() * per_app, [&](size_t i) {
-            const size_t c = i % per_app;
-            return runHomogeneous(workloads[i / per_app].app,
-                                  c == 0 ? "None" : pf_names[c - 1],
-                                  instr);
-        });
+    // Table 6 uses 0.001 per step over ~10^5 steps; scaled to the
+    // ~10^2-step runs.
+    const auto bandit = [](uint64_t seed) {
+        BanditPrefetchConfig cfg = benchBanditConfig(seed);
+        cfg.mab.rrRestartProb = 0.005;
+        return cfg;
+    };
+    std::vector<std::string> names = {"None"};
+    names.insert(names.end(), pf_names.begin(), pf_names.end());
+    const json::Value machine = describe(CoreConfig{}, HierarchyConfig{},
+                                         fourCoreDram(), kFourCores);
+    std::vector<double> sums(workloads.size() * names.size());
+    std::vector<Cell> cells;
+    for (size_t w = 0; w < workloads.size(); ++w) {
+        for (size_t c = 0; c < names.size(); ++c) {
+            const std::string &name = names[c];
+            // MultiCoreSystem offers no system probes: Pythia runs
+            // without its bandwidth-aware reward here.
+            cells.push_back(
+                {"",
+                 config(machine, {name == "Bandit"
+                                      ? describe(bandit(1))
+                                      : describePrefetcher(name, false)}),
+                 [&, w, name, sum = &sums[w * names.size() + c]] {
+                     *sum = runFourCore(
+                         workloads[w].app, instr,
+                         [&](uint64_t seed) -> std::unique_ptr<Prefetcher> {
+                             if (name == "Bandit")
+                                 return std::make_unique<
+                                     BanditPrefetchController>(bandit(seed));
+                             return makePrefetcher(name, seed);
+                         });
+                 }});
+        }
+    }
+    sweep.run(std::move(cells));
 
     std::map<std::string, std::vector<double>> speedups;
     for (size_t w = 0; w < workloads.size(); ++w) {
-        const double base = sums[w * per_app];
-        for (size_t c = 0; c < pf_names.size(); ++c)
-            speedups[pf_names[c]].push_back(
-                sums[w * per_app + 1 + c] / base);
+        const double base = sums[w * names.size()];
+        for (size_t c = 1; c < names.size(); ++c)
+            speedups[names[c]].push_back(sums[w * names.size() + c] /
+                                         base);
     }
+    json::Value gm = json::Value::object();
+    for (const auto &pf : pf_names)
+        gm[pf] = gmean(speedups[pf]);
+    json::Value vs = json::Value::object();
+    for (const auto &pf : {"Stride", "Bingo", "MLOP", "Pythia"})
+        vs[pf] = 100.0 * (gm["Bandit"].asDouble() / gm[pf].asDouble() -
+                          1.0);
+    json::Value &body = sweep.body();
+    body["instructionsPerCore"] = instr;
+    body["gmeanSpeedup"] = std::move(gm);
+    body["banditVsPct"] = std::move(vs);
 
     std::printf("Figure 14: 4-core homogeneous mixes, geomean IPC-sum "
                 "normalized to no prefetching\n");
     rule(40);
-    std::map<std::string, double> overall;
-    for (const auto &pf : pf_names) {
-        overall[pf] = gmean(speedups[pf]);
-        std::printf("%-10s %8s\n", pf.c_str(),
-                    fmt(overall[pf], 3).c_str());
-    }
+    for (const auto &[pf, g] : body["gmeanSpeedup"].members())
+        std::printf("%-10s %8s\n", pf.c_str(), fmt(g.asDouble(), 3).c_str());
     rule(40);
     std::printf("Paper: Bandit vs Stride +6%%, Bingo +4.0%%, "
                 "MLOP +2.4%%, Pythia -1.0%%\n");
-    for (const auto &pf : {"Stride", "Bingo", "MLOP", "Pythia"}) {
-        std::printf("Measured: Bandit vs %-7s %+5.1f%%\n", pf,
-                    100.0 * (overall["Bandit"] / overall[pf] - 1.0));
-    }
-    return 0;
+    for (const auto &[pf, delta] : body["banditVsPct"].members())
+        std::printf("Measured: Bandit vs %-7s %+5.1f%%\n", pf.c_str(),
+                    delta.asDouble());
+    return sweep.finish();
 }

@@ -9,87 +9,92 @@
  */
 #include <array>
 
-#include "common.h"
-#include "smt/smt_sim.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
 
 namespace {
 
-struct Breakdown
-{
-    double rob = 0, iq = 0, lq = 0, sq = 0, rf = 0;
-    double stalled = 0, idle = 0, running = 0;
+/** The rename-stage cycle classes, in print order. */
+constexpr std::array<const char *, 8> kClasses = {
+    "ROB", "IQ", "LQ", "SQ", "RF", "stalled", "idle", "running"};
 
-    void
-    add(const RenameStats &s)
-    {
-        const double n = static_cast<double>(std::max<uint64_t>(
-            s.cycles, 1));
-        rob += 100.0 * static_cast<double>(s.stallRob) / n;
-        iq += 100.0 * static_cast<double>(s.stallIq) / n;
-        lq += 100.0 * static_cast<double>(s.stallLq) / n;
-        sq += 100.0 * static_cast<double>(s.stallSq) / n;
-        rf += 100.0 * static_cast<double>(s.stallRf) / n;
-        stalled += 100.0 * static_cast<double>(s.stalled) / n;
-        idle += 100.0 * static_cast<double>(s.idle) / n;
-        running += 100.0 * static_cast<double>(s.running) / n;
-    }
-};
+/** Each class's share of @p s's cycles, in percent. */
+std::array<double, 8>
+shares(const RenameStats &s)
+{
+    const double n = static_cast<double>(std::max<uint64_t>(s.cycles, 1));
+    const uint64_t counts[] = {s.stallRob, s.stallIq, s.stallLq,
+                               s.stallSq,  s.stallRf, s.stalled,
+                               s.idle,     s.running};
+    std::array<double, 8> out{};
+    for (size_t k = 0; k < out.size(); ++k)
+        out[k] = 100.0 * static_cast<double>(counts[k]) / n;
+    return out;
+}
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
+    Sweep sweep(argc, argv, "fig15_rename");
     SmtRunConfig run_cfg;
-    run_cfg.maxCycles = scaled(600'000);
+    run_cfg.maxCycles = sweep.scaled(600'000);
 
     const auto mixes = smtMixes(226);
+    json::Value what = config(describe(SmtConfig{}, run_cfg),
+                              {describe(SmtBanditConfig{})});
+    what["policies"] = describe({choiPolicy()});
 
-    // One task per mix: both regime runs on the task's simulator.
-    struct MixStats
-    {
-        RenameStats choi;
-        RenameStats bandit;
-    };
-    const std::vector<MixStats> results = sweepMap<MixStats>(
-        jobs, mixes.size(), [&](size_t i) {
-            const auto &[a, b] = mixes[i];
-            SmtSimulator sim(a, b, run_cfg);
-            MixStats s;
-            s.choi = sim.runStatic(choiPolicy()).rename;
-            s.bandit = sim.runBandit().rename;
-            return s;
-        });
-
-    Breakdown choi, bandit;
-    for (const MixStats &s : results) {
-        choi.add(s.choi);
-        bandit.add(s.bandit);
+    // One cell per mix: both regime runs on the cell's simulator.
+    std::vector<std::pair<RenameStats, RenameStats>> results(mixes.size());
+    std::vector<Cell> cells;
+    for (size_t i = 0; i < mixes.size(); ++i) {
+        cells.push_back({"", what, [&, i] {
+                             SmtSimulator sim(mixes[i].first,
+                                              mixes[i].second, run_cfg);
+                             results[i].first =
+                                 sim.runStatic(choiPolicy()).rename;
+                             results[i].second = sim.runBandit().rename;
+                         }});
     }
+    sweep.run(std::move(cells));
 
+    std::array<double, 8> choi{}, bandit{};
+    for (const auto &[c, b] : results) {
+        for (size_t k = 0; k < kClasses.size(); ++k) {
+            choi[k] += shares(c)[k];
+            bandit[k] += shares(b)[k];
+        }
+    }
     const double n = static_cast<double>(mixes.size());
+    json::Value &body = sweep.body();
+    body["maxCycles"] = run_cfg.maxCycles;
+    body["mixes"] = static_cast<uint64_t>(mixes.size());
+    for (size_t k = 0; k < kClasses.size(); ++k) {
+        body["pctOfCycles"]["Choi"][kClasses[k]] = choi[k] / n;
+        body["pctOfCycles"]["Bandit"][kClasses[k]] = bandit[k] / n;
+    }
+    body["runningDeltaPct"] = (bandit[7] - choi[7]) / n;
+
     std::printf("Figure 15: rename-stage cycle breakdown (%% of "
-                "cycles, avg over %zu mixes)\n", mixes.size());
+                "cycles, avg over %zu mixes)\n",
+                static_cast<size_t>(body["mixes"].asUint()));
     std::printf("%-9s %8s %8s %8s %8s %8s %9s %8s %8s\n", "", "ROB",
                 "IQ", "LQ", "SQ", "RF", "stalled", "idle", "running");
     rule(80);
-    std::printf("%-9s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %8.1f%% "
-                "%7.1f%% %7.1f%%\n", "Choi", choi.rob / n, choi.iq / n,
-                choi.lq / n, choi.sq / n, choi.rf / n, choi.stalled / n,
-                choi.idle / n, choi.running / n);
-    std::printf("%-9s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %8.1f%% "
-                "%7.1f%% %7.1f%%\n", "Bandit", bandit.rob / n,
-                bandit.iq / n, bandit.lq / n, bandit.sq / n,
-                bandit.rf / n, bandit.stalled / n, bandit.idle / n,
-                bandit.running / n);
+    for (const auto &[regime, pct] : body["pctOfCycles"].members()) {
+        std::printf("%-9s", regime.c_str());
+        for (const auto &[cls, v] : pct.members())
+            std::printf(cls == "stalled" ? " %8.1f%%" : " %7.1f%%",
+                        v.asDouble());
+        std::printf("\n");
+    }
     rule(80);
     std::printf("running delta: %+.1f%% (paper: +2.6%%; Bandit cuts "
                 "SQ-full stalls and idle/gating cycles)\n",
-                (bandit.running - choi.running) / n);
-    return 0;
+                num(body, "runningDeltaPct"));
+    return sweep.finish();
 }

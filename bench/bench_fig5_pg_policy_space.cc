@@ -9,8 +9,7 @@
  * badly can cost tens of percent; lbm-heavy mixes favor LSQ-aware
  * policies (LSQC_* priority or *1** gating masks).
  */
-#include "common.h"
-#include "smt/smt_sim.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
@@ -18,16 +17,19 @@ using namespace mab::bench;
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
+    Sweep sweep(argc, argv, "fig5_pg_policy_space");
     SmtRunConfig run_cfg;
-    run_cfg.maxCycles = scaled(350'000);
+    run_cfg.maxCycles = sweep.scaled(350'000);
 
     const auto mixes = smtMixes(43, 10);
     const auto policies = allPgPolicies();
+    std::vector<PgPolicy> statics = {choiPolicy()};
+    statics.insert(statics.end(), policies.begin(), policies.end());
+    json::Value what = config(describe(SmtConfig{}, run_cfg), {});
+    what["policies"] = describe(statics);
 
-    // One task per mix: the Choi reference plus the 64-policy scan,
-    // on the task's own simulator.
+    // One cell per mix: the Choi reference plus the 64-policy scan,
+    // on the cell's own simulator.
     struct MixResult
     {
         double choi = 0.0;
@@ -35,56 +37,78 @@ main(int argc, char **argv)
         double worst = 1e9;
         PgPolicy bestPolicy;
     };
-    const std::vector<MixResult> results = sweepMap<MixResult>(
-        jobs, mixes.size(), [&](size_t i) {
-            const auto &[a, b] = mixes[i];
-            SmtSimulator sim(a, b, run_cfg);
-            MixResult r;
-            r.choi = sim.runStatic(choiPolicy()).ipcSum;
-            for (const auto &policy : policies) {
-                const double ipc = sim.runStatic(policy).ipcSum;
-                if (ipc > r.best) {
-                    r.best = ipc;
-                    r.bestPolicy = policy;
-                }
-                r.worst = std::min(r.worst, ipc);
-            }
-            return r;
-        });
+    std::vector<MixResult> results(mixes.size());
+    std::vector<Cell> cells;
+    for (size_t i = 0; i < mixes.size(); ++i) {
+        cells.push_back({"", what, [&, i] {
+                             const auto &[a, b] = mixes[i];
+                             SmtSimulator sim(a, b, run_cfg);
+                             MixResult &r = results[i];
+                             r.choi = sim.runStatic(choiPolicy()).ipcSum;
+                             for (const auto &policy : policies) {
+                                 const double ipc =
+                                     sim.runStatic(policy).ipcSum;
+                                 if (ipc > r.best) {
+                                     r.best = ipc;
+                                     r.bestPolicy = policy;
+                                 }
+                                 r.worst = std::min(r.worst, ipc);
+                             }
+                         }});
+    }
+    sweep.run(std::move(cells));
 
-    std::printf("Figure 5: best/worst fetch PG policy vs Choi "
-                "(IC_1011), %zu tune mixes x %zu policies\n",
-                mixes.size(), policies.size());
-    std::printf("%-24s %9s %9s  %s\n", "mix", "best%", "worst%",
-                "best policy");
-    rule(64);
-
+    json::Value &body = sweep.body();
+    body["maxCycles"] = run_cfg.maxCycles;
+    body["policies"] = static_cast<uint64_t>(policies.size());
+    json::Value rows = json::Value::array();
     double sum_best = 0.0, sum_worst = 0.0;
     int lsq_best_count = 0;
     for (size_t i = 0; i < mixes.size(); ++i) {
         const auto &[a, b] = mixes[i];
         const MixResult &r = results[i];
-        const double best_pct = 100.0 * (r.best / r.choi - 1.0);
-        const double worst_pct = 100.0 * (r.worst / r.choi - 1.0);
-        sum_best += best_pct;
-        sum_worst += worst_pct;
+        json::Value row = json::Value::object();
+        row["mix"] = a + "-" + b;
+        row["bestPct"] = 100.0 * (r.best / r.choi - 1.0);
+        row["worstPct"] = 100.0 * (r.worst / r.choi - 1.0);
+        row["bestPolicy"] = r.bestPolicy.name();
+        sum_best += row["bestPct"].asDouble();
+        sum_worst += row["worstPct"].asDouble();
         if (r.bestPolicy.priority == FetchPriority::LSQC ||
             r.bestPolicy.gateLsq) {
             ++lsq_best_count;
         }
-        std::printf("%-24s %8.1f%% %8.1f%%  %s\n",
-                    (a + "-" + b).c_str(), best_pct, worst_pct,
-                    r.bestPolicy.name().c_str());
+        rows.push(std::move(row));
     }
+    body["mixes"] = std::move(rows);
+    body["avgBestPct"] = sum_best / static_cast<double>(mixes.size());
+    body["avgWorstPct"] = sum_worst / static_cast<double>(mixes.size());
+    body["lsqAwareBest"] = lsq_best_count;
 
+    const std::vector<json::Value> &mix_rows = body["mixes"].items();
+    std::printf("Figure 5: best/worst fetch PG policy vs Choi "
+                "(IC_1011), %zu tune mixes x %zu policies\n",
+                mix_rows.size(),
+                static_cast<size_t>(body["policies"].asUint()));
+    std::printf("%-24s %9s %9s  %s\n", "mix", "best%", "worst%",
+                "best policy");
+    rule(64);
+    for (const json::Value &row : mix_rows) {
+        std::printf("%-24s %8.1f%% %8.1f%%  %s\n",
+                    row.find("mix")->asString().c_str(),
+                    row.find("bestPct")->asDouble(),
+                    row.find("worstPct")->asDouble(),
+                    row.find("bestPolicy")->asString().c_str());
+    }
     rule(64);
     std::printf("avg best %+.1f%%, avg worst %+.1f%%; LSQ-aware best "
                 "policy in %d/%zu mixes\n",
-                sum_best / static_cast<double>(mixes.size()),
-                sum_worst / static_cast<double>(mixes.size()),
-                lsq_best_count, mixes.size());
+                body["avgBestPct"].asDouble(),
+                body["avgWorstPct"].asDouble(),
+                static_cast<int>(body["lsqAwareBest"].asInt()),
+                mix_rows.size());
     std::printf("Paper: best policies differ per mix; worst can be "
                 ">40%% below Choi; lbm mixes gain 13-30%% from "
                 "LSQ-aware policies.\n");
-    return 0;
+    return sweep.finish();
 }

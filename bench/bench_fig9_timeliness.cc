@@ -11,7 +11,7 @@
  */
 #include <map>
 
-#include "common.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
@@ -19,21 +19,21 @@ using namespace mab::bench;
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
-    const uint64_t instr = scaled(1'000'000);
+    Sweep sweep(argc, argv, "fig9_timeliness");
+    const uint64_t instr = sweep.scaled(1'000'000);
     std::vector<std::string> configs = comparisonPrefetchers();
     configs.push_back("BanditIdeal");
     const auto workloads = allWorkloads();
 
     std::vector<PfTask> grid;
     for (const auto &spec : workloads) {
-        grid.push_back({spec.app, "None", instr, {}, {}, 0, {}});
+        grid.push_back({spec.app, "None", instr});
         for (const auto &pf : configs)
-            grid.push_back({spec.app, pf, instr, {}, {}, 0, {}});
+            grid.push_back({spec.app, pf, instr});
     }
     const size_t per_app = 1 + configs.size();
-    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
+    std::vector<PfRun> runs;
+    sweep.run(pfCells(grid, &runs));
 
     struct Acc
     {
@@ -58,43 +58,35 @@ main(int argc, char **argv)
         }
     }
 
+    json::Value &body = sweep.body();
+    body["instructions"] = instr;
+    json::Value &table = body["normalizedOutcomes"];
+    for (const auto &pf : configs) {
+        const Acc &a = acc[pf];
+        const double n = std::max(a.n, 1);
+        table[pf] = obj({{"llcMiss", a.llcMiss / n}, {"timely", a.timely / n},
+                         {"late", a.late / n}, {"wrong", a.wrong / n},
+                         {"apps", a.n}});
+    }
+
     std::printf("Figure 9: LLC misses and prefetch outcomes, "
                 "normalized to no-prefetch LLC misses (avg/app)\n");
     std::printf("%-12s %10s %10s %10s %10s %12s\n", "prefetcher",
                 "LLCmiss", "timely", "late", "wrong",
                 "miss-coverage");
     rule(70);
-    for (const auto &pf : configs) {
-        const Acc &a = acc[pf];
-        const double n = std::max(a.n, 1);
+    for (const auto &[pf, row] : table.members()) {
         // Coverage: fraction of baseline misses now served by timely
         // prefetches.
         std::printf("%-12s %10.3f %10.3f %10.3f %10.3f %11.1f%%\n",
-                    pf.c_str(), a.llcMiss / n, a.timely / n,
-                    a.late / n, a.wrong / n, 100.0 * a.timely / n);
+                    pf.c_str(), num(row, "llcMiss"), num(row, "timely"),
+                    num(row, "late"), num(row, "wrong"),
+                    100.0 * num(row, "timely"));
     }
     rule(70);
     std::printf("Paper: timely coverage Stride 49%%, Bingo 69%%, "
                 "MLOP 63%%, Pythia 72%%, Bandit 67%%;\n"
                 "       Bandit wrong prefetches -66%% vs Bingo, "
                 "-58%% vs MLOP; BanditIdeal ~= Bandit.\n");
-
-    json::Value root = json::Value::object();
-    root["bench"] = "fig9_timeliness";
-    root["instructions"] = instr;
-    root["scale"] = benchScale();
-    json::Value table = json::Value::object();
-    for (const auto &pf : configs) {
-        const Acc &a = acc[pf];
-        const double n = std::max(a.n, 1);
-        json::Value row = json::Value::object();
-        row["llcMiss"] = a.llcMiss / n;
-        row["timely"] = a.timely / n;
-        row["late"] = a.late / n;
-        row["wrong"] = a.wrong / n;
-        row["apps"] = a.n;
-        table[pf] = std::move(row);
-    }
-    root["normalizedOutcomes"] = std::move(table);
-    return writeJsonReport(root, argc, argv) ? 0 : 1;
+    return sweep.finish();
 }

@@ -20,12 +20,13 @@
  * violation (repro lines printed), 2 = usage error.
  */
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
-#include "common.h"
 #include "fuzz/fuzz.h"
+#include "sweep.h"
 
 namespace {
 
@@ -80,31 +81,44 @@ main(int argc, char **argv)
         return 2;
     };
 
-    const char *v = nullptr;
-    std::string err = findFlagValue(argc, argv, "--iters", &v);
+    std::string err = checkFlags(
+        argc, argv,
+        {{"--iters", "n"}, {"--seed", "n"}, {"--max-seconds", "s"},
+         {"--replay", "caseSeed"}, {"--domain", "name"}, {"--jobs", "n"},
+         {"--shrink", nullptr}, {"--self-test", nullptr}});
     if (!err.empty())
         return usageError(err);
+    // The table vetted every flag, so a lookup cannot fail; a switch
+    // is present when its name is.
+    const auto value = [&](const char *flag) {
+        const char *v = nullptr;
+        findFlagValue(argc, argv, flag, &v);
+        return v;
+    };
+    const auto given = [&](const char *flag) {
+        return std::find_if(argv + 1, argv + argc, [&](const char *a) {
+                   return std::strcmp(a, flag) == 0;
+               }) != argv + argc;
+    };
+
+    const char *v = value("--iters");
     if (v && (!parseUint64(v, &opt.iters) || opt.iters == 0))
         return usageError(
             std::string("usage error: --iters needs an integer above "
                         "0, got '") +
             v + "'");
 
-    err = findFlagValue(argc, argv, "--seed", &v);
-    if (!err.empty())
-        return usageError(err);
+    v = value("--seed");
     if (v && !parseUint64(v, &opt.seedBase))
         return usageError(
             std::string("usage error: --seed needs an unsigned "
                         "integer, got '") +
             v + "'");
 
-    err = findFlagValue(argc, argv, "--max-seconds", &v);
-    if (!err.empty())
-        return usageError(err);
     // MAB_BENCH_SCALE's rule: one whole token holding a finite number
     // above 0, no ERANGE. inf and 1e999 would lift the time cap, and
     // nan would silently fall back to the iteration cap.
+    v = value("--max-seconds");
     if (v && !resolveScale(v, &opt.maxSeconds).empty())
         return usageError(
             std::string("usage error: --max-seconds needs a finite "
@@ -112,22 +126,13 @@ main(int argc, char **argv)
             v + "'");
 
     uint64_t replay_seed = 0;
-    bool replay = false;
-    err = findFlagValue(argc, argv, "--replay", &v);
-    if (!err.empty())
-        return usageError(err);
-    if (v) {
-        if (!parseUint64(v, &replay_seed))
-            return usageError(
-                std::string("usage error: --replay needs a case "
-                            "seed, got '") +
-                v + "'");
-        replay = true;
-    }
+    const bool replay = (v = value("--replay")) != nullptr;
+    if (replay && !parseUint64(v, &replay_seed))
+        return usageError(
+            std::string("usage error: --replay needs a case seed, got '") +
+            v + "'");
 
-    err = findFlagValue(argc, argv, "--domain", &v);
-    if (!err.empty())
-        return usageError(err);
+    v = value("--domain");
     if (v) {
         if (!fuzz::findDomain(v))
             return usageError(
@@ -135,12 +140,7 @@ main(int argc, char **argv)
                 "' (" + fuzz::domainNames() + ")");
         opt.domain = v;
     }
-
-    opt.shrink = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--shrink") == 0)
-            opt.shrink = true;
-    }
+    opt.shrink = given("--shrink");
 
     int jobs = 1;
     err = resolveJobs(argc, argv, std::getenv("MAB_BENCH_JOBS"),
@@ -149,10 +149,8 @@ main(int argc, char **argv)
         return usageError(err);
     opt.jobs = jobs;
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--self-test") == 0)
-            return runSelfTest(opt.seedBase);
-    }
+    if (given("--self-test"))
+        return runSelfTest(opt.seedBase);
 
     if (replay) {
         fuzz::FuzzReport report;

@@ -11,8 +11,7 @@
  */
 #include <map>
 
-#include "common.h"
-#include "core/heuristics.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
@@ -20,9 +19,8 @@ using namespace mab::bench;
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
-    const uint64_t instr = scaled(1'500'000);
+    Sweep sweep(argc, argv, "table8_prefetch_algos");
+    const uint64_t instr = sweep.scaled(1'500'000);
     const auto tune = tuneSetPrefetch();
 
     const std::vector<std::string> algos = {
@@ -34,83 +32,41 @@ main(int argc, char **argv)
     };
 
     // Per app: the 11 static-arm runs of Table 7 plus the 6
-    // algorithms; the fixed-arm cells are built by the custom factory.
+    // algorithms.
     const size_t num_arms =
         static_cast<size_t>(BanditEnsemblePrefetcher::numArms());
     const size_t per_app = num_arms + algos.size();
     std::vector<PfTask> grid;
     for (const AppProfile &app : tune) {
-        for (size_t arm = 0; arm < num_arms; ++arm) {
-            PfTask t;
-            t.app = app;
-            t.instr = instr;
-            t.make = [arm] {
-                MabConfig mcfg;
-                mcfg.numArms = BanditEnsemblePrefetcher::numArms();
-                return std::make_unique<BanditPrefetchController>(
-                    std::make_unique<FixedArmPolicy>(
-                        mcfg, static_cast<ArmId>(arm)),
-                    BanditHwConfig{});
-            };
-            grid.push_back(std::move(t));
-        }
+        for (size_t arm = 0; arm < num_arms; ++arm)
+            grid.push_back({app, "Arm:" + std::to_string(arm), instr});
         for (const auto &algo : algos)
-            grid.push_back({app, algo, instr, {}, {}, 0, {}});
+            grid.push_back({app, algo, instr});
     }
-    const std::vector<PfRun> runs = sweepPrefetchRuns(jobs, grid);
-    std::vector<double> ipcs;
-    ipcs.reserve(runs.size());
-    for (const PfRun &r : runs)
-        ipcs.push_back(r.ipc);
+    std::vector<PfRun> runs;
+    sweep.run(pfCells(grid, &runs));
 
     std::map<std::string, std::vector<double>> ratios;
     for (size_t a = 0; a < tune.size(); ++a) {
         const size_t off = a * per_app;
         double best_static = 0.0;
         for (size_t arm = 0; arm < num_arms; ++arm)
-            best_static = std::max(best_static, ipcs[off + arm]);
+            best_static = std::max(best_static, runs[off + arm].ipc);
         for (size_t i = 0; i < algos.size(); ++i)
-            ratios[labels[i]].push_back(ipcs[off + num_arms + i] /
+            ratios[labels[i]].push_back(runs[off + num_arms + i].ipc /
                                         best_static);
     }
 
+    json::Value &body = sweep.body();
+    body["instructions"] = instr;
+    body["traces"] = static_cast<uint64_t>(tune.size());
+    body["pctOfBestStatic"] = pctOfBestStatic(labels, ratios);
+
     std::printf("Table 8: IPC as %% of best static arm "
                 "(prefetching tune set, %zu traces)\n", tune.size());
-    std::printf("%-7s", "");
-    for (const auto &l : labels)
-        std::printf("%10s", l.c_str());
-    std::printf("\n");
-    rule(67);
-    for (const char *row : {"min", "max", "gmean"}) {
-        std::printf("%-7s", row);
-        for (const auto &l : labels) {
-            const RatioSummary s = summarizeRatios(ratios[l]);
-            const double v = row == std::string("min") ? s.min
-                : row == std::string("max")            ? s.max
-                                                       : s.gmean;
-            std::printf("%10s", fmt(v, 1).c_str());
-        }
-        std::printf("\n");
-    }
-    rule(67);
+    printPctOfBestStatic(body["pctOfBestStatic"]);
     std::printf("Paper:  min  88.7 / 72.8 / 80.3 / 89.8 / 88.6 / 95.0\n"
                 "        max 102.5 /100.0 / 99.8 / 99.9 /100.0 /101.6\n"
                 "        gm   98.4 / 96.5 / 94.1 / 97.3 / 98.8 / 99.1\n");
-
-    json::Value root = json::Value::object();
-    root["bench"] = "table8_prefetch_algos";
-    root["instructions"] = instr;
-    root["scale"] = benchScale();
-    root["traces"] = static_cast<uint64_t>(tune.size());
-    json::Value table = json::Value::object();
-    for (const auto &l : labels) {
-        const RatioSummary s = summarizeRatios(ratios[l]);
-        json::Value row = json::Value::object();
-        row["min"] = s.min;
-        row["max"] = s.max;
-        row["gmean"] = s.gmean;
-        table[l] = std::move(row);
-    }
-    root["pctOfBestStatic"] = std::move(table);
-    return writeJsonReport(root, argc, argv) ? 0 : 1;
+    return sweep.finish();
 }

@@ -11,8 +11,7 @@
  */
 #include <map>
 
-#include "common.h"
-#include "smt/smt_sim.h"
+#include "sweep.h"
 
 using namespace mab;
 using namespace mab::bench;
@@ -20,10 +19,9 @@ using namespace mab::bench;
 int
 main(int argc, char **argv)
 {
-    TracingSession observability(argc, argv);
-    const int jobs = benchJobs(argc, argv);
+    Sweep sweep(argc, argv, "table9_smt_algos");
     SmtRunConfig run_cfg;
-    run_cfg.maxCycles = scaled(800'000);
+    run_cfg.maxCycles = sweep.scaled(800'000);
 
     const auto mixes = smtMixes(43, 10);
     const std::vector<std::pair<std::string, MabAlgorithm>> algos = {
@@ -33,8 +31,20 @@ main(int argc, char **argv)
         {"UCB", MabAlgorithm::Ucb},
         {"DUCB", MabAlgorithm::Ducb},
     };
+    std::vector<SmtBanditConfig> bandits;
+    std::vector<json::Value> agents;
+    for (const auto &[label, algo] : algos) {
+        bandits.emplace_back();
+        bandits.back().algorithm = algo;
+        agents.push_back(describe(bandits.back()));
+    }
+    std::vector<PgPolicy> statics(smtArmTable().begin(),
+                                  smtArmTable().end());
+    statics.push_back(choiPolicy());
+    json::Value what = config(describe(SmtConfig{}, run_cfg), agents);
+    what["policies"] = describe(statics);
 
-    // One task per mix: all regime runs share the task-owned
+    // One cell per mix: all regime runs share the cell-owned
     // simulator, in the original serial order.
     struct MixResult
     {
@@ -42,22 +52,23 @@ main(int argc, char **argv)
         double choi = 0.0;
         std::vector<double> algo;
     };
-    const std::vector<MixResult> results = sweepMap<MixResult>(
-        jobs, mixes.size(), [&](size_t i) {
-            const auto &[a, b] = mixes[i];
-            SmtSimulator sim(a, b, run_cfg);
-            MixResult r;
-            for (const auto &arm : smtArmTable())
-                r.bestStatic = std::max(r.bestStatic,
-                                        sim.runStatic(arm).ipcSum);
-            r.choi = sim.runStatic(choiPolicy()).ipcSum;
-            for (const auto &[label, algo] : algos) {
-                SmtBanditConfig cfg;
-                cfg.algorithm = algo;
-                r.algo.push_back(sim.runBandit(cfg).ipcSum);
-            }
-            return r;
-        });
+    std::vector<MixResult> results(mixes.size());
+    std::vector<Cell> cells;
+    for (size_t i = 0; i < mixes.size(); ++i) {
+        cells.push_back(
+            {"", what, [&, i] {
+                 const auto &[a, b] = mixes[i];
+                 SmtSimulator sim(a, b, run_cfg);
+                 MixResult &r = results[i];
+                 for (const auto &arm : smtArmTable())
+                     r.bestStatic = std::max(r.bestStatic,
+                                             sim.runStatic(arm).ipcSum);
+                 r.choi = sim.runStatic(choiPolicy()).ipcSum;
+                 for (const SmtBanditConfig &cfg : bandits)
+                     r.algo.push_back(sim.runBandit(cfg).ipcSum);
+             }});
+    }
+    sweep.run(std::move(cells));
 
     std::map<std::string, std::vector<double>> ratios;
     for (const MixResult &r : results) {
@@ -67,46 +78,17 @@ main(int argc, char **argv)
                                              r.bestStatic);
     }
 
-    const std::vector<std::string> cols = {
-        "Choi", "Single", "Periodic", "eGreedy", "UCB", "DUCB",
-    };
+    json::Value &body = sweep.body();
+    body["maxCycles"] = run_cfg.maxCycles;
+    body["mixes"] = static_cast<uint64_t>(mixes.size());
+    body["pctOfBestStatic"] = pctOfBestStatic(
+        {"Choi", "Single", "Periodic", "eGreedy", "UCB", "DUCB"}, ratios);
+
     std::printf("Table 9: IPC as %% of best static arm (SMT tune set, "
                 "%zu mixes)\n", mixes.size());
-    std::printf("%-7s", "");
-    for (const auto &c : cols)
-        std::printf("%10s", c.c_str());
-    std::printf("\n");
-    rule(67);
-    for (const char *row : {"min", "max", "gmean"}) {
-        std::printf("%-7s", row);
-        for (const auto &c : cols) {
-            const RatioSummary s = summarizeRatios(ratios[c]);
-            const double v = row == std::string("min") ? s.min
-                : row == std::string("max")            ? s.max
-                                                       : s.gmean;
-            std::printf("%10s", fmt(v, 1).c_str());
-        }
-        std::printf("\n");
-    }
-    rule(67);
+    printPctOfBestStatic(body["pctOfBestStatic"]);
     std::printf("Paper:  min  77.2 / 77.8 / 88.4 / 92.0 / 90.9 / 92.2\n"
                 "        max 101.0 /101.1 /100.4 /100.5 /101.1 /101.4\n"
                 "        gm   94.5 / 96.8 / 97.2 / 97.8 / 98.4 / 98.6\n");
-
-    json::Value root = json::Value::object();
-    root["bench"] = "table9_smt_algos";
-    root["maxCycles"] = run_cfg.maxCycles;
-    root["scale"] = benchScale();
-    root["mixes"] = static_cast<uint64_t>(mixes.size());
-    json::Value table = json::Value::object();
-    for (const auto &c : cols) {
-        const RatioSummary s = summarizeRatios(ratios[c]);
-        json::Value row = json::Value::object();
-        row["min"] = s.min;
-        row["max"] = s.max;
-        row["gmean"] = s.gmean;
-        table[c] = std::move(row);
-    }
-    root["pctOfBestStatic"] = std::move(table);
-    return writeJsonReport(root, argc, argv) ? 0 : 1;
+    return sweep.finish();
 }

@@ -11,10 +11,10 @@
 # asserting for every leg that:
 #
 #   1. stdout is byte-identical to the base leg, and
-#   2. for binaries that emit a --json report, the reports are
-#      byte-identical after dropping the top-level "meta" block
-#      (which by design records run-local facts: wall-clock samples,
-#      the command line and the arena hit/miss counters).
+#   2. the --json reports (every sweep writes one) are byte-identical
+#      after dropping the top-level "meta" block (which by design
+#      records run-local facts: wall-clock samples, the command line
+#      and the arena hit/miss counters).
 #
 # Usage:
 #   scripts/check_arena_identity.sh <build-bench-dir> [jobs] [bench...]

@@ -3,7 +3,8 @@
 # MAB_TRACE_ARENA_DIR must not change anything observable.
 #
 # Three checks on bench_fig8_singlecore, each byte-identical (stdout
-# and the --json report modulo meta) to a run with no arena directory:
+# and the --json report modulo meta, which every leg must write) to a
+# run with no arena directory:
 #
 #   1. Cold start — one run over an empty directory must spill the
 #      traces it generates (fileSpills > 0) and load none

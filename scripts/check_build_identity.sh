@@ -7,10 +7,12 @@
 # <new-bench-dir>/<bench> under the same environment and asserts that
 #
 #   1. stdout is byte-identical, and
-#   2. for binaries that emit a --json report, the reports are
-#      byte-identical after dropping the top-level "meta" block
-#      (run-local facts: wall-clock samples, the command line, arena
-#      counters).
+#   2. the --json reports are byte-identical after dropping the
+#      top-level "meta" block (run-local facts: wall-clock samples,
+#      the command line, arena counters). The new build must write a
+#      report; when the reference build wrote none (it predates the
+#      sweep's report), NEW REPORT is printed and stdout alone is
+#      compared.
 #
 # Usage:
 #   scripts/check_build_identity.sh <ref-bench-dir> <new-bench-dir> [bench...]

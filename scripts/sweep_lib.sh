@@ -4,16 +4,21 @@
 #
 #   MAB_SWEEPS          every bench-smoke sweep binary of
 #                       bench/CMakeLists.txt
-#   json_capable <b>    true when sweep <b> writes a --json report
 #   strip_meta <in> <out>
 #                       the report without its run-local "meta" block
 #   run_sweep <exe> <b> <prefix> [VAR=VAL...]
-#                       one run of sweep <b> from binary <exe> under the
-#                       environment overrides: output in <prefix>.txt,
-#                       the report minus meta in <prefix>.stripped.json
+#                       one run of sweep <b> from binary <exe> with
+#                       --json, under the environment overrides: stdout
+#                       in <prefix>.txt (minus the "json report written"
+#                       line), the report in <prefix>.json and minus
+#                       meta in <prefix>.stripped.json
 #   same_output <b> <prefix-a> <prefix-b> <what>
-#                       compare two runs of sweep <b>; print the first
-#                       lines of any difference and return 1
+#                       compare two runs of sweep <b>: stdout and the
+#                       reports minus meta. A report missing on side b
+#                       fails; one missing only on side a (a reference
+#                       build from before every sweep wrote one) prints
+#                       NEW REPORT and compares stdout only. Prints the
+#                       first lines of any difference and returns 1
 
 MAB_SWEEPS=(
     bench_fig2_pythia_actions bench_fig5_pg_policy_space
@@ -27,19 +32,6 @@ MAB_SWEEPS=(
     bench_ablation_step bench_ext_algorithms bench_ext_joint
     bench_drift_scurve
 )
-
-# Binaries whose writeJsonReport() path is wired up (grep
-# writeJsonReport bench/*.cc to regenerate this list).
-json_capable() {
-    case "$1" in
-    bench_fig8_singlecore | bench_fig9_timeliness | \
-        bench_table8_prefetch_algos | bench_table9_smt_algos | \
-        bench_drift_scurve)
-        return 0
-        ;;
-    esac
-    return 1
-}
 
 strip_meta() {
     python3 - "$1" "$2" <<'EOF'
@@ -55,15 +47,12 @@ EOF
 run_sweep() {
     local exe=$1 b=$2 out=$3
     shift 3
-    local json_args=()
-    if json_capable "$b"; then
-        json_args=(--json "$out.json")
-    fi
-    env "$@" "$exe" "${json_args[@]}" >"$out.txt" 2>&1
-    # The json-report path is printed; mask it so stdout compares clean
-    # while the reports are diffed separately.
-    sed -i "s#$out\.json#<json>#" "$out.txt"
-    if json_capable "$b"; then
+    rm -f "$out.json" "$out.stripped.json"
+    env "$@" "$exe" --json "$out.json" >"$out.txt" 2>&1
+    # The report path is run-local; drop its line so stdout compares
+    # clean while the reports are diffed separately.
+    sed -i "\\#^json report written to $out\\.json\$#d" "$out.txt"
+    if [ -f "$out.json" ]; then
         strip_meta "$out.json" "$out.stripped.json"
     fi
 }
@@ -75,8 +64,12 @@ same_output() {
         diff "$x.txt" "$y.txt" | head -20 >&2 || true
         same=1
     fi
-    if json_capable "$b" &&
-        ! cmp -s "$x.stripped.json" "$y.stripped.json"; then
+    if [ ! -f "$y.json" ]; then
+        echo "MISSING  $b: no --json report $what" >&2
+        same=1
+    elif [ ! -f "$x.json" ]; then
+        echo "NEW REPORT $b"
+    elif ! cmp -s "$x.stripped.json" "$y.stripped.json"; then
         echo "DIFF     $b: --json report differs $what (modulo meta)" >&2
         diff "$x.stripped.json" "$y.stripped.json" | head -20 >&2 || true
         same=1

@@ -3,18 +3,19 @@
 #include <string>
 #include <vector>
 
-#include "common.h"
+#include "sim/parallel.h"
+#include "sweep.h"
 
 /**
- * Bench arg-parsing edge cases: duplicate flags, negative or
- * non-numeric `--jobs`, a malformed MAB_BENCH_SCALE or trace
+ * Bench arg-parsing edge cases: unknown or duplicate flags, negative
+ * or non-numeric `--jobs`, a malformed MAB_BENCH_SCALE or trace
  * granularity, flags with missing values and unknown prefetcher names
  * must produce usage errors (or abort) instead of being silently
- * clamped, atoi'd to 0 or run as a default. The tests
- * target the non-exiting cores (findFlagValue / parseInt64 /
+ * ignored, clamped, atoi'd to 0 or run as a default. The tests target
+ * the non-exiting cores (checkFlags / findFlagValue / parseInt64 /
  * parseUint64 / resolveJobs / resolveScale / scaledBudget /
- * resolveGranularity); the argValue / benchJobs / benchScale /
- * scaled / TracingSession wrappers print the same message and exit 2.
+ * resolveGranularity); the Sweep prints the same message and exits 2
+ * before any cell runs.
  */
 
 namespace mab::bench {
@@ -84,6 +85,42 @@ TEST(FindFlagValue, FlagValuedWithAFlagLiteralIsConsumed)
               "");
     ASSERT_NE(v, nullptr);
     EXPECT_STREQ(v, "--jobs");
+}
+
+const std::vector<Flag> kTable = {
+    {"--jobs", "n"}, {"--json", "path"}, {"--no-trace-cache", nullptr}};
+
+TEST(CheckFlags, AcceptsEveryListedFlag)
+{
+    Args args({"--jobs", "4", "--no-trace-cache", "--json", "--jobs"});
+    EXPECT_EQ(checkFlags(args.argc(), args.argv(), kTable), "")
+        << "a valued flag consumes the next token verbatim";
+}
+
+TEST(CheckFlags, UnknownArgumentListsTheTable)
+{
+    // A typo used to run the sweep serially with no complaint.
+    Args args({"--jbos", "4"});
+    const std::string err = checkFlags(args.argc(), args.argv(), kTable);
+    EXPECT_EQ(err, "usage error: unknown argument '--jbos' (accepted: "
+                   "--jobs <n>, --json <path>, --no-trace-cache)");
+
+    Args stray({"--jobs", "4", "8"});
+    EXPECT_NE(checkFlags(stray.argc(), stray.argv(), kTable)
+                  .find("unknown argument '8'"),
+              std::string::npos)
+        << "a stray value is an argument too";
+}
+
+TEST(CheckFlags, MissingValueAndDuplicateAreUsageErrors)
+{
+    Args bare({"--json"});
+    EXPECT_EQ(checkFlags(bare.argc(), bare.argv(), kTable),
+              "usage error: --json needs a value");
+
+    Args twice({"--no-trace-cache", "--no-trace-cache"});
+    EXPECT_EQ(checkFlags(twice.argc(), twice.argv(), kTable),
+              "usage error: duplicate --no-trace-cache");
 }
 
 TEST(StrictParsers, AcceptWholeTokenNumbersOnly)

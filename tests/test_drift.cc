@@ -13,7 +13,7 @@
 #include "trace/replay.h"
 #include "trace/suites.h"
 
-#include "common.h"
+#include "sweep.h"
 
 /**
  * Drifting trace-generator tests (trace/drift.h). The central
@@ -30,7 +30,15 @@ namespace {
 namespace fs = std::filesystem;
 
 using bench::PfTask;
-using bench::sweepPrefetchRuns;
+
+/** The drift grid through the harness's execution core. */
+std::vector<bench::PfRun>
+runGrid(const std::vector<PfTask> &tasks, int jobs)
+{
+    std::vector<bench::PfRun> runs;
+    bench::runCells(bench::pfCells(tasks, &runs), jobs);
+    return runs;
+}
 
 /** A one-phase base profile so every drift segment maps to exactly
  *  one generated phase (boundary checks become exact). */
@@ -284,7 +292,7 @@ driftTasks()
     std::vector<PfTask> tasks;
     for (const DriftProfile &w : workloads)
         for (const char *pf : {"Stride", "Bandit:DUCB"})
-            tasks.push_back({w.app, pf, instr, {}, {}, 0, {}});
+            tasks.push_back({w.app, pf, instr});
     return tasks;
 }
 
@@ -297,11 +305,11 @@ TEST(DriftSweep, ByteIdenticalAcrossJobs)
 
     const std::vector<PfTask> tasks = driftTasks();
     const std::vector<uint64_t> want =
-        runFingerprint(sweepPrefetchRuns(1, tasks));
+        runFingerprint(runGrid(tasks, 1));
     ASSERT_FALSE(want.empty());
 
     arena.clear();
-    EXPECT_EQ(runFingerprint(sweepPrefetchRuns(4, tasks)), want)
+    EXPECT_EQ(runFingerprint(runGrid(tasks, 4)), want)
         << "jobs 4 diverged from jobs 1";
 
     arena.clear();

@@ -14,15 +14,15 @@
 #include "sim/parallel.h"
 #include "sim/rng.h"
 
-#include "common.h"
+#include "sweep.h"
 
 /**
  * SweepRunner contract tests (tier 1), plus the determinism tests the
  * parallel bench harness relies on: a sweep submitted with --jobs 1
  * and --jobs 8 must produce byte-identical reports (outside the meta
  * block, which records the job count and wall-clock), and the claim
- * order of prefetching sweeps (bench::claimOrder) must only reorder
- * execution.
+ * order every sweep's cells run in (bench::claimOrder, through
+ * bench::runCells) must only reorder execution.
  */
 
 namespace mab {
@@ -135,7 +135,7 @@ TEST(SweepRunner, ReusableAcrossBatches)
 
 /**
  * A miniature bench sweep through the real harness plumbing
- * (bench::sweepMap over full CoreModel simulations), serialized to
+ * (bench::runCells over full CoreModel simulations), serialized to
  * JSON the way --json reports are. Byte-identical across job counts.
  */
 std::string
@@ -146,19 +146,18 @@ sweepReport(int jobs)
     const std::vector<std::string> pfs = {"None", "Stride", "Bandit"};
     const uint64_t instr = 25'000;
 
-    const size_t per_app = pfs.size();
-    const std::vector<double> ipcs = sweepMap<double>(
-        jobs, apps.size() * per_app, [&](size_t i) {
-            return runPrefetchNamed(appByName(apps[i / per_app]),
-                                    pfs[i % per_app], instr)
-                .ipc;
-        });
+    std::vector<PfTask> grid;
+    for (const std::string &app : apps)
+        for (const std::string &pf : pfs)
+            grid.push_back({appByName(app), pf, instr});
+    std::vector<PfRun> runs;
+    runCells(pfCells(grid, &runs), jobs);
 
     json::Value root = json::Value::object();
     for (size_t a = 0; a < apps.size(); ++a) {
         json::Value row = json::Value::object();
-        for (size_t p = 0; p < per_app; ++p)
-            row[pfs[p]] = ipcs[a * per_app + p];
+        for (size_t p = 0; p < pfs.size(); ++p)
+            row[pfs[p]] = runs[a * pfs.size() + p].ipc;
         root[apps[a]] = std::move(row);
     }
     return root.dump(2);
@@ -227,8 +226,9 @@ pfFingerprint(const std::vector<bench::PfRun> &runs)
     return fp;
 }
 
-/** The bench-harness entry: a prefetching sweep returns every cell's
- *  result at its grid index, the same at any jobs count. */
+/** The bench-harness execution core: every cell of a prefetching
+ *  sweep writes its result at its grid index, the same at any jobs
+ *  count. */
 TEST(SweepPrefetchRuns, ByteIdenticalAcrossJobs)
 {
     TraceArena &arena = TraceArena::global();
@@ -241,18 +241,18 @@ TEST(SweepPrefetchRuns, ByteIdenticalAcrossJobs)
     std::vector<bench::PfTask> tasks;
     for (const char *pf : {"None", "Stride", "Bandit"})
         for (const char *app : {"lbm06", "mcf06"})
-            tasks.push_back({appByName(app), pf, instr, {}, {}, 0, {}});
+            tasks.push_back({appByName(app), pf, instr});
 
     std::vector<bench::PfRun> direct;
-    for (const bench::PfTask &t : tasks)
-        direct.push_back(bench::runPfTask(t));
+    for (const bench::Cell &cell : bench::pfCells(tasks, &direct))
+        cell.run(); // grid order, no runner
     const std::vector<uint64_t> want = pfFingerprint(direct);
 
     for (int jobs : {1, 4}) {
         arena.clear();
-        EXPECT_EQ(pfFingerprint(bench::sweepPrefetchRuns(jobs, tasks)),
-                  want)
-            << "jobs " << jobs;
+        std::vector<bench::PfRun> runs;
+        bench::runCells(bench::pfCells(tasks, &runs), jobs);
+        EXPECT_EQ(pfFingerprint(runs), want) << "jobs " << jobs;
     }
     arena.clear();
     arena.setEnabled(enabled);
@@ -279,15 +279,32 @@ TEST(SweepPrefetchRuns, BandwidthMajorGridRecordsEachStreamOnce)
         DramConfig dram;
         dram.mtps = mtps;
         for (const char *app : {"lbm06", "mcf06", "gcc06"})
-            tasks.push_back(
-                {appByName(app), "Stride", instr, {}, dram, 0, {}});
+            tasks.push_back({appByName(app), "Stride", instr, {}, dram});
     }
-    bench::sweepPrefetchRuns(1, tasks);
+    std::vector<bench::PfRun> runs;
+    bench::runCells(bench::pfCells(tasks, &runs), 1);
     EXPECT_EQ(arena.stats().misses, 3u);
 
     arena.clear();
     arena.setBudgetBytes(budget);
     arena.setEnabled(enabled);
+}
+
+/** Cells that replay no stream are groups of their own, so they keep
+ *  their grid order; a stream's cells run back to back at jobs 1. */
+TEST(RunCells, StreamlessCellsKeepGridOrder)
+{
+    std::vector<std::string> ran;
+    std::vector<bench::Cell> cells;
+    for (const char *name : {"x0", "s0", "x1", "s1", "x2"}) {
+        const std::string stream = name[0] == 's' ? "app|#1" : "";
+        cells.push_back({stream, json::Value::object(),
+                         [&ran, name] { ran.push_back(name); }});
+    }
+    const std::vector<double> wall = bench::runCells(cells, 1);
+    EXPECT_EQ(ran,
+              (std::vector<std::string>{"x0", "s0", "s1", "x1", "x2"}));
+    EXPECT_EQ(wall.size(), cells.size()) << "one wall-clock per cell";
 }
 
 } // namespace
