@@ -22,6 +22,7 @@ const Domain kDomains[] = {
     {"replay", 64, checkReplay, describeSim, nullptr},
     {"drift", 5, checkDrift, describeDrift, nullptr},
     {"smt", 6, checkSmt, describeSmt, nullptr},
+    {"prefetch", 7, checkPrefetch, describePrefetch, selfTestPrefetch},
 };
 
 } // namespace

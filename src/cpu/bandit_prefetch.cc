@@ -1,6 +1,7 @@
 #include "cpu/bandit_prefetch.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mab {
 
@@ -19,7 +20,14 @@ BanditPrefetchController::BanditPrefetchController(
 BanditPrefetchController::BanditPrefetchController(
     std::unique_ptr<MabPolicy> policy, const BanditHwConfig &hw)
 {
-    assert(policy->numArms() == BanditEnsemblePrefetcher::numArms());
+    if (!policy)
+        throw std::invalid_argument(
+            "BanditPrefetchController: policy must not be null");
+    if (policy->numArms() != BanditEnsemblePrefetcher::numArms())
+        throw std::invalid_argument(
+            "BanditPrefetchController: policy must have " +
+            std::to_string(BanditEnsemblePrefetcher::numArms()) +
+            " arms, got " + std::to_string(policy->numArms()));
     algoName_ = policy->name();
     agent_ = std::make_unique<BanditAgent>(std::move(policy), hw);
     ensemble_.applyArm(agent_->selectedArm());

@@ -50,7 +50,11 @@ class BanditPrefetchController final : public Prefetcher
     explicit BanditPrefetchController(
         const BanditPrefetchConfig &config = {});
 
-    /** Construct with a caller-built policy (custom algorithms). */
+    /**
+     * Construct with a caller-built policy (custom algorithms).
+     * @throws std::invalid_argument if @p policy is null or has not
+     *     one arm per ensemble arm (Table 7).
+     */
     BanditPrefetchController(std::unique_ptr<MabPolicy> policy,
                              const BanditHwConfig &hw);
 

@@ -1,6 +1,8 @@
 #include "prefetch/bingo.h"
 
-#include <cassert>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "trace/record.h"
 
@@ -17,16 +19,54 @@ hashMix(uint64_t x)
     return x;
 }
 
+/** A region is 1 to 64 whole lines, so each line offset has a bit
+ *  of the 64-bit footprint. */
+uint64_t
+checkedRegion(uint64_t region_bytes)
+{
+    const uint64_t lines = region_bytes / kLineBytes;
+    if (region_bytes % kLineBytes != 0 || lines < 1 || lines > 64)
+        throw std::invalid_argument(
+            "BingoPrefetcher: region_bytes must be 1 to 64 whole lines, "
+            "got " + std::to_string(region_bytes) + " bytes");
+    return region_bytes;
+}
+
+int
+checkedAccumulation(int accumulation_entries)
+{
+    if (accumulation_entries < 1)
+        throw std::invalid_argument(
+            "BingoPrefetcher: accumulation_entries must be at least 1, "
+            "got " + std::to_string(accumulation_entries));
+    return accumulation_entries;
+}
+
+/** History sets - 1; the set index is a mask of the key. */
+uint64_t
+checkedSetMask(int history_entries)
+{
+    const int sets = history_entries / 4;
+    if (sets < 1 || !std::has_single_bit(static_cast<unsigned>(sets)))
+        throw std::invalid_argument(
+            "BingoPrefetcher: history_entries / 4 must be a power-of-two "
+            "set count, got " + std::to_string(history_entries) +
+            " entries");
+    return static_cast<uint64_t>(sets) - 1;
+}
+
 } // namespace
 
 BingoPrefetcher::BingoPrefetcher(uint64_t region_bytes,
                                  int accumulation_entries,
                                  int history_entries)
-    : regionBytes_(region_bytes),
-      linesPerRegion_(static_cast<int>(region_bytes / kLineBytes)),
-      accTable_(accumulation_entries), histTable_(history_entries)
+    : regionBytes_(checkedRegion(region_bytes)),
+      accTable_(static_cast<size_t>(
+          checkedAccumulation(accumulation_entries))),
+      accTags_(accumulation_entries),
+      histSetMask_(checkedSetMask(history_entries)),
+      histTable_(static_cast<size_t>(history_entries))
 {
-    assert(linesPerRegion_ > 0 && linesPerRegion_ <= 64);
 }
 
 uint64_t
@@ -43,9 +83,10 @@ BingoPrefetcher::reset()
 {
     for (auto &a : accTable_)
         a = Accumulation{};
+    accTags_.clear();
     for (auto &h : histTable_)
         h = History{};
-    useTick_ = 0;
+    histTick_ = 0;
 }
 
 uint64_t
@@ -64,8 +105,7 @@ const BingoPrefetcher::History *
 BingoPrefetcher::findHistory(uint64_t key) const
 {
     // 4-way set-associative lookup.
-    const size_t sets = histTable_.size() / 4;
-    const size_t set = key % sets;
+    const size_t set = key & histSetMask_;
     for (int w = 0; w < 4; ++w) {
         const History &h = histTable_[set * 4 + w];
         if (h.valid && h.key == key)
@@ -77,14 +117,13 @@ BingoPrefetcher::findHistory(uint64_t key) const
 void
 BingoPrefetcher::storeHistory(uint64_t key, uint64_t footprint)
 {
-    const size_t sets = histTable_.size() / 4;
-    const size_t set = key % sets;
+    const size_t set = key & histSetMask_;
     History *victim = &histTable_[set * 4];
     for (int w = 0; w < 4; ++w) {
         History &h = histTable_[set * 4 + w];
         if (h.valid && h.key == key) {
             h.footprint = footprint;
-            h.lastUse = ++useTick_;
+            h.lastUse = ++histTick_;
             return;
         }
         if (!h.valid) {
@@ -96,7 +135,7 @@ BingoPrefetcher::storeHistory(uint64_t key, uint64_t footprint)
     victim->valid = true;
     victim->key = key;
     victim->footprint = footprint;
-    victim->lastUse = ++useTick_;
+    victim->lastUse = ++histTick_;
 }
 
 void
@@ -113,6 +152,17 @@ BingoPrefetcher::closeGeneration(Accumulation &acc)
 }
 
 void
+BingoPrefetcher::emitLines(uint64_t regionBase, uint64_t lines,
+                           std::vector<uint64_t> &out) const
+{
+    // Every footprint bit is a line of the region; lowest first.
+    for (; lines; lines &= lines - 1)
+        out.push_back(regionBase +
+                      static_cast<uint64_t>(std::countr_zero(lines)) *
+                          kLineBytes);
+}
+
+void
 BingoPrefetcher::onAccess(const PrefetchAccess &access,
                           std::vector<uint64_t> &out)
 {
@@ -125,28 +175,18 @@ BingoPrefetcher::onAccess(const PrefetchAccess &access,
     // accessed lines of the recorded footprint: this recovers
     // prefetches dropped on full queues and tracks the region as the
     // program walks it (duplicates are filtered at the L2).
-    for (auto &acc : accTable_) {
-        if (acc.valid && acc.regionBase == region_base) {
-            acc.footprint |= 1ull << offset;
-            acc.lastUse = ++useTick_;
-            const History *h =
-                findHistory(keyLong(acc.triggerPc, acc.triggerOffset));
-            if (!h)
-                h = findHistory(keyShort(acc.triggerPc));
-            if (h) {
-                const uint64_t remaining =
-                    h->footprint & ~acc.footprint;
-                for (int line_i = 0; line_i < linesPerRegion_;
-                     ++line_i) {
-                    if (remaining & (1ull << line_i))
-                        out.push_back(
-                            region_base +
-                            static_cast<uint64_t>(line_i) *
-                                kLineBytes);
-                }
-            }
-            return;
-        }
+    const int slot = accTags_.find(region_base);
+    if (slot >= 0) {
+        Accumulation &acc = accTable_[slot];
+        acc.footprint |= 1ull << offset;
+        accTags_.touch(slot);
+        const History *h =
+            findHistory(keyLong(acc.triggerPc, acc.triggerOffset));
+        if (!h)
+            h = findHistory(keyShort(acc.triggerPc));
+        if (h)
+            emitLines(region_base, h->footprint & ~acc.footprint, out);
+        return;
     }
 
     // Trigger access of a new generation: look up the history and
@@ -154,33 +194,16 @@ BingoPrefetcher::onAccess(const PrefetchAccess &access,
     const History *hist = findHistory(keyLong(access.pc, offset));
     if (!hist)
         hist = findHistory(keyShort(access.pc));
-    if (hist) {
-        for (int line = 0; line < linesPerRegion_; ++line) {
-            if (line == offset)
-                continue;
-            if (hist->footprint & (1ull << line))
-                out.push_back(region_base +
-                              static_cast<uint64_t>(line) * kLineBytes);
-        }
-    }
+    if (hist)
+        emitLines(region_base, hist->footprint & ~(1ull << offset), out);
 
     // Open a new accumulation entry (evicting the LRU generation).
-    Accumulation *victim = &accTable_[0];
-    for (auto &acc : accTable_) {
-        if (!acc.valid) {
-            victim = &acc;
-            break;
-        }
-        if (acc.lastUse < victim->lastUse)
-            victim = &acc;
-    }
-    closeGeneration(*victim);
-    victim->valid = true;
-    victim->regionBase = region_base;
-    victim->triggerPc = access.pc;
-    victim->triggerOffset = offset;
-    victim->footprint = 1ull << offset;
-    victim->lastUse = ++useTick_;
+    Accumulation &victim = accTable_[accTags_.insert(region_base)];
+    closeGeneration(victim);
+    victim.valid = true;
+    victim.triggerPc = access.pc;
+    victim.triggerOffset = offset;
+    victim.footprint = 1ull << offset;
 }
 
 } // namespace mab

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "prefetch/tag_table.h"
 
 namespace mab {
 
@@ -24,7 +25,12 @@ namespace mab {
 class BingoPrefetcher final : public Prefetcher
 {
   public:
-    /** @param region_bytes spatial region size (2KB in the paper). */
+    /**
+     * @param region_bytes spatial region size (2KB in the paper).
+     * @throws std::invalid_argument unless a region is 1 to 64 whole
+     *     lines, accumulation_entries >= 1 and the history has a
+     *     power-of-two count (history_entries / 4) of 4-way sets.
+     */
     explicit BingoPrefetcher(uint64_t region_bytes = 2048,
                              int accumulation_entries = 64,
                              int history_entries = 2048);
@@ -39,11 +45,9 @@ class BingoPrefetcher final : public Prefetcher
   private:
     struct Accumulation
     {
-        uint64_t regionBase = 0;
         uint64_t triggerPc = 0;
         int triggerOffset = 0;
         uint64_t footprint = 0;
-        uint64_t lastUse = 0;
         bool valid = false;
     };
 
@@ -60,12 +64,18 @@ class BingoPrefetcher final : public Prefetcher
     void storeHistory(uint64_t key, uint64_t footprint);
     const History *findHistory(uint64_t key) const;
     void closeGeneration(Accumulation &acc);
+    void emitLines(uint64_t regionBase, uint64_t lines,
+                   std::vector<uint64_t> &out) const;
 
     uint64_t regionBytes_;
-    int linesPerRegion_;
     std::vector<Accumulation> accTable_;
+    /** Region base -> accumulation entry, and the LRU order. */
+    LruTagTable accTags_;
+    /** History sets - 1 (the set count is a power of two). */
+    uint64_t histSetMask_;
     std::vector<History> histTable_;
-    uint64_t useTick_ = 0;
+    /** Recency ticks of the history table's per-set LRU. */
+    uint64_t histTick_ = 0;
 };
 
 } // namespace mab

@@ -1,6 +1,7 @@
 #include "prefetch/ensemble.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace mab {
 
@@ -39,7 +40,11 @@ BanditEnsemblePrefetcher::numArms()
 void
 BanditEnsemblePrefetcher::applyArm(ArmId arm)
 {
-    assert(arm >= 0 && arm < numArms());
+    if (arm < 0 || arm >= numArms())
+        throw std::invalid_argument(
+            "BanditEnsemblePrefetcher: arm must be in [0, " +
+            std::to_string(numArms() - 1) + "], got " +
+            std::to_string(arm));
     const PrefetchArm &cfg = prefetchArmTable()[arm];
     nextLine_.setEnabled(cfg.nextLineOn);
     // The stride degree is expressed in strides ahead; the streamer

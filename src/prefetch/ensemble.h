@@ -43,7 +43,8 @@ class BanditEnsemblePrefetcher final : public Prefetcher
     uint64_t storageBytes() const override;
     void reset() override;
 
-    /** Program the ensemble with arm @p arm (0..10, Table 7). */
+    /** Program the ensemble with arm @p arm (0..10, Table 7).
+     *  @throws std::invalid_argument for any other arm. */
     void applyArm(ArmId arm);
 
     /** Number of arms in the action space. */

@@ -1,6 +1,8 @@
 #include "prefetch/ipcp.h"
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "trace/record.h"
 
@@ -12,11 +14,23 @@ constexpr int kCsThreshold = 2;
 constexpr int kGsThreshold = 3;
 constexpr int kConfMax = 4;
 
+int
+checkedEntries(int table_entries)
+{
+    if (table_entries < 1)
+        throw std::invalid_argument(
+            "IpcpPrefetcher: table_entries must be at least 1, got " +
+            std::to_string(table_entries));
+    return table_entries;
+}
+
 } // namespace
 
 IpcpPrefetcher::IpcpPrefetcher(int table_entries, int cs_degree,
                                int gs_degree)
-    : csDegree_(cs_degree), gsDegree_(gs_degree), table_(table_entries)
+    : csDegree_(cs_degree), gsDegree_(gs_degree),
+      table_(static_cast<size_t>(checkedEntries(table_entries))),
+      tags_(table_entries)
 {
 }
 
@@ -32,7 +46,7 @@ IpcpPrefetcher::reset()
 {
     for (auto &e : table_)
         e = IpEntry{};
-    useTick_ = 0;
+    tags_.clear();
     lastLine_ = 0;
     globalDir_ = 0;
     globalConf_ = 0;
@@ -41,20 +55,15 @@ IpcpPrefetcher::reset()
 IpcpPrefetcher::IpEntry *
 IpcpPrefetcher::lookup(uint64_t pc)
 {
-    IpEntry *victim = &table_[0];
-    for (auto &e : table_) {
-        if (e.valid && e.pcTag == pc)
-            return &e;
-        if (!e.valid) {
-            victim = &e;
-        } else if (victim->valid && e.lastUse < victim->lastUse) {
-            victim = &e;
-        }
+    // The entry becomes the most recently used, hit or fresh.
+    int slot = tags_.find(pc);
+    if (slot >= 0) {
+        tags_.touch(slot);
+        return &table_[slot];
     }
-    *victim = IpEntry{};
-    victim->valid = true;
-    victim->pcTag = pc;
-    return victim;
+    slot = tags_.insert(pc);
+    table_[slot] = IpEntry{};
+    return &table_[slot];
 }
 
 void
@@ -98,7 +107,6 @@ IpcpPrefetcher::onAccess(const PrefetchAccess &access,
         }
     }
     e->lastAddr = access.addr;
-    e->lastUse = ++useTick_;
 
     // Class CS: constant-stride IP.
     if (e->confidence >= kCsThreshold && e->stride != 0) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "prefetch/tag_table.h"
 
 namespace mab {
 
@@ -20,6 +21,7 @@ namespace mab {
 class IpcpPrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument if table_entries < 1. */
     explicit IpcpPrefetcher(int table_entries = 64, int cs_degree = 3,
                             int gs_degree = 4);
 
@@ -33,13 +35,10 @@ class IpcpPrefetcher final : public Prefetcher
   private:
     struct IpEntry
     {
-        uint64_t pcTag = 0;
         uint64_t lastAddr = 0;
         int64_t stride = 0;
         int confidence = 0;
         int streamHits = 0; // participation in the global stream
-        uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     IpEntry *lookup(uint64_t pc);
@@ -47,7 +46,8 @@ class IpcpPrefetcher final : public Prefetcher
     int csDegree_;
     int gsDegree_;
     std::vector<IpEntry> table_;
-    uint64_t useTick_ = 0;
+    /** IP tag -> entry, and the LRU order. */
+    LruTagTable tags_;
 
     // Global stream detector state.
     int64_t lastLine_ = 0;

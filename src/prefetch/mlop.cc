@@ -1,13 +1,30 @@
 #include "prefetch/mlop.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "trace/record.h"
 
 namespace mab {
 
+namespace {
+
+int
+checkedHistory(int history)
+{
+    if (history < 1)
+        throw std::invalid_argument(
+            "MlopPrefetcher: history must be at least 1, got " +
+            std::to_string(history));
+    return history;
+}
+
+} // namespace
+
 MlopPrefetcher::MlopPrefetcher(int levels, int history, int epoch)
-    : levels_(levels), epoch_(epoch), history_(history, 0),
+    : levels_(levels), epoch_(epoch),
+      history_(static_cast<size_t>(checkedHistory(history)), 0),
       chosen_(levels, 0)
 {
 }

@@ -23,6 +23,7 @@ namespace mab {
 class MlopPrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument if history < 1. */
     explicit MlopPrefetcher(int levels = 16, int history = 256,
                             int epoch = 1024);
 

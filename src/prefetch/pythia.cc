@@ -1,6 +1,13 @@
 #include "prefetch/pythia.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 #include "trace/record.h"
 
@@ -19,6 +26,26 @@ hashMix(uint64_t x)
     return x;
 }
 
+constexpr std::array<int, 4> kDegrees = {1, 2, 4, 6};
+
+static_assert(PythiaPrefetcher::kMaxDegree ==
+                  *std::max_element(kDegrees.begin(), kDegrees.end()),
+              "an EQ entry holds the lines of the deepest action");
+
+const PythiaConfig &
+checkedConfig(const PythiaConfig &config)
+{
+    if (config.planeEntries < 1)
+        throw std::invalid_argument(
+            "PythiaConfig: planeEntries must be at least 1, got " +
+            std::to_string(config.planeEntries));
+    if (config.eqDepth < 0)
+        throw std::invalid_argument(
+            "PythiaConfig: eqDepth must be at least 0, got " +
+            std::to_string(config.eqDepth));
+    return config;
+}
+
 } // namespace
 
 const std::array<int, 16> &
@@ -33,16 +60,21 @@ PythiaPrefetcher::offsets()
 const std::array<int, 4> &
 PythiaPrefetcher::degrees()
 {
-    static const std::array<int, 4> degs = {1, 2, 4, 6};
-    return degs;
+    return kDegrees;
 }
 
 PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig &config)
-    : config_(config), rng_(config.seed),
+    : config_(checkedConfig(config)), rng_(config.seed),
       q0_(static_cast<size_t>(config.planeEntries) * kNumActions,
           config.qInit / 2.0),
       q1_(static_cast<size_t>(config.planeEntries) * kNumActions,
-          config.qInit / 2.0)
+          config.qInit / 2.0),
+      // Wraps to 0 for one plane entry, where every remainder is 0.
+      planeRecip_(~static_cast<unsigned __int128>(0) /
+                      static_cast<uint64_t>(config.planeEntries) +
+                  1),
+      eq_(static_cast<size_t>(config.eqDepth) + 1),
+      pending_(kMaxDegree * (static_cast<size_t>(config.eqDepth) + 1))
 {
 }
 
@@ -61,7 +93,8 @@ PythiaPrefetcher::reset()
 {
     std::fill(q0_.begin(), q0_.end(), config_.qInit / 2.0);
     std::fill(q1_.begin(), q1_.end(), config_.qInit / 2.0);
-    eq_.clear();
+    eqHead_ = 0;
+    eqSize_ = 0;
     pending_.clear();
     eqNextId_ = 0;
     eqBaseId_ = 0;
@@ -73,19 +106,31 @@ PythiaPrefetcher::reset()
 }
 
 int
+PythiaPrefetcher::planeIndex(uint64_t key) const
+{
+    // key % planeEntries = floor(((recip * key) mod 2^128) * d / 2^128),
+    // exact for every 64-bit key and 32-bit d; the product with d is
+    // taken in two 64-bit halves.
+    const uint64_t d = static_cast<uint64_t>(config_.planeEntries);
+    const unsigned __int128 low = planeRecip_ * key;
+    const unsigned __int128 bottom =
+        (static_cast<unsigned __int128>(static_cast<uint64_t>(low)) * d) >>
+        64;
+    const unsigned __int128 top = (low >> 64) * d;
+    return static_cast<int>((bottom + top) >> 64);
+}
+
+int
 PythiaPrefetcher::featurePc(uint64_t pc) const
 {
-    return static_cast<int>(hashMix(pc) %
-                            static_cast<uint64_t>(config_.planeEntries));
+    return planeIndex(hashMix(pc));
 }
 
 int
 PythiaPrefetcher::featureDeltas() const
 {
-    const uint64_t key = hashMix(static_cast<uint64_t>(delta1_) * 131 +
-                                 static_cast<uint64_t>(delta2_) * 7 + 3);
-    return static_cast<int>(key %
-                            static_cast<uint64_t>(config_.planeEntries));
+    return planeIndex(hashMix(static_cast<uint64_t>(delta1_) * 131 +
+                              static_cast<uint64_t>(delta2_) * 7 + 3));
 }
 
 double
@@ -100,6 +145,35 @@ PythiaPrefetcher::selectAction(int f0, int f1)
 {
     if (rng_.bernoulli(config_.epsilon))
         return static_cast<int>(rng_.below(kNumActions));
+#ifdef __SSE2__
+    // The first maximum of the 64 sums, as the strict-> scan below
+    // finds it: a packed add is the same IEEE add as the scalar one,
+    // and == treats +0 and -0 alike, as the scan's > does. Where a
+    // sum is NaN the scan's answer depends on where the NaN sits, so
+    // any NaN falls through to the scan.
+    const double *p0 = q0_.data() + static_cast<size_t>(f0) * kNumActions;
+    const double *p1 = q1_.data() + static_cast<size_t>(f1) * kNumActions;
+    alignas(16) double sums[kNumActions];
+    __m128d vmax =
+        _mm_set1_pd(-std::numeric_limits<double>::infinity());
+    __m128d unordered = _mm_setzero_pd();
+    for (int a = 0; a < kNumActions; a += 2) {
+        const __m128d s =
+            _mm_add_pd(_mm_loadu_pd(p0 + a), _mm_loadu_pd(p1 + a));
+        _mm_store_pd(sums + a, s);
+        vmax = _mm_max_pd(vmax, s);
+        unordered = _mm_or_pd(unordered, _mm_cmpunord_pd(s, s));
+    }
+    if (_mm_movemask_pd(unordered) == 0) {
+        const double best_q =
+            std::max(_mm_cvtsd_f64(vmax),
+                     _mm_cvtsd_f64(_mm_unpackhi_pd(vmax, vmax)));
+        int a = 0;
+        while (sums[a] != best_q)
+            ++a;
+        return a;
+    }
+#endif
     int best = 0;
     double best_q = qValue(f0, f1, 0);
     for (int a = 1; a < kNumActions; ++a) {
@@ -112,17 +186,29 @@ PythiaPrefetcher::selectAction(int f0, int f1)
     return best;
 }
 
+PythiaPrefetcher::EqEntry &
+PythiaPrefetcher::eqAt(int age)
+{
+    int pos = eqHead_ + age;
+    if (pos >= static_cast<int>(eq_.size()))
+        pos -= static_cast<int>(eq_.size());
+    return eq_[static_cast<size_t>(pos)];
+}
+
 void
 PythiaPrefetcher::retireOldest()
 {
-    EqEntry e = std::move(eq_.front());
-    eq_.pop_front();
+    // The slot stays intact until a later decision reuses it.
+    const EqEntry &e = eq_[static_cast<size_t>(eqHead_)];
+    eqHead_ = eqHead_ + 1 == static_cast<int>(eq_.size()) ? 0 : eqHead_ + 1;
+    --eqSize_;
     const int retired_id = eqBaseId_++;
 
-    for (uint64_t line : e.predictedLines) {
-        auto it = pending_.find(line);
-        if (it != pending_.end() && it->second == retired_id)
-            pending_.erase(it);
+    for (int i = 0; i < e.numPredicted; ++i) {
+        const uint64_t line = e.predictedLines[i];
+        const int *id = pending_.find(line);
+        if (id && *id == retired_id)
+            pending_.erase(line);
     }
 
     double reward;
@@ -135,8 +221,7 @@ PythiaPrefetcher::retireOldest()
         const double timely = static_cast<double>(e.timelyHits);
         const double late = static_cast<double>(e.lateHits);
         const double miss =
-            static_cast<double>(e.predictedLines.size()) - timely -
-            late;
+            static_cast<double>(e.numPredicted) - timely - late;
         reward = timely * config_.rewardHit +
             late * config_.rewardLate +
             miss * (config_.rewardMiss -
@@ -148,8 +233,8 @@ PythiaPrefetcher::retireOldest()
 
     // SARSA: the next decision in program order provides (s', a').
     double q_next = 0.0;
-    if (!eq_.empty()) {
-        const EqEntry &n = eq_.front();
+    if (eqSize_ > 0) {
+        const EqEntry &n = eqAt(0);
         q_next = qValue(n.f0, n.f1, n.action);
     }
 
@@ -168,18 +253,17 @@ PythiaPrefetcher::onAccess(const PrefetchAccess &access,
         static_cast<int64_t>(lineAddr(access.addr) / kLineBytes);
 
     // Reward matching: did this demand access validate a prediction?
-    auto it = pending_.find(static_cast<uint64_t>(line));
-    if (it != pending_.end()) {
-        const int idx = it->second - eqBaseId_;
-        if (idx >= 0 && idx < static_cast<int>(eq_.size())) {
-            EqEntry &entry = eq_[idx];
+    if (const int *id = pending_.find(static_cast<uint64_t>(line))) {
+        const int idx = *id - eqBaseId_;
+        if (idx >= 0 && idx < eqSize_) {
+            EqEntry &entry = eqAt(idx);
             const uint64_t elapsed = access.cycle - entry.issueCycle;
             if (elapsed >= config_.lateThresholdCycles)
                 ++entry.timelyHits;
             else
                 ++entry.lateHits;
         }
-        pending_.erase(it);
+        pending_.erase(static_cast<uint64_t>(line));
     }
 
     const int f0 = featurePc(access.pc);
@@ -190,7 +274,10 @@ PythiaPrefetcher::onAccess(const PrefetchAccess &access,
     const int offset = offsets()[action >> 2];
     const int degree = degrees()[action & 3];
 
-    EqEntry entry;
+    // The ring has a free slot: at most eqDepth entries survive the
+    // previous access.
+    EqEntry &entry = eqAt(eqSize_);
+    entry = EqEntry{};
     entry.f0 = f0;
     entry.f1 = f1;
     entry.action = action;
@@ -213,19 +300,19 @@ PythiaPrefetcher::onAccess(const PrefetchAccess &access,
             // decision so overlapping deep actions don't penalize
             // each other.
             out.push_back(static_cast<uint64_t>(target) * kLineBytes);
-            if (pending_.count(static_cast<uint64_t>(target)))
+            if (pending_.find(static_cast<uint64_t>(target)))
                 continue;
-            entry.predictedLines.push_back(
-                static_cast<uint64_t>(target));
-            pending_[static_cast<uint64_t>(target)] = eqNextId_;
+            entry.predictedLines[entry.numPredicted++] =
+                static_cast<uint64_t>(target);
+            pending_.insert(static_cast<uint64_t>(target), eqNextId_);
         }
         // A fully covered expansion keeps issued=true with no novel
         // lines; its reward is neutral (0), not the no-prefetch one.
     }
 
-    eq_.push_back(std::move(entry));
+    ++eqSize_;
     ++eqNextId_;
-    while (static_cast<int>(eq_.size()) > config_.eqDepth)
+    while (eqSize_ > config_.eqDepth)
         retireOldest();
 
     // Update the delta history after the decision.

@@ -3,12 +3,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "prefetch/tag_table.h"
 #include "sim/rng.h"
 
 namespace mab {
@@ -82,6 +81,8 @@ struct PythiaConfig
 class PythiaPrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument if config.planeEntries < 1 or
+     *  config.eqDepth < 0. */
     explicit PythiaPrefetcher(const PythiaConfig &config = {});
 
     void onAccess(const PrefetchAccess &access,
@@ -98,6 +99,9 @@ class PythiaPrefetcher final : public Prefetcher
     static const std::array<int, 4> &degrees();
 
     static constexpr int kNumActions = 64;
+
+    /** The largest of degrees(): lines one decision can predict. */
+    static constexpr int kMaxDegree = 6;
 
     /**
      * Install a DRAM bandwidth probe: called with the current cycle,
@@ -139,21 +143,37 @@ class PythiaPrefetcher final : public Prefetcher
         uint64_t issueCycle = 0;
         int timelyHits = 0;
         int lateHits = 0;
-        std::vector<uint64_t> predictedLines;
+        /** The lines credited to this decision: predictedLines[0,
+         *  numPredicted). */
+        int numPredicted = 0;
+        std::array<uint64_t, kMaxDegree> predictedLines{};
     };
 
     int featurePc(uint64_t pc) const;
     int featureDeltas() const;
+    int planeIndex(uint64_t key) const;
     int selectAction(int f0, int f1);
+    /** The @p age-th oldest entry of the evaluation queue. */
+    EqEntry &eqAt(int age);
     void retireOldest();
 
     PythiaConfig config_;
     Rng rng_;
     std::vector<double> q0_; // [planeEntries x kNumActions]
     std::vector<double> q1_;
+    /** ceil(2^128 / planeEntries): key % planeEntries without a
+     *  divide (Lemire, Kaser & Kurz, "Faster remainder by direct
+     *  computation", 2019). */
+    unsigned __int128 planeRecip_;
 
-    std::deque<EqEntry> eq_;
-    std::unordered_map<uint64_t, int> pending_; // line -> eq age id
+    /** FIFO ring of eqDepth + 1 entries, allocated once: a decision
+     *  is pushed before the oldest one over eqDepth retires. */
+    std::vector<EqEntry> eq_;
+    int eqHead_ = 0; ///< ring index of the oldest entry
+    int eqSize_ = 0;
+    /** line -> eq age id. Every key is a predicted line of a live
+     *  entry, so it holds at most kMaxDegree x (eqDepth + 1) keys. */
+    FixedMap pending_;
     int eqNextId_ = 0;
     int eqBaseId_ = 0;
 

@@ -1,6 +1,10 @@
 #include "prefetch/stream.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "trace/record.h"
 
@@ -14,10 +18,22 @@ constexpr int64_t kMatchWindow = 4;
 /** Confirmations before a stream starts prefetching. */
 constexpr int kTrainThreshold = 2;
 
+int
+checkedTrackers(int num_trackers)
+{
+    // The window index keeps one bit per tracker in a 64-bit mask.
+    if (num_trackers < 1 || num_trackers > 64)
+        throw std::invalid_argument(
+            "StreamPrefetcher: num_trackers must be in [1, 64], got " +
+            std::to_string(num_trackers));
+    return num_trackers;
+}
+
 } // namespace
 
 StreamPrefetcher::StreamPrefetcher(int num_trackers)
-    : trackers_(num_trackers)
+    : trackers_(static_cast<size_t>(checkedTrackers(num_trackers))),
+      order_(num_trackers), window_(kWindowMasks, 0)
 {
 }
 
@@ -33,7 +49,16 @@ StreamPrefetcher::reset()
 {
     for (auto &t : trackers_)
         t = Tracker{};
-    useTick_ = 0;
+    order_.clear();
+    std::fill(window_.begin(), window_.end(), 0);
+}
+
+uint64_t &
+StreamPrefetcher::windowMask(uint64_t line)
+{
+    // 8-line buckets: the 9 lines of line +- kMatchWindow always span
+    // exactly two adjacent buckets.
+    return window_[(line >> 3) & (kWindowMasks - 1)];
 }
 
 void
@@ -43,39 +68,46 @@ StreamPrefetcher::onAccess(const PrefetchAccess &access,
     const int64_t line =
         static_cast<int64_t>(lineAddr(access.addr) / kLineBytes);
 
-    Tracker *match = nullptr;
-    Tracker *victim = &trackers_[0];
-    for (auto &t : trackers_) {
-        if (!t.valid) {
-            victim = &t;
-            continue;
-        }
-        const int64_t delta = line - static_cast<int64_t>(t.lastLine);
+    // The lowest-index allocated tracker within the window, excluding
+    // an exact repeat of its last line. Every such tracker is in the
+    // masks of the two buckets covering line +- kMatchWindow; testing
+    // them in ascending index order keeps the lowest-index-wins rule.
+    // (line - kMatchWindow wraps below line 4; its bucket then aliases
+    // a far one, which only adds candidates.)
+    uint64_t candidates =
+        windowMask(static_cast<uint64_t>(line - kMatchWindow)) |
+        windowMask(static_cast<uint64_t>(line + kMatchWindow));
+    int slot = -1;
+    while (candidates) {
+        const int i = std::countr_zero(candidates);
+        candidates &= candidates - 1;
+        const int64_t delta =
+            line - static_cast<int64_t>(trackers_[i].lastLine);
         if (delta != 0 && std::llabs(delta) <= kMatchWindow) {
-            match = &t;
+            slot = i;
             break;
         }
-        if (victim->valid && t.lastUse < victim->lastUse)
-            victim = &t;
     }
 
-    if (match) {
-        const int64_t delta =
-            line - static_cast<int64_t>(match->lastLine);
+    if (slot >= 0) {
+        Tracker &match = trackers_[slot];
+        const int64_t delta = line - static_cast<int64_t>(match.lastLine);
         const int dir = delta > 0 ? 1 : -1;
-        if (match->direction == dir) {
-            ++match->confidence;
+        if (match.direction == dir) {
+            ++match.confidence;
         } else {
-            match->direction = dir;
-            match->confidence = 1;
+            match.direction = dir;
+            match.confidence = 1;
         }
-        match->lastLine = static_cast<uint64_t>(line);
-        match->lastUse = ++useTick_;
+        windowMask(match.lastLine) &= ~(1ull << slot);
+        match.lastLine = static_cast<uint64_t>(line);
+        windowMask(match.lastLine) |= 1ull << slot;
+        order_.touch(slot);
 
-        if (degree_ > 0 && match->confidence >= kTrainThreshold) {
+        if (degree_ > 0 && match.confidence >= kTrainThreshold) {
             for (int i = 1; i <= degree_; ++i) {
                 const int64_t target = line + static_cast<int64_t>(i) *
-                    match->direction;
+                    match.direction;
                 if (target > 0)
                     out.push_back(static_cast<uint64_t>(target) *
                                   kLineBytes);
@@ -84,12 +116,14 @@ StreamPrefetcher::onAccess(const PrefetchAccess &access,
         return;
     }
 
-    // Allocate a fresh tracker for a potential new stream.
-    victim->valid = true;
-    victim->lastLine = static_cast<uint64_t>(line);
-    victim->direction = 0;
-    victim->confidence = 0;
-    victim->lastUse = ++useTick_;
+    // Allocate a fresh tracker for a potential new stream: the
+    // highest-index free one, else the least recently used.
+    const bool evict = order_.full();
+    const int victim = order_.allocate();
+    if (evict)
+        windowMask(trackers_[victim].lastLine) &= ~(1ull << victim);
+    trackers_[victim] = {static_cast<uint64_t>(line), 0, 0};
+    windowMask(trackers_[victim].lastLine) |= 1ull << victim;
 }
 
 } // namespace mab

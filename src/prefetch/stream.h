@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "prefetch/tag_table.h"
 
 namespace mab {
 
@@ -18,6 +19,7 @@ namespace mab {
 class StreamPrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument unless 1 <= num_trackers <= 64. */
     explicit StreamPrefetcher(int num_trackers = 64);
 
     void onAccess(const PrefetchAccess &access,
@@ -37,13 +39,24 @@ class StreamPrefetcher final : public Prefetcher
         uint64_t lastLine = 0;
         int direction = 0;  // +1 / -1; 0 = untrained
         int confidence = 0; // confirmations in the same direction
-        uint64_t lastUse = 0;
-        bool valid = false;
     };
+
+    /** Window-index mask of the 8-line bucket holding @p line. */
+    uint64_t &windowMask(uint64_t line);
 
     int degree_ = 4;
     std::vector<Tracker> trackers_;
-    uint64_t useTick_ = 0;
+    /** Allocation and LRU order of the trackers. The lowest-index
+     *  match wins, so the order's slot numbers are observable. */
+    LruOrder order_;
+    /**
+     * Window index: one bit per allocated tracker, set in the mask of
+     * the bucket lastLine >> 3 modulo kWindowMasks. Buckets that
+     * alias share a mask, so a mask holds a superset of its bucket's
+     * trackers; every candidate is tested exactly.
+     */
+    static constexpr size_t kWindowMasks = 512;
+    std::vector<uint64_t> window_;
 };
 
 } // namespace mab

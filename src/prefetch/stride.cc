@@ -1,5 +1,8 @@
 #include "prefetch/stride.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "trace/record.h"
 
 namespace mab {
@@ -9,10 +12,22 @@ namespace {
 constexpr int kConfidenceMax = 3;
 constexpr int kPrefetchThreshold = 2;
 
+int
+checkedTrackers(int num_trackers)
+{
+    if (num_trackers < 1)
+        throw std::invalid_argument(
+            "StridePrefetcher: num_trackers must be at least 1, got " +
+            std::to_string(num_trackers));
+    return num_trackers;
+}
+
 } // namespace
 
 StridePrefetcher::StridePrefetcher(int num_trackers, int degree)
-    : degree_(degree), table_(num_trackers)
+    : degree_(degree),
+      table_(static_cast<size_t>(checkedTrackers(num_trackers))),
+      tags_(num_trackers)
 {
 }
 
@@ -28,37 +43,21 @@ StridePrefetcher::reset()
 {
     for (auto &e : table_)
         e = Entry{};
-    useTick_ = 0;
+    tags_.clear();
 }
 
 void
 StridePrefetcher::onAccess(const PrefetchAccess &access,
                            std::vector<uint64_t> &out)
 {
-    Entry *match = nullptr;
-    Entry *victim = &table_[0];
-    for (auto &e : table_) {
-        if (e.valid && e.pcTag == access.pc) {
-            match = &e;
-            break;
-        }
-        if (!e.valid) {
-            victim = &e;
-        } else if (victim->valid && e.lastUse < victim->lastUse) {
-            victim = &e;
-        }
-    }
-
-    if (!match) {
-        victim->valid = true;
-        victim->pcTag = access.pc;
-        victim->lastAddr = access.addr;
-        victim->stride = 0;
-        victim->confidence = 0;
-        victim->lastUse = ++useTick_;
+    const int slot = tags_.find(access.pc);
+    if (slot < 0) {
+        table_[tags_.insert(access.pc)] = {access.addr, 0, 0};
         return;
     }
+    tags_.touch(slot);
 
+    Entry *match = &table_[slot];
     const int64_t delta = static_cast<int64_t>(access.addr) -
         static_cast<int64_t>(match->lastAddr);
     if (delta != 0 && delta == match->stride) {
@@ -69,7 +68,6 @@ StridePrefetcher::onAccess(const PrefetchAccess &access,
         match->confidence = delta != 0 ? 1 : 0;
     }
     match->lastAddr = access.addr;
-    match->lastUse = ++useTick_;
 
     if (degree_ > 0 && match->confidence >= kPrefetchThreshold &&
         match->stride != 0) {

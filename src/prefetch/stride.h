@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "prefetch/prefetcher.h"
+#include "prefetch/tag_table.h"
 
 namespace mab {
 
@@ -22,6 +23,7 @@ namespace mab {
 class StridePrefetcher final : public Prefetcher
 {
   public:
+    /** @throws std::invalid_argument if num_trackers < 1. */
     explicit StridePrefetcher(int num_trackers = 64, int degree = 2);
 
     void onAccess(const PrefetchAccess &access,
@@ -38,17 +40,15 @@ class StridePrefetcher final : public Prefetcher
   private:
     struct Entry
     {
-        uint64_t pcTag = 0;
         uint64_t lastAddr = 0;
         int64_t stride = 0;
         int confidence = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     int degree_;
     std::vector<Entry> table_;
-    uint64_t useTick_ = 0;
+    /** PC tag -> entry, and the LRU order. */
+    LruTagTable tags_;
 };
 
 } // namespace mab

@@ -263,7 +263,7 @@ class Tracer
      * to the right run. All sinks are mutex-guarded; note that with
      * concurrent runs the virtual-timeline regions interleave, which
      * is why the bench harness serializes sweeps (--jobs 1) whenever
-     * a trace/audit sink is open (see bench/common.h:benchJobs).
+     * a trace/audit sink is open (see bench/sweep.cc:Sweep::run).
      */
     void beginRun(const std::string &label);
     void endRun(uint64_t cycles);

@@ -222,9 +222,11 @@ void
 SyntheticTrace::fill(TraceRecord *out, uint64_t n)
 {
     // next() resolves non-virtually here (final class, same TU), so
-    // the whole generation loop — RNG draws included — inlines into
-    // one batched pass. This is the materialization fast path; it
-    // produces bit-for-bit the records n virtual next() calls would.
+    // the generation loop inlines into one batched pass. The RNG draws
+    // do not: Rng::next64, uniform and below live in sim/rng.cc and
+    // the build has no LTO, so each stays an out-of-line call. This is
+    // the materialization fast path; it produces bit-for-bit the
+    // records n virtual next() calls would.
     for (uint64_t i = 0; i < n; ++i)
         out[i] = next();
 }

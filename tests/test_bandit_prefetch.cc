@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/heuristics.h"
 #include "cpu/bandit_prefetch.h"
@@ -55,6 +56,26 @@ TEST(BanditPrefetchController, StorageIsAgentOnly)
 {
     BanditPrefetchController ctrl(quickConfig());
     EXPECT_EQ(ctrl.storageBytes(), 88u); // 11 arms x 8B
+}
+
+TEST(BanditPrefetchController, RejectsPolicyWithoutOneArmPerEnsembleArm)
+{
+    MabConfig mab;
+    mab.numArms = 16;
+    EXPECT_THROW(BanditPrefetchController(makePolicy(MabAlgorithm::Ducb, mab),
+                                          BanditHwConfig{}),
+                 std::invalid_argument);
+    try {
+        BanditPrefetchController(makePolicy(MabAlgorithm::Ucb, mab),
+                                 BanditHwConfig{});
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("16"), std::string::npos);
+    }
+    EXPECT_THROW(BanditPrefetchController(nullptr, BanditHwConfig{}),
+                 std::invalid_argument);
+    mab.numArms = 11;
+    EXPECT_NO_THROW(BanditPrefetchController(
+        makePolicy(MabAlgorithm::Ducb, mab), BanditHwConfig{}));
 }
 
 TEST(BanditPrefetchController, OneAccessIsOneStepUnit)

@@ -424,6 +424,7 @@ TEST(FuzzCaseStreams, DigestsArePinned)
         {"replay", 0x256dab841a3f76a4ull},
         {"drift", 0xf0a4ef9fcb5ed737ull},
         {"smt", 0x764c43e7ed6a3efdull},
+        {"prefetch", 0x618d629fb60e88bdull},
     };
     for (const fuzz::Domain &d : fuzz::domains()) {
         uint64_t h = 1469598103934665603ull;

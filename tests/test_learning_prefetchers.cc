@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "prefetch/bingo.h"
@@ -28,6 +30,25 @@ bool
 contains(const std::vector<uint64_t> &v, uint64_t addr)
 {
     return std::find(v.begin(), v.end(), addr) != v.end();
+}
+
+/** The message of the std::invalid_argument @p make throws, else "". */
+template <typename F>
+std::string
+rejection(F make)
+{
+    try {
+        make();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+bool
+names(const std::string &message, const std::string &value)
+{
+    return message.find(value) != std::string::npos;
 }
 
 // ---------------------------------------------------------------------
@@ -99,6 +120,66 @@ TEST(Bingo, FallbackToShortKeyOnNewOffset)
     const uint64_t fresh = 0xB00000;
     pf.onAccess(access(0x33, fresh + 9 * kLineBytes), out);
     EXPECT_TRUE(contains(out, fresh + 5 * kLineBytes));
+}
+
+TEST(Bingo, AccumulationEvictsLeastRecentRegionAtCapacities1And64)
+{
+    for (const int cap : {1, 64}) {
+        SCOPED_TRACE(cap);
+        BingoPrefetcher pf(2048, cap, 2048);
+        const auto pc = [](int k) { return 0x400000ull + 4 * k; };
+        const auto region = [](int k) { return 0x100000ull * (k + 1); };
+        std::vector<uint64_t> out;
+        // Open one generation per region (trigger at line 0), then
+        // add line 1 to each, in region order: region 0 is the LRU.
+        for (int k = 0; k < cap; ++k)
+            pf.onAccess(access(pc(k), region(k)), out);
+        for (int k = 0; k < cap; ++k)
+            pf.onAccess(access(pc(k), region(k) + kLineBytes), out);
+        // Line 2 of region 0 makes it the most recent.
+        pf.onAccess(access(pc(0), region(0) + 2 * kLineBytes), out);
+        ASSERT_TRUE(out.empty()); // nothing closed, no history yet
+        // A new region closes the LRU generation: region 1, or region
+        // 0 when alone. Its footprint is now history, so a fresh
+        // trigger by its PC replays it.
+        pf.onAccess(access(0x999, 0x9000000), out);
+        const int evicted = cap == 1 ? 0 : 1;
+        const uint64_t fresh = 0xA000000;
+        pf.onAccess(access(pc(evicted), fresh), out);
+        const std::vector<uint64_t> want =
+            evicted == 0
+                ? std::vector<uint64_t>{fresh + kLineBytes,
+                                        fresh + 2 * kLineBytes}
+                : std::vector<uint64_t>{fresh + kLineBytes};
+        EXPECT_EQ(out, want);
+        if (cap > 1) {
+            // The most recent generations are still open: their PCs
+            // have no history.
+            for (const int k : {0, cap - 1}) {
+                out.clear();
+                pf.onAccess(access(pc(k), fresh + 0x100000 * (k + 1)),
+                            out);
+                EXPECT_TRUE(out.empty()) << "region " << k;
+            }
+        }
+    }
+}
+
+TEST(Bingo, RejectsDegenerateGeometry)
+{
+    // No accumulation entries.
+    EXPECT_THROW(BingoPrefetcher(2048, 0), std::invalid_argument);
+    // 2 history entries are 0 sets; 12 are 3, not a power of two.
+    EXPECT_THROW(BingoPrefetcher(2048, 64, 2), std::invalid_argument);
+    EXPECT_TRUE(names(rejection([] { BingoPrefetcher(2048, 64, 12); }),
+                      "12"));
+    // 8KB regions are 128 lines, beyond a 64-bit footprint; regions
+    // must be whole lines.
+    EXPECT_TRUE(names(rejection([] { BingoPrefetcher(8192); }), "8192"));
+    EXPECT_THROW(BingoPrefetcher(0), std::invalid_argument);
+    EXPECT_THROW(BingoPrefetcher(100), std::invalid_argument);
+    EXPECT_NO_THROW(BingoPrefetcher(64, 1, 4));
+    EXPECT_NO_THROW(BingoPrefetcher(4096, 1, 7)); // 1 set, 3 spare
 }
 
 TEST(Bingo, StorageInTensOfKb)
@@ -213,6 +294,49 @@ TEST(Ipcp, RandomIpsStaySilent)
     EXPECT_LT(out.size(), 50u);
 }
 
+TEST(Ipcp, EvictsLeastRecentlyUsedIpAtCapacities1And64)
+{
+    for (const int cap : {1, 64}) {
+        SCOPED_TRACE(cap);
+        // CS degree 1, no GS: an IP prefetches one stride ahead from
+        // its third access on. Regions lie far apart, so the global
+        // stream never builds.
+        IpcpPrefetcher pf(cap, 1, 0);
+        const auto pc = [](int k) { return 0x400000ull + 4 * k; };
+        const auto addr = [](int k, int n) {
+            return 0x100000ull * (k + 1) + 128ull * n;
+        };
+        std::vector<int> next(cap + 1, 0);
+        const auto step = [&](int k) {
+            std::vector<uint64_t> out;
+            pf.onAccess(access(pc(k), addr(k, next[k]++)), out);
+            return out;
+        };
+        // Two accesses per IP in IP order: stride learned at
+        // confidence 1, IP 0 least recently used.
+        for (int round = 0; round < 2; ++round) {
+            for (int k = 0; k < cap; ++k)
+                EXPECT_TRUE(step(k).empty());
+        }
+        EXPECT_EQ(step(0), std::vector<uint64_t>{addr(0, 3)});
+        // A new IP evicts the LRU one: IP 1, or IP 0 when alone.
+        EXPECT_TRUE(step(cap).empty());
+        const int evicted = cap == 1 ? 0 : 1;
+        for (int k = 0; k < cap; ++k) {
+            if (k != evicted) {
+                EXPECT_EQ(step(k).size(), 1u) << "IP " << k;
+            }
+        }
+        EXPECT_TRUE(step(evicted).empty()); // fresh entry
+    }
+}
+
+TEST(Ipcp, RejectsEmptyTable)
+{
+    EXPECT_THROW(IpcpPrefetcher(0), std::invalid_argument);
+    EXPECT_TRUE(names(rejection([] { IpcpPrefetcher(-5); }), "-5"));
+}
+
 TEST(Ipcp, StorageSmall)
 {
     EXPECT_LT(IpcpPrefetcher{}.storageBytes(), 4096u);
@@ -317,6 +441,66 @@ TEST(Pythia, ResetClearsLearnedState)
     const auto &counts = pf.actionCounts();
     EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0ull),
               0ull);
+}
+
+TEST(Pythia, DeepActionsWrapTheQueueAndFillPendingToItsBound)
+{
+    // A positive reward per uncovered line and optimistic Q values
+    // make the greedy agent sweep the actions in order until the
+    // first degree-6 one (offset +1, action 7): the only ones whose
+    // SARSA target (6 x 100 + gamma x qInit = 1150) is above qInit.
+    // Demands stay 1000 lines apart, so no predicted line is ever
+    // demanded: every decision keeps its six lines pending until it
+    // retires, 6 x (eqDepth + 1) = 24 lines at each decision, while
+    // the 4-entry queue wraps 500 times.
+    PythiaConfig cfg;
+    cfg.eqDepth = 3;
+    cfg.epsilon = 0.0;
+    cfg.rewardMiss = 100.0;
+    cfg.bwPenaltyScale = 0.0;
+    cfg.qInit = 1100.0;
+    PythiaPrefetcher pf(cfg);
+    const auto run = [&pf] {
+        std::vector<std::vector<uint64_t>> outs;
+        for (uint64_t i = 0; i < 2000; ++i) {
+            std::vector<uint64_t> out;
+            pf.onAccess(access(1, (1000000 + 1000 * i) * kLineBytes,
+                               i * 100),
+                        out);
+            outs.push_back(out);
+        }
+        return outs;
+    };
+    const std::vector<std::vector<uint64_t>> outs = run();
+    for (uint64_t i = 1000; i < outs.size(); ++i) {
+        const uint64_t line = 1000000 + 1000 * i;
+        ASSERT_EQ(outs[i].size(), 6u) << "access " << i;
+        for (uint64_t d = 1; d <= 6; ++d)
+            EXPECT_EQ(outs[i][d - 1], (line + d) * kLineBytes);
+    }
+    EXPECT_GT(pf.actionCounts()[7], 1900u);
+    // reset() empties the queue and the pending lines: the run
+    // replays exactly.
+    pf.reset();
+    EXPECT_EQ(run(), outs);
+}
+
+TEST(Pythia, RejectsDegenerateConfig)
+{
+    PythiaConfig cfg;
+    cfg.planeEntries = 0;
+    EXPECT_THROW(PythiaPrefetcher{cfg}, std::invalid_argument);
+    cfg = PythiaConfig{};
+    cfg.eqDepth = -1;
+    EXPECT_TRUE(names(rejection([&] { PythiaPrefetcher{cfg}; }), "-1"));
+    cfg.eqDepth = 0; // retire every decision at once
+    EXPECT_NO_THROW(PythiaPrefetcher{cfg});
+}
+
+TEST(Mlop, RejectsEmptyHistory)
+{
+    EXPECT_THROW(MlopPrefetcher(16, 0), std::invalid_argument);
+    EXPECT_TRUE(names(rejection([] { MlopPrefetcher(16, -2); }), "-2"));
 }
 
 TEST(Pythia, BandwidthProbeReducesAggressionUnderPressure)

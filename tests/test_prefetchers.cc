@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "cpu/bandit_prefetch.h"
+#include "prefetch/bingo.h"
 #include "prefetch/ensemble.h"
+#include "prefetch/ipcp.h"
+#include "prefetch/mlop.h"
 #include "prefetch/nextline.h"
+#include "prefetch/pythia.h"
 #include "prefetch/stream.h"
 #include "prefetch/stride.h"
 #include "sim/rng.h"
@@ -27,6 +34,38 @@ bool
 contains(const std::vector<uint64_t> &v, uint64_t addr)
 {
     return std::find(v.begin(), v.end(), addr) != v.end();
+}
+
+/** Byte addresses of @p lines. */
+std::vector<uint64_t>
+lineAddrs(std::initializer_list<uint64_t> lines)
+{
+    std::vector<uint64_t> v;
+    for (const uint64_t l : lines)
+        v.push_back(l * kLineBytes);
+    return v;
+}
+
+/** What @p pf emits for one access to @p line. */
+std::vector<uint64_t>
+touchLine(Prefetcher &pf, uint64_t line)
+{
+    std::vector<uint64_t> out;
+    pf.onAccess(access(1, line * kLineBytes), out);
+    return out;
+}
+
+/** The message of the std::invalid_argument @p make throws, else "". */
+template <typename F>
+std::string
+rejection(F make)
+{
+    try {
+        make();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
 }
 
 // ---------------------------------------------------------------------
@@ -153,6 +192,50 @@ TEST(Stream, ResetForgetsStreams)
     EXPECT_TRUE(out.empty());
 }
 
+TEST(Stream, OverlappingWindowsPickLowestTracker)
+{
+    // Trackers fill from the highest index down, so stream B, opened
+    // after stream A, holds the lower index. Line 102 lies within +-4
+    // lines of both A (at 106, descending) and B (at 101, ascending):
+    // the lowest-index tracker, B, extends upward. A would have
+    // prefetched 101..98.
+    StreamPrefetcher pf(64);
+    pf.setDegree(4);
+    touchLine(pf, 110);
+    touchLine(pf, 108);
+    EXPECT_EQ(touchLine(pf, 106), lineAddrs({105, 104, 103, 102}));
+    EXPECT_TRUE(touchLine(pf, 100).empty()); // 6 lines from A: opens B
+    EXPECT_TRUE(touchLine(pf, 101).empty()); // B: up, confidence 1
+    EXPECT_EQ(touchLine(pf, 102), lineAddrs({103, 104, 105, 106}));
+}
+
+TEST(Stream, RepeatedLineAllocatesSecondTracker)
+{
+    // An exact repeat of a tracker's last line (delta 0) is no match:
+    // it opens a second tracker on the same line. That one has the
+    // lower index, so it takes the next access from the trained
+    // tracker, which would have prefetched 104..107 there.
+    StreamPrefetcher pf(64);
+    pf.setDegree(4);
+    touchLine(pf, 100);
+    touchLine(pf, 101);
+    EXPECT_EQ(touchLine(pf, 102), lineAddrs({103, 104, 105, 106}));
+    EXPECT_TRUE(touchLine(pf, 102).empty());
+    EXPECT_TRUE(touchLine(pf, 103).empty());
+    EXPECT_EQ(touchLine(pf, 104), lineAddrs({105, 106, 107, 108}));
+}
+
+TEST(Stream, RejectsDegenerateTrackerCounts)
+{
+    EXPECT_THROW(StreamPrefetcher(0), std::invalid_argument);
+    // The window index holds one bit per tracker in a 64-bit mask.
+    EXPECT_THROW(StreamPrefetcher(65), std::invalid_argument);
+    EXPECT_NE(rejection([] { StreamPrefetcher(-3); }).find("-3"),
+              std::string::npos);
+    EXPECT_NO_THROW(StreamPrefetcher(1));
+    EXPECT_NO_THROW(StreamPrefetcher(64));
+}
+
 // ---------------------------------------------------------------------
 // PC-stride.
 // ---------------------------------------------------------------------
@@ -237,6 +320,49 @@ TEST(Stride, TableEvictsLruPc)
     EXPECT_FALSE(out.empty());
 }
 
+TEST(Stride, EvictsLeastRecentlyUsedPcAtCapacities1And64)
+{
+    for (const int cap : {1, 64}) {
+        SCOPED_TRACE(cap);
+        StridePrefetcher pf(cap, 1);
+        const auto pc = [](int k) { return 0x400000ull + 4 * k; };
+        // PC k's n-th access: a 64-byte stride in its own region.
+        const auto addr = [](int k, int n) {
+            return 0x100000ull * (k + 1) + 64ull * n;
+        };
+        std::vector<int> next(cap + 1, 0);
+        const auto step = [&](int k) {
+            std::vector<uint64_t> out;
+            pf.onAccess(access(pc(k), addr(k, next[k]++)), out);
+            return out;
+        };
+        // Two accesses per PC in PC order: stride learned at
+        // confidence 1, PC 0 least recently used.
+        for (int round = 0; round < 2; ++round) {
+            for (int k = 0; k < cap; ++k)
+                EXPECT_TRUE(step(k).empty());
+        }
+        // Confirming PC 0 prefetches and makes it the most recent.
+        EXPECT_EQ(step(0), std::vector<uint64_t>{addr(0, 3)});
+        // A new PC evicts the LRU one: PC 1, or PC 0 when alone.
+        EXPECT_TRUE(step(cap).empty());
+        const int evicted = cap == 1 ? 0 : 1;
+        for (int k = 0; k < cap; ++k) {
+            if (k != evicted) {
+                EXPECT_EQ(step(k).size(), 1u) << "PC " << k;
+            }
+        }
+        EXPECT_TRUE(step(evicted).empty()); // retrains from scratch
+    }
+}
+
+TEST(Stride, RejectsDegenerateTrackerCounts)
+{
+    EXPECT_THROW(StridePrefetcher(0, 2), std::invalid_argument);
+    EXPECT_NE(rejection([] { StridePrefetcher(-1, 2); }).find("-1"),
+              std::string::npos);
+}
+
 // ---------------------------------------------------------------------
 // Ensemble / Table 7 arms.
 // ---------------------------------------------------------------------
@@ -304,6 +430,38 @@ TEST(Ensemble, StorageUnder2KB)
 {
     // Section 7.2.1: ensemble + agent < 2KB.
     EXPECT_LT(BanditEnsemblePrefetcher{}.storageBytes(), 2048u);
+}
+
+TEST(Ensemble, RejectsArmsOutsideTable7)
+{
+    BanditEnsemblePrefetcher pf;
+    EXPECT_THROW(pf.applyArm(11), std::invalid_argument);
+    EXPECT_NE(rejection([&] { pf.applyArm(-1); }).find("-1"),
+              std::string::npos);
+    EXPECT_EQ(pf.currentArm(), 0);
+}
+
+TEST(PrefetcherStorage, ReportsTheModelledTablesOnly)
+{
+    // storageBytes() prices the modelled fully associative tables;
+    // the host-side lookup indexes are not hardware and add nothing.
+    EXPECT_EQ(NextLinePrefetcher{}.storageBytes(), 0u);
+    EXPECT_EQ(StreamPrefetcher(64).storageBytes(), 576u);
+    EXPECT_EQ(StreamPrefetcher(1).storageBytes(), 9u);
+    EXPECT_EQ(StridePrefetcher(64, 1).storageBytes(), 1344u);
+    EXPECT_EQ(StridePrefetcher(1, 0).storageBytes(), 21u);
+    EXPECT_EQ(IpcpPrefetcher{}.storageBytes(), 1416u);
+    EXPECT_EQ(IpcpPrefetcher(1).storageBytes(), 30u);
+    EXPECT_EQ(BingoPrefetcher{}.storageBytes(), 26240u);
+    EXPECT_EQ(BingoPrefetcher(64, 1, 4).storageBytes(), 74u);
+    EXPECT_EQ(MlopPrefetcher{}.storageBytes(), 3040u);
+    EXPECT_EQ(PythiaPrefetcher{}.storageBytes(), 25344u);
+    PythiaConfig tiny;
+    tiny.planeEntries = 1;
+    tiny.eqDepth = 0;
+    EXPECT_EQ(PythiaPrefetcher(tiny).storageBytes(), 256u);
+    EXPECT_EQ(BanditEnsemblePrefetcher{}.storageBytes(), 1920u);
+    EXPECT_EQ(BanditPrefetchController{}.storageBytes(), 88u);
 }
 
 /** Property sweep: every arm's configuration is applied faithfully. */
