@@ -328,9 +328,10 @@ BM_GeneratorNext(benchmark::State &state)
 BENCHMARK(BM_GeneratorNext)->UseRealTime();
 
 /**
- * Materialized replay: ReplaySource::next() — a bounds check, one
- * 16-byte load and a flag unpack. The per-record cost with an arena
- * hit; compare against BM_GeneratorNext for the per-record saving.
+ * Materialized replay: ReplaySource::next() — one compare, one 8-byte
+ * load and an unpack into a TraceRecord. The per-record cost with an
+ * arena hit; compare against BM_GeneratorNext for the per-record
+ * saving.
  */
 static void
 BM_ReplayNext(benchmark::State &state)

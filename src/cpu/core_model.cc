@@ -87,37 +87,20 @@ struct LiveRec
     }
 };
 
-/** Accessor facade over a PackedRecord (replay): two registers, and
- *  every flag read is a bit test — the record is never unpacked. */
+/** Accessor facade over a PackedRecord (replay): one word plus the
+ *  trace's data base, every flag read a bit test — the record is never
+ *  unpacked. */
 struct PackedRec
 {
     PackedRecord p;
-    uint64_t pc() const { return p.pcFlags & PackedRecord::kPcMask; }
-    uint64_t addr() const { return p.addr; }
-    bool
-    isMemory() const
-    {
-        return (p.pcFlags &
-                (PackedRecord::kLoad | PackedRecord::kStore)) != 0;
-    }
-    bool isLoad() const { return (p.pcFlags & PackedRecord::kLoad) != 0; }
-    bool
-    isStore() const
-    {
-        return (p.pcFlags & PackedRecord::kStore) != 0;
-    }
-    bool
-    dependsOnPrevLoad() const
-    {
-        return (p.pcFlags & PackedRecord::kDependsOnPrevLoad) != 0;
-    }
-    bool
-    mispredictedBranch() const
-    {
-        constexpr uint64_t both =
-            PackedRecord::kBranch | PackedRecord::kMispredicted;
-        return (p.pcFlags & both) == both;
-    }
+    uint64_t dataBase;
+    uint64_t pc() const { return p.pc(); }
+    uint64_t addr() const { return p.addr(dataBase); }
+    bool isMemory() const { return p.isMemory(); }
+    bool isLoad() const { return p.isLoad(); }
+    bool isStore() const { return p.isStore(); }
+    bool dependsOnPrevLoad() const { return p.dependsOnPrevLoad(); }
+    bool mispredictedBranch() const { return p.mispredictedBranch(); }
 };
 
 } // namespace
@@ -214,9 +197,10 @@ CoreModel::runTo(uint64_t instructions, uint64_t granularity)
         // consumes packed records directly — no unpacked TraceRecord
         // ever exists on the replay path.
         if (replayTrace_) {
+            const uint64_t base = replayTrace_->dataBase();
             while (instructions_ < instructions)
                 stepRecT<Profiled>(
-                    PackedRec{replayTrace_->nextPacked()});
+                    PackedRec{replayTrace_->nextPacked(), base});
             return;
         }
         while (instructions_ < instructions)

@@ -187,11 +187,12 @@ class CoreModel
      * ones (ReplaySource / SyntheticTrace; BanditPrefetchController,
      * the paper's subject), the hot loop calls them through these
      * pointers — the classes are final, so the calls are direct and
-     * inlinable. ReplaySource::next() is an in-header buffer load, so
-     * with the trace arena on the per-instruction trace cost collapses
-     * to a bounds check and a 16-byte unpack. Other dynamic types
-     * (FileTrace, the comparison prefetchers) fall back to the virtual
-     * call.
+     * inlinable. The replay loop reads ReplaySource::nextPacked(), an
+     * in-header compare and 8-byte load that it inlines (only chunk
+     * crossings and recording call out), so with the trace arena on
+     * the per-instruction trace cost is that load and bit tests on
+     * the word. Other dynamic types (FileTrace, the comparison
+     * prefetchers) fall back to the virtual call.
      */
     ReplaySource *replayTrace_ = nullptr;
     SyntheticTrace *synthTrace_ = nullptr;

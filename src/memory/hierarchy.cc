@@ -1,6 +1,8 @@
 #include "memory/hierarchy.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "sim/tracing.h"
 #include "trace/record.h"
@@ -16,12 +18,20 @@ skylakeLikeAltConfig()
     return cfg;
 }
 
-void
-InflightTracker::clear()
+namespace {
+
+/** An InflightTracker capacity from the config, rejected below 1. */
+int
+checkedCapacity(int value, const char *field)
 {
-    while (!heap_.empty())
-        heap_.pop();
+    if (value < 1)
+        throw std::invalid_argument(std::string("HierarchyConfig: ") +
+                                    field + " " + std::to_string(value) +
+                                    " must be at least 1");
+    return value;
 }
+
+} // namespace
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
                                const DramConfig &dram)
@@ -29,16 +39,19 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
       ownedLlc_(std::make_unique<Cache>(config.llc)),
       ownedDram_(std::make_unique<Dram>(dram)),
       llc_(ownedLlc_.get()), dram_(ownedDram_.get()),
-      demandMshr_(config.mshrEntries),
-      prefetchQueue_(config.prefetchQueueMax)
+      demandMshr_(checkedCapacity(config.mshrEntries, "mshrEntries")),
+      prefetchQueue_(checkedCapacity(config.prefetchQueueMax,
+                                     "prefetchQueueMax"))
 {
 }
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
                                Cache *sharedLlc, Dram *sharedDram)
     : config_(config), l1_(config.l1), l2_(config.l2), llc_(sharedLlc),
-      dram_(sharedDram), demandMshr_(config.mshrEntries),
-      prefetchQueue_(config.prefetchQueueMax)
+      dram_(sharedDram),
+      demandMshr_(checkedCapacity(config.mshrEntries, "mshrEntries")),
+      prefetchQueue_(checkedCapacity(config.prefetchQueueMax,
+                                     "prefetchQueueMax"))
 {
 }
 

@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <queue>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -85,39 +85,70 @@ struct OccupancyAccum
 
 /**
  * Bounded tracker of in-flight memory operations (an MSHR file /
- * prefetch queue occupancy model).
+ * prefetch queue occupancy model): the completion cycles of at most
+ * capacity operations, kept sorted in a ring allocated once at
+ * construction. prune() pops from the head, earliest() reads it, and
+ * add() inserts from the tail, where completion cycles nearly always
+ * land, so no operation allocates. Only the multiset of cycles is
+ * observable, exactly what the binary heap this replaced exposed.
  */
 class InflightTracker
 {
   public:
-    explicit InflightTracker(int capacity) : capacity_(capacity) {}
+    /** @p capacity >= 1 (CacheHierarchy checks its config). */
+    explicit InflightTracker(int capacity)
+        : capacity_(static_cast<size_t>(capacity)),
+          ring_(std::make_unique<uint64_t[]>(capacity_))
+    {
+    }
 
     /** Retire operations that completed at or before @p cycle. */
     void
     prune(uint64_t cycle)
     {
-        while (!heap_.empty() && heap_.top() <= cycle)
-            heap_.pop();
+        while (size_ != 0 && ring_[head_] <= cycle) {
+            head_ = wrap(head_ + 1);
+            --size_;
+        }
     }
 
-    bool full() const
+    bool full() const { return size_ >= capacity_; }
+
+    /** Register an operation completing at @p doneCycle; the tracker
+     *  must not be full(). */
+    void
+    add(uint64_t doneCycle)
     {
-        return static_cast<int>(heap_.size()) >= capacity_;
+        if (full())
+            throw std::logic_error("InflightTracker: add() when full");
+        // Shift the later completions one slot toward the tail.
+        size_t i = size_;
+        for (; i != 0; --i) {
+            const uint64_t prev = ring_[wrap(head_ + i - 1)];
+            if (prev <= doneCycle)
+                break;
+            ring_[wrap(head_ + i)] = prev;
+        }
+        ring_[wrap(head_ + i)] = doneCycle;
+        ++size_;
     }
-
-    /** Register an operation completing at @p doneCycle. */
-    void add(uint64_t doneCycle) { heap_.push(doneCycle); }
 
     /** Earliest outstanding completion (0 when empty). */
-    uint64_t earliest() const { return heap_.empty() ? 0 : heap_.top(); }
+    uint64_t earliest() const { return size_ == 0 ? 0 : ring_[head_]; }
 
-    size_t size() const { return heap_.size(); }
-    void clear();
+    size_t size() const { return size_; }
 
   private:
-    int capacity_;
-    std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<>> heap_;
+    /** Index @p i folded into the ring (i < 2 * capacity_). */
+    size_t wrap(size_t i) const
+    {
+        return i < capacity_ ? i : i - capacity_;
+    }
+
+    size_t capacity_;
+    std::unique_ptr<uint64_t[]> ring_;
+    size_t head_ = 0;
+    size_t size_ = 0;
 };
 
 /**
@@ -136,7 +167,9 @@ class InflightTracker
 class CacheHierarchy
 {
   public:
-    /** Fully private hierarchy (single-core). */
+    /** Fully private hierarchy (single-core). Both constructors throw
+     *  std::invalid_argument on an mshrEntries or prefetchQueueMax
+     *  below 1. */
     explicit CacheHierarchy(const HierarchyConfig &config,
                             const DramConfig &dram = {});
 
@@ -302,11 +335,13 @@ class CacheHierarchy
                                       uint64_t cycle);
 
     /**
-     * The flattened L1→L2→LLC→DRAM demand walk. Defined here so the
-     * core's run loop (the only hot caller, via demandAccessT) can
-     * inline the entire path — each level's probe is the Cache
-     * header's fused scan, with no out-of-line hop between levels.
-     * Only the terminal DRAM leg (dram_->schedule) remains a call.
+     * The flattened L1→L2→LLC→DRAM demand walk. GCC keeps this
+     * function itself out of line: the core's run loop (the only hot
+     * caller, via demandAccessT) makes one call per demand access.
+     * Inside it, every level's probe is the Cache header's fused scan,
+     * inlined with no hop between levels; the only calls left are the
+     * cold DRAM leg (demandMissToDram) and the cache's rare stamp
+     * renormalization (see EXPERIMENTS.md "One-word records").
      */
     AccessResult
     demandAccessImpl(uint64_t addr, bool isStore, uint64_t cycle)

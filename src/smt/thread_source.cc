@@ -8,6 +8,52 @@
 
 namespace mab {
 
+namespace {
+
+/** DRAM loads take dramLatency plus [0, kDramSpread) cycles of
+ *  bank/queue variance. */
+constexpr uint32_t kDramSpread = 64;
+
+/** Reject latencies whose uops would overflow a PackedUop field. */
+const SmtAppParams &
+checkedParams(const SmtAppParams &params)
+{
+    const auto check = [&params](const char *field, uint32_t value,
+                                 uint32_t max) {
+        if (value > max)
+            throw std::invalid_argument(
+                "SmtAppParams '" + params.name + "': " + field + " " +
+                std::to_string(value) + " is above " +
+                std::to_string(max) + ", the packed uop latency range");
+    };
+    check("l2Latency", params.l2Latency, PackedUop::kMaxLatency);
+    check("dramLatency", params.dramLatency,
+          PackedUop::kMaxLatency - (kDramSpread - 1));
+    return params;
+}
+
+} // namespace
+
+PackedUop
+PackedUop::pack(const Uop &uop)
+{
+    if (static_cast<unsigned>(uop.kind) >
+            static_cast<unsigned>(UopKind::Branch) ||
+        uop.execLatency > kMaxLatency || uop.drainLatency > kMaxLatency ||
+        uop.depDistance > kMaxDepDistance)
+        throw std::out_of_range("PackedUop: uop outside the packed domain");
+    return PackedUop{static_cast<uint64_t>(uop.kind) |
+                     static_cast<uint64_t>(uop.mispredicted) << 3 |
+                     static_cast<uint64_t>(uop.depDistance) << 4 |
+                     static_cast<uint64_t>(uop.execLatency) << 10 |
+                     static_cast<uint64_t>(uop.drainLatency) << 37};
+}
+
+UopGen::UopGen(const SmtAppParams &params, uint64_t seed)
+    : params_(checkedParams(params)), seed_(seed), rng_(seed)
+{
+}
+
 Uop
 UopGen::next()
 {
@@ -20,7 +66,7 @@ UopGen::next()
             if (rng_.bernoulli(params_.dramRate)) {
                 // Spread DRAM latencies to model bank/queue variance.
                 uop.execLatency = params_.dramLatency +
-                    static_cast<uint32_t>(rng_.below(64));
+                    static_cast<uint32_t>(rng_.below(kDramSpread));
             } else {
                 uop.execLatency = params_.l2Latency;
             }
@@ -64,7 +110,7 @@ UopStream::UopStream(const SmtAppParams &params, uint64_t seed)
     chunks_.reserve(kMaxChunks);
 }
 
-const Uop *
+const PackedUop *
 UopStream::chunk(uint64_t idx)
 {
     if (idx < published_.load(std::memory_order_acquire))
@@ -76,9 +122,9 @@ UopStream::chunk(uint64_t idx)
             "UopStream: run exceeds the stream capacity");
     const auto start = std::chrono::steady_clock::now();
     while (published_.load(std::memory_order_relaxed) <= idx) {
-        auto buf = std::make_unique<Uop[]>(kChunkUops);
+        auto buf = std::make_unique_for_overwrite<PackedUop[]>(kChunkUops);
         for (uint64_t i = 0; i < kChunkUops; ++i)
-            buf[i] = gen_.next();
+            buf[i] = PackedUop::pack(gen_.next());
         chunks_.push_back(std::move(buf));
         // Release-publish after the chunk contents and the directory
         // slot are written: a reader that observes the new count also
@@ -98,7 +144,7 @@ uint64_t
 UopStream::bytes() const
 {
     return published_.load(std::memory_order_acquire) * kChunkUops *
-        sizeof(Uop);
+        sizeof(PackedUop);
 }
 
 double
@@ -185,7 +231,7 @@ ThreadSource::next()
     if (off == 0 || chunk_ == nullptr)
         chunk_ = stream_->chunk(pos_ / UopStream::kChunkUops);
     ++pos_;
-    return chunk_[off];
+    return chunk_[off].unpack();
 }
 
 namespace {

@@ -47,6 +47,45 @@ struct Uop
 };
 
 /**
+ * One Uop in one 64-bit word, UopStream's chunk format:
+ *
+ *   bits  0..2   kind
+ *   bit   3      mispredicted
+ *   bits  4..9   depDistance (at most 63)
+ *   bits 10..36  execLatency
+ *   bits 37..63  drainLatency
+ *
+ * UopGen only emits uops inside that domain (it rejects SmtAppParams
+ * whose latencies would overflow a field); pack() throws on any other
+ * uop. The word has no initializer: chunks are allocated for
+ * overwrite and filled before they are published.
+ */
+struct PackedUop
+{
+    static constexpr unsigned kLatencyBits = 27;
+    static constexpr uint32_t kMaxLatency = (1u << kLatencyBits) - 1;
+    static constexpr uint16_t kMaxDepDistance = 63;
+
+    uint64_t w;
+
+    static PackedUop pack(const Uop &uop);
+
+    Uop
+    unpack() const
+    {
+        Uop uop;
+        uop.kind = static_cast<UopKind>(w & 7);
+        uop.mispredicted = (w >> 3) & 1;
+        uop.depDistance = static_cast<uint16_t>((w >> 4) & 63);
+        uop.execLatency = static_cast<uint32_t>(w >> 10) & kMaxLatency;
+        uop.drainLatency = static_cast<uint32_t>(w >> 37);
+        return uop;
+    }
+};
+
+static_assert(sizeof(PackedUop) == 8, "PackedUop is one word");
+
+/**
  * Statistical profile of an SMT thread (the stand-in for a SimPointed
  * SPEC17 binary; see DESIGN.md). The parameters control the pressure
  * the thread puts on each pipeline structure — the property the fetch
@@ -87,15 +126,15 @@ struct SmtAppParams
  * The raw micro-op generator: a pure function of (params, seed,
  * index). Shared by the live ThreadSource path and the materializing
  * UopStream so replay is byte-identical to live generation by
- * construction.
+ * construction. The constructor throws std::invalid_argument on
+ * latencies whose uops would not fit a PackedUop (l2Latency above
+ * PackedUop::kMaxLatency, dramLatency above it minus the 63 cycles of
+ * DRAM spread), so live and replayed runs accept the same params.
  */
 class UopGen
 {
   public:
-    UopGen(const SmtAppParams &params, uint64_t seed)
-        : params_(params), seed_(seed), rng_(seed)
-    {
-    }
+    UopGen(const SmtAppParams &params, uint64_t seed);
 
     Uop next();
     void reset() { rng_.reseed(seed_); }
@@ -131,7 +170,7 @@ class UopGen
 class UopStream final : public ArenaItem
 {
   public:
-    /** Uops per chunk (power of two; ~256KB per chunk). */
+    /** Uops per chunk (power of two; 128 KiB of PackedUops). */
     static constexpr uint64_t kChunkUops = 1ull << 14;
 
     /** Directory capacity: kMaxChunks * kChunkUops uops (~268M). */
@@ -143,7 +182,7 @@ class UopStream final : public ArenaItem
      * Pointer to chunk @p idx's kChunkUops records, generating up to
      * and including that chunk first if needed. Thread-safe.
      */
-    const Uop *chunk(uint64_t idx);
+    const PackedUop *chunk(uint64_t idx);
 
     uint64_t bytes() const override;
     double genMs() const override;
@@ -151,7 +190,7 @@ class UopStream final : public ArenaItem
   private:
     UopGen gen_;
     std::mutex genMu_;                      ///< guards extension
-    std::vector<std::unique_ptr<Uop[]>> chunks_;
+    std::vector<std::unique_ptr<PackedUop[]>> chunks_;
     std::atomic<uint64_t> published_{0};    ///< readable chunk count
     std::atomic<uint64_t> genNs_{0};
 };
@@ -168,8 +207,9 @@ std::string smtParamsFingerprint(const SmtAppParams &params);
  * byte-identical output:
  *  - live (default): uops are generated on demand from the RNG;
  *  - replay: attachStream() plugs in a shared UopStream and next()
- *    becomes a load from the materialized buffer (extending the
- *    shared stream only when running past its current end).
+ *    becomes a load and an unpack of one PackedUop from the
+ *    materialized buffer (extending the shared stream only when
+ *    running past its current end).
  */
 class ThreadSource
 {
@@ -197,7 +237,7 @@ class ThreadSource
 
     /** Replay state (unused in live mode). */
     std::shared_ptr<UopStream> stream_;
-    const Uop *chunk_ = nullptr;
+    const PackedUop *chunk_ = nullptr;
     uint64_t pos_ = 0;
 };
 

@@ -20,7 +20,7 @@ namespace arena_file {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'A', 'B', 'A'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderBytes = 32;
 
 /** Header scatter/gather: fixed little-endian-of-the-host layout, the
@@ -40,8 +40,8 @@ payloadOffsetFor(size_t keyLen)
     return static_cast<uint32_t>((kHeaderBytes + keyLen + 15) & ~15ull);
 }
 
-/** FNV-1a folded over the payload's 64-bit words (PackedRecord is 16
- *  bytes, so the payload is always a whole number of words). */
+/** FNV-1a folded over the payload's 64-bit words, one per
+ *  PackedRecord. */
 uint64_t
 checksumWords(const uint64_t *words, uint64_t n, uint64_t h)
 {
@@ -186,8 +186,7 @@ tryLoad(const std::string &dir, const std::string &key,
     }
     const uint64_t *words = reinterpret_cast<const uint64_t *>(
         bytes + h.payloadOffset);
-    const uint64_t nWords = count * (sizeof(PackedRecord) / 8);
-    if (checksumWords(words, nWords, kFnvBasis) != h.checksum) {
+    if (checksumWords(words, count, kFnvBasis) != h.checksum) {
         res.status = LoadStatus::Rejected;
         return res;
     }
@@ -239,8 +238,7 @@ tryLoad(const std::string &dir, const std::string &key,
         return res;
     }
     if (checksumWords(
-            reinterpret_cast<const uint64_t *>(payload->data()),
-            count * (sizeof(PackedRecord) / 8),
+            reinterpret_cast<const uint64_t *>(payload->data()), count,
             kFnvBasis) != h.checksum) {
         res.status = LoadStatus::Rejected;
         return res;
@@ -272,8 +270,7 @@ save(const std::string &dir, const std::string &key,
     for (uint64_t c = 0; c < trace.numChunks(); ++c) {
         checksum = checksumWords(
             reinterpret_cast<const uint64_t *>(trace.chunkPtr(c)),
-            trace.chunkLength(c) * (sizeof(PackedRecord) / 8),
-            checksum);
+            trace.chunkLength(c), checksum);
     }
 
     const std::string path = filePath(dir, key);

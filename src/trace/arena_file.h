@@ -20,13 +20,17 @@ namespace arena_file {
  *   offset  size  field
  *   ------  ----  -----
  *        0     4  magic "MABA"
- *        4     4  format version (u32, currently 1)
+ *        4     4  format version (u32, currently 2)
  *        8     8  record count (u64)
  *       16     8  payload checksum (u64, FNV-1a over payload words)
  *       24     4  key length (u32)
  *       28     4  payload offset (u32, = keyLen + 32 rounded up to 16)
  *       32     -  key bytes (the exact arena key, fingerprint#count)
- *   payload  n*16 PackedRecords, 16-byte aligned
+ *   payload  n*8  PackedRecords (one 64-bit word each, see
+ *                 trace/replay.h), 16-byte aligned
+ *
+ * Version 1 files (16-byte records) fail the version check and are
+ * regenerated like any other Rejected file.
  *
  * The full arena key is stored and compared verbatim on load — the
  * hashed filename only locates the file, it never decides identity —

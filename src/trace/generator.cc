@@ -1,7 +1,7 @@
 #include "trace/generator.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace mab {
 
@@ -17,6 +17,50 @@ mix64(uint64_t x)
     x *= 0xC4CEB9FE1A85EC53ull;
     x ^= x >> 33;
     return x;
+}
+
+/**
+ * Reject a profile the generator cannot run or whose records would
+ * leave the domain of SyntheticTrace (see generator.h). Each message
+ * names the offending field and its value.
+ */
+void
+checkProfile(const AppProfile &app)
+{
+    const auto fail = [&app](const std::string &what) {
+        throw std::invalid_argument("AppProfile '" + app.name + "': " +
+                                    what);
+    };
+    if (app.phases.empty())
+        fail("phases is empty; an app needs at least one phase");
+    if (app.phases.size() > SyntheticTrace::kMaxPhases)
+        fail("phases has " + std::to_string(app.phases.size()) +
+             " entries, above the " +
+             std::to_string(SyntheticTrace::kMaxPhases) +
+             " that fit the packed PC");
+    for (size_t i = 0; i < app.phases.size(); ++i) {
+        const PatternPhase &ph = app.phases[i];
+        const std::string at = "phase " + std::to_string(i) + " ";
+        if (ph.footprintBytes < kLineBytes)
+            fail(at + "footprintBytes " +
+                 std::to_string(ph.footprintBytes) +
+                 " is below one 64-byte line");
+        if (ph.kind == PatternKind::SpatialRegion &&
+            ph.footprintBytes < 2048)
+            fail(at + "footprintBytes " +
+                 std::to_string(ph.footprintBytes) +
+                 " is below one 2048-byte spatial region");
+        if (ph.footprintBytes > SyntheticTrace::kMaxFootprintBytes)
+            fail(at + "footprintBytes " +
+                 std::to_string(ph.footprintBytes) + " is above " +
+                 std::to_string(SyntheticTrace::kMaxFootprintBytes) +
+                 " (4 GiB - 64), the packed address range");
+        if (ph.numStreams > SyntheticTrace::kMaxStreams)
+            fail(at + "numStreams " + std::to_string(ph.numStreams) +
+                 " is above " +
+                 std::to_string(SyntheticTrace::kMaxStreams) +
+                 ", the stream PCs that fit one phase's PC window");
+    }
 }
 
 } // namespace
@@ -37,7 +81,7 @@ toString(PatternKind kind)
 SyntheticTrace::SyntheticTrace(AppProfile profile)
     : profile_(std::move(profile)), rng_(profile_.seed)
 {
-    assert(!profile_.phases.empty() && "app needs at least one phase");
+    checkProfile(profile_);
     // Give every app a distinct, stable data segment so that traces of
     // different apps never alias in a shared cache.
     appBase_ = (mix64(profile_.seed ^ 0xA5A5A5A5ull) & 0x3FFFull) << 32;
@@ -58,11 +102,12 @@ SyntheticTrace::enterPhase(size_t idx)
     instrInPhase_ = 0;
     const PatternPhase &ph = profile_.phases[idx];
 
-    const uint64_t pc_base = 0x400000ull + (idx << 16);
+    const uint64_t pc_base = kCodeBase + (idx << kPhasePcShift);
     const int n = std::max(ph.numStreams, 1);
     streams_.assign(n, Stream{});
     for (int i = 0; i < n; ++i) {
-        streams_[i].pc = pc_base + static_cast<uint64_t>(i) * 24;
+        streams_[i].pc =
+            pc_base + static_cast<uint64_t>(i) * kStreamPcStride;
         streams_[i].cursor = rng_.below(ph.footprintBytes / kLineBytes) *
             kLineBytes;
         streams_[i].remaining = 0;
@@ -174,7 +219,7 @@ SyntheticTrace::next()
 
     const double r = rng_.uniform();
     if (r < ph.branchFraction) {
-        rec.pc = 0x400000ull + (phaseIdx_ << 16) + 0x8000 +
+        rec.pc = kCodeBase + (phaseIdx_ << kPhasePcShift) + 0x8000 +
             rng_.below(16) * 8;
         rec.isBranch = true;
         rec.mispredicted = rng_.bernoulli(ph.mispredictRate);
@@ -196,11 +241,11 @@ SyntheticTrace::next()
             rec.pc = streams_[lastStream_].pc;
             break;
           default:
-            rec.pc = 0x400000ull + (phaseIdx_ << 16) + 0x4000;
+            rec.pc = kCodeBase + (phaseIdx_ << kPhasePcShift) + 0x4000;
             break;
         }
     } else {
-        rec.pc = 0x400000ull + (phaseIdx_ << 16) + 0xC000 +
+        rec.pc = kCodeBase + (phaseIdx_ << kPhasePcShift) + 0xC000 +
             rng_.below(32) * 4;
     }
 

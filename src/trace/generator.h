@@ -1,6 +1,7 @@
 #ifndef MAB_TRACE_GENERATOR_H
 #define MAB_TRACE_GENERATOR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -129,10 +130,36 @@ struct AppProfile
  * dynamic instruction stream that exercises the configured access
  * pattern regimes (the stand-in for the DPC-3 / CRC-2 / Pythia trace
  * collections, see DESIGN.md).
+ *
+ * Every record stays inside one domain, the one the 8-byte
+ * PackedRecord of trace/replay.h is laid out for:
+ *  - the PC lies in [kCodeBase, kCodeBase + 2^kPcBits): phase i owns
+ *    the 64 KiB window at kCodeBase + (i << kPhasePcShift), and its
+ *    stream PCs sit kStreamPcStride bytes apart inside that window;
+ *  - a memory record's address lies in [dataBase(), dataBase() +
+ *    4 GiB), and dataBase()'s low 32 bits are zero;
+ *  - a non-memory record's address is 0.
+ * The constructor rejects (std::invalid_argument) every profile that
+ * would leave the domain or crash the generator: no phases, more than
+ * kMaxPhases phases, more than kMaxStreams streams, a footprint below
+ * one line (below one 2 KiB region for SpatialRegion) or above
+ * kMaxFootprintBytes. Live and replayed runs both construct a
+ * SyntheticTrace, so they accept exactly the same profiles.
  */
 class SyntheticTrace final : public TraceSource
 {
   public:
+    static constexpr uint64_t kCodeBase = 0x400000;
+    static constexpr unsigned kPcBits = 27;
+    static constexpr unsigned kPhasePcShift = 16;
+    static constexpr uint64_t kStreamPcStride = 24;
+    static constexpr size_t kMaxPhases = size_t{1}
+        << (kPcBits - kPhasePcShift);
+    static constexpr int kMaxStreams = static_cast<int>(
+        ((1ull << kPhasePcShift) - 1) / kStreamPcStride + 1);
+    static constexpr uint64_t kMaxFootprintBytes =
+        (1ull << 32) - kLineBytes;
+
     explicit SyntheticTrace(AppProfile profile);
 
     TraceRecord next() override;
@@ -144,6 +171,10 @@ class SyntheticTrace final : public TraceSource
 
     /** Index of the phase the generator is currently in. */
     size_t currentPhase() const { return phaseIdx_; }
+
+    /** Base of the app's data segment (low 32 bits zero); every
+     *  memory address lies less than 4 GiB above it. */
+    uint64_t dataBase() const { return appBase_; }
 
   private:
     /** Per-stream pattern cursor state. */

@@ -67,7 +67,8 @@ profileFingerprint(const AppProfile &profile)
 
 MaterializedTrace::MaterializedTrace(const AppProfile &profile,
                                      uint64_t count)
-    : name_(profile.name), count_(count), gen_(profile)
+    : name_(profile.name), count_(count), gen_(profile),
+      dataBase_(gen_.dataBase())
 {
     // The whole directory exists up front (null slots): readers index
     // it lock-free while the recorder fills slots in, so it must
@@ -80,7 +81,8 @@ MaterializedTrace::MaterializedTrace(const AppProfile &profile,
                                      const PackedRecord *payload,
                                      std::shared_ptr<PayloadOwner> owner)
     : name_(profile.name), count_(count), gen_(profile),
-      mapped_(payload), owner_(std::move(owner))
+      dataBase_(gen_.dataBase()), mapped_(payload),
+      owner_(std::move(owner))
 {
     // Every record is already on disk: publish the full frontier so
     // no consumer ever claims the recorder role, and skip the chunk
@@ -177,6 +179,26 @@ MaterializedTrace::generate(const AppProfile &profile, uint64_t count)
     auto trace = std::make_shared<MaterializedTrace>(profile, count);
     trace->materializeAll();
     return trace;
+}
+
+PackedRecord
+ReplaySource::nextSlow()
+{
+    if (pos_ >= known_)
+        advance(); // exhaustion check + frontier resolution
+    const uint64_t idx = pos_ >> MaterializedTrace::kChunkShift;
+    const uint64_t off = pos_ & (MaterializedTrace::kChunkRecords - 1);
+    if (recording_) {
+        if (off == 0 || recChunk_ == nullptr)
+            recChunk_ = trace_->recordChunk(idx);
+        ++pos_;
+        return trace_->recordInto(recChunk_[off], pos_);
+    }
+    chunk_ = trace_->chunkPtr(idx);
+    chunkEnd_ =
+        std::min(known_, (idx + 1) << MaterializedTrace::kChunkShift);
+    ++pos_;
+    return chunk_[off];
 }
 
 void

@@ -28,14 +28,14 @@ namespace mab {
  * amortize this by replaying pre-materialized traces; this header
  * brings that to the sweep engine.
  *
- *  - PackedRecord: a 16-byte buffer format for TraceRecord (flags
- *    bit-packed into the top byte of the PC word).
+ *  - PackedRecord: an 8-byte buffer format for TraceRecord (flags,
+ *    PC offset and address offset in one word).
  *  - MaterializedTrace: a chunked PackedRecord buffer recorded as a
  *    side effect of the first run that consumes the workload — there
  *    is no standalone generation pass.
- *  - ReplaySource: a TraceSource whose next() is a trivially
- *    inlinable load from the buffer (or, on the first run, a live
- *    generator call that also records).
+ *  - ReplaySource: a TraceSource whose replay read is one compare and
+ *    one load from the buffer (or, on the first run, a live generator
+ *    call that also records).
  *  - TraceArena: a process-wide, mutex-guarded cache of materialized
  *    workloads, shared_ptr-shared across sweep tasks, with a byte
  *    budget, LRU eviction and hit/miss/bytes/genMs counters (the
@@ -49,65 +49,104 @@ namespace mab {
  */
 
 /**
- * One trace record, packed to 16 bytes: the PC occupies the low 56
- * bits of the first word and the five boolean flags its top byte; the
- * operand address keeps its full 64 bits. Synthetic PCs live a few
- * MBs above 0x400000, so the 56-bit limit is never near; pack()
- * rejects (throws) PCs that would not round-trip rather than silently
- * corrupting them.
+ * One trace record in one 64-bit word:
+ *
+ *   bits  0..26  PC - SyntheticTrace::kCodeBase
+ *   bits 27..31  isLoad, isStore, isBranch, mispredicted,
+ *                dependsOnPrevLoad
+ *   bits 32..63  address - data base (memory records; 0 otherwise)
+ *
+ * The data base is the trace's, not the record's: SyntheticTrace::
+ * dataBase(), whose low 32 bits are zero, held once by MaterializedTrace
+ * and ReplaySource, so an address decodes as base | (w >> 32). pack()
+ * throws on a record outside that domain (SyntheticTrace's profile
+ * check keeps every generated record inside it). Every word decodes to
+ * some record, so even a hostile payload that passed the arena file's
+ * checksum replays without undefined behaviour.
+ *
+ * The word has no initializer on purpose: chunks are allocated for
+ * overwrite and the recorder writes each slot before publishing it.
  */
 struct PackedRecord
 {
-    static constexpr uint64_t kPcMask = (1ull << 56) - 1;
-    static constexpr uint64_t kLoad = 1ull << 56;
-    static constexpr uint64_t kStore = 1ull << 57;
-    static constexpr uint64_t kBranch = 1ull << 58;
-    static constexpr uint64_t kMispredicted = 1ull << 59;
-    static constexpr uint64_t kDependsOnPrevLoad = 1ull << 60;
+    static constexpr uint64_t kPcMask =
+        (1ull << SyntheticTrace::kPcBits) - 1;
+    static constexpr uint64_t kLoad = 1ull << 27;
+    static constexpr uint64_t kStore = 1ull << 28;
+    static constexpr uint64_t kBranch = 1ull << 29;
+    static constexpr uint64_t kMispredicted = 1ull << 30;
+    static constexpr uint64_t kDependsOnPrevLoad = 1ull << 31;
+    static constexpr unsigned kAddrShift = 32;
+    static constexpr uint64_t kAddrOffsetMask = (1ull << kAddrShift) - 1;
 
-    uint64_t pcFlags = 0;
-    uint64_t addr = 0;
+    uint64_t w;
 
     static PackedRecord
-    pack(const TraceRecord &rec)
+    pack(const TraceRecord &rec, uint64_t dataBase)
     {
-        if (rec.pc > kPcMask)
+        const uint64_t pcOff = rec.pc - SyntheticTrace::kCodeBase;
+        if (pcOff > kPcMask)
             throw std::runtime_error(
-                "PackedRecord: pc exceeds 56 bits");
-        PackedRecord p;
-        p.pcFlags = rec.pc;
+                "PackedRecord: pc outside the 2^27-byte code window");
+        uint64_t w = pcOff;
         if (rec.isLoad)
-            p.pcFlags |= kLoad;
+            w |= kLoad;
         if (rec.isStore)
-            p.pcFlags |= kStore;
+            w |= kStore;
         if (rec.isBranch)
-            p.pcFlags |= kBranch;
+            w |= kBranch;
         if (rec.mispredicted)
-            p.pcFlags |= kMispredicted;
+            w |= kMispredicted;
         if (rec.dependsOnPrevLoad)
-            p.pcFlags |= kDependsOnPrevLoad;
-        p.addr = rec.addr;
-        return p;
+            w |= kDependsOnPrevLoad;
+        if (rec.isMemory()) {
+            if ((rec.addr & ~kAddrOffsetMask) != dataBase)
+                throw std::runtime_error(
+                    "PackedRecord: address outside the 4 GiB data "
+                    "window");
+            w |= rec.addr << kAddrShift;
+        } else if (rec.addr != 0) {
+            throw std::runtime_error(
+                "PackedRecord: non-memory record with an address");
+        }
+        return PackedRecord{w};
+    }
+
+    uint64_t pc() const { return SyntheticTrace::kCodeBase + (w & kPcMask); }
+    bool isLoad() const { return (w & kLoad) != 0; }
+    bool isStore() const { return (w & kStore) != 0; }
+    bool isMemory() const { return (w & (kLoad | kStore)) != 0; }
+    bool dependsOnPrevLoad() const { return (w & kDependsOnPrevLoad) != 0; }
+    bool
+    mispredictedBranch() const
+    {
+        return (w & (kBranch | kMispredicted)) == (kBranch | kMispredicted);
+    }
+
+    /** The address of a memory record (meaningless for others). */
+    uint64_t addr(uint64_t dataBase) const
+    {
+        return dataBase | (w >> kAddrShift);
     }
 
     TraceRecord
-    unpack() const
+    unpack(uint64_t dataBase) const
     {
         TraceRecord rec;
-        rec.pc = pcFlags & kPcMask;
-        rec.addr = addr;
-        rec.isLoad = (pcFlags & kLoad) != 0;
-        rec.isStore = (pcFlags & kStore) != 0;
-        rec.isBranch = (pcFlags & kBranch) != 0;
-        rec.mispredicted = (pcFlags & kMispredicted) != 0;
-        rec.dependsOnPrevLoad = (pcFlags & kDependsOnPrevLoad) != 0;
+        rec.pc = pc();
+        rec.isLoad = isLoad();
+        rec.isStore = isStore();
+        rec.isBranch = (w & kBranch) != 0;
+        rec.mispredicted = (w & kMispredicted) != 0;
+        rec.dependsOnPrevLoad = dependsOnPrevLoad();
+        rec.addr = isMemory() ? addr(dataBase) : 0;
         return rec;
     }
 };
 
-static_assert(sizeof(PackedRecord) == 16,
-              "PackedRecord must stay 16 bytes: the arena byte budget "
-              "and the replay hot loop are sized around it");
+static_assert(sizeof(PackedRecord) == 8,
+              "PackedRecord is one word: the arena byte budget, the "
+              ".maba v2 payload and the replay loop are sized around it");
 
 /**
  * Anything the TraceArena can hold: reports its resident size (which
@@ -149,7 +188,7 @@ class PayloadOwner
  * claims the role and its ReplaySource generates each record live —
  * inside its own simulation loop, where the host core overlaps the
  * generator's RNG work with sim cache misses — storing the packed
- * form as a side effect (~one 16-byte store per record). There is
+ * form as a side effect (~one 8-byte store per record). There is
  * never a standalone generation pass. Later runs replay the published
  * records lock-free: the chunk directory is sized once at
  * construction so slots never move, each record is written before the
@@ -163,7 +202,7 @@ class PayloadOwner
 class MaterializedTrace final : public ArenaItem
 {
   public:
-    /** Records per chunk (power of two; 256KB of PackedRecords). */
+    /** Records per chunk (power of two; 128 KiB of PackedRecords). */
     static constexpr unsigned kChunkShift = 14;
     static constexpr uint64_t kChunkRecords = 1ull << kChunkShift;
 
@@ -196,6 +235,9 @@ class MaterializedTrace final : public ArenaItem
     {
         return avail_.load(std::memory_order_acquire);
     }
+
+    /** The data base every packed address is an offset from. */
+    uint64_t dataBase() const { return dataBase_; }
 
     /**
      * Pointer to chunk @p idx. Only records below available() may be
@@ -236,7 +278,8 @@ class MaterializedTrace final : public ArenaItem
 
     /**
      * The writable chunk @p idx (recorder only), allocating its slot
-     * on first use. Taken once per 16K records by the recording
+     * on first use, uninitialized: each record is written before it
+     * is published. Taken once per 16K records by the recording
      * source, which then writes records through the raw pointer.
      */
     PackedRecord *
@@ -244,20 +287,21 @@ class MaterializedTrace final : public ArenaItem
     {
         std::unique_ptr<PackedRecord[]> &slot = chunks_[idx];
         if (!slot)
-            slot.reset(new PackedRecord[chunkLength(idx)]);
+            slot = std::make_unique_for_overwrite<PackedRecord[]>(
+                chunkLength(idx));
         return slot.get();
     }
 
     /**
      * Generate the record at the frontier, store its packed form into
      * @p slot and publish @p newCount records. Recorder only; defined
-     * in-class so the recording run's hot path is one direct
-     * (devirtualized) generator call, a pack and two plain stores.
+     * in-class so recording a record is one direct (devirtualized)
+     * generator call, a pack and two plain stores.
      */
     PackedRecord
     recordInto(PackedRecord &slot, uint64_t newCount)
     {
-        const PackedRecord p = PackedRecord::pack(gen_.next());
+        const PackedRecord p = PackedRecord::pack(gen_.next(), dataBase_);
         slot = p;
         avail_.store(newCount, std::memory_order_release);
         return p;
@@ -287,6 +331,7 @@ class MaterializedTrace final : public ArenaItem
     uint64_t count_;
 
     SyntheticTrace gen_;
+    const uint64_t dataBase_;
     /** Directory sized once at construction; slots never move. */
     std::vector<std::unique_ptr<PackedRecord[]>> chunks_;
     /** External contiguous payload (mapped mode), else nullptr. */
@@ -299,21 +344,23 @@ class MaterializedTrace final : public ArenaItem
 };
 
 /**
- * TraceSource over a MaterializedTrace. Two hot modes, decided per
- * run at the materialization frontier:
+ * TraceSource over a MaterializedTrace. Two modes, decided per run at
+ * the materialization frontier:
  *
- *  - replay: next() is a bounds check, one 16-byte load and a flag
- *    unpack — no RNG, no phase machinery; only crossing a 16K-record
- *    chunk boundary leaves the header.
- *  - recording: this source holds the trace's recorder role; next()
- *    generates the record live (exactly what a bare SyntheticTrace
- *    would hand the run) and publishes the packed form as a side
- *    effect, so the first run over a workload pays one extra 16-byte
- *    store per record instead of a standalone generation pass.
+ *  - replay: nextPacked() is one compare and one 8-byte load; only
+ *    crossing a 16K-record chunk boundary or the published frontier
+ *    takes the out-of-line nextSlow(). No RNG, no phase machinery.
+ *  - recording: this source holds the trace's recorder role; every
+ *    record goes through nextSlow(), which generates it live (exactly
+ *    what a bare SyntheticTrace would hand the run) and publishes the
+ *    packed form as a side effect, so the first run over a workload
+ *    pays one extra 8-byte store per record instead of a standalone
+ *    generation pass.
  *
- * The class is final and next() is defined in-class so the CoreModel
- * hot loop (which caches the concrete pointer, see cpu/core_model.h)
- * inlines it.
+ * The class is final and nextPacked() is defined in-class, so the
+ * CoreModel run loop (which caches the concrete pointer, see
+ * cpu/core_model.h) inlines the replay read; the recording branch
+ * stays out of line to keep it small enough to inline.
  *
  * Unlike FileTrace the source does NOT wrap around: running past the
  * end would silently diverge from live generation, so it throws
@@ -324,7 +371,8 @@ class ReplaySource final : public TraceSource
 {
   public:
     explicit ReplaySource(std::shared_ptr<MaterializedTrace> trace)
-        : trace_(std::move(trace)), size_(trace_->size())
+        : trace_(std::move(trace)), dataBase_(trace_->dataBase()),
+          size_(trace_->size())
     {
     }
 
@@ -339,32 +387,19 @@ class ReplaySource final : public TraceSource
 
     /**
      * The next record in packed form — the hot entry point: the
-     * CoreModel replay loop consumes PackedRecords directly (two
-     * registers, flag reads stay bit tests) and never materializes
-     * the unpacked struct.
+     * CoreModel replay loop consumes PackedRecords directly (one
+     * register plus dataBase(), flag reads stay bit tests) and never
+     * materializes the unpacked struct.
      */
     PackedRecord
     nextPacked()
     {
-        if (pos_ >= known_)
-            advance(); // exhaustion check + frontier resolution
-        const uint64_t off =
-            pos_ & (MaterializedTrace::kChunkRecords - 1);
-        if (recording_) {
-            if (off == 0 || recChunk_ == nullptr)
-                recChunk_ = trace_->recordChunk(
-                    pos_ >> MaterializedTrace::kChunkShift);
-            ++pos_;
-            return trace_->recordInto(recChunk_[off], pos_);
-        }
-        if (off == 0 || chunk_ == nullptr)
-            chunk_ = trace_->chunkPtr(
-                pos_ >> MaterializedTrace::kChunkShift);
-        ++pos_;
-        return chunk_[off];
+        if (pos_ < chunkEnd_) [[likely]]
+            return chunk_[pos_++ & (MaterializedTrace::kChunkRecords - 1)];
+        return nextSlow();
     }
 
-    TraceRecord next() override { return nextPacked().unpack(); }
+    TraceRecord next() override { return nextPacked().unpack(dataBase_); }
 
     void
     fill(TraceRecord *out, uint64_t n) override
@@ -382,33 +417,49 @@ class ReplaySource final : public TraceSource
         }
         pos_ = 0;
         known_ = 0;
+        chunkEnd_ = 0;
         chunk_ = nullptr;
         recChunk_ = nullptr;
     }
 
     const std::string &name() const override { return trace_->name(); }
 
+    /** The trace's data base (PackedRecord::addr's argument). */
+    uint64_t dataBase() const { return dataBase_; }
     uint64_t size() const { return size_; }
     uint64_t position() const { return pos_; }
     bool recording() const { return recording_; }
 
   private:
     /**
-     * Slow path, off the hot loop: position reached known_. Either
-     * the run is exhausted (throws), more published records became
-     * visible (refreshes known_), or this source is at the true
-     * frontier — then it claims the recorder role, or waits for the
-     * concurrent recorder to publish past pos_.
+     * Every read nextPacked()'s compare does not cover: a chunk
+     * boundary, the published frontier, exhaustion, and each record
+     * of a recording run.
+     */
+    PackedRecord nextSlow();
+
+    /**
+     * Frontier resolution, at pos_ == known_. Either the run is
+     * exhausted (throws), more published records became visible
+     * (refreshes known_), or this source is at the true frontier —
+     * then it claims the recorder role, or waits for the concurrent
+     * recorder to publish past pos_.
      */
     void advance();
 
     [[noreturn]] void throwExhausted() const;
 
     std::shared_ptr<MaterializedTrace> trace_;
+    const uint64_t dataBase_;
+    /** The replay chunk holding pos_ (never used while recording). */
     const PackedRecord *chunk_ = nullptr;
     PackedRecord *recChunk_ = nullptr; ///< current chunk (recording)
     uint64_t size_;
     uint64_t pos_ = 0;
+    /** Records readable through chunk_ without another check: the end
+     *  of its chunk or known_, whichever is first; 0 while recording,
+     *  so every recorded record takes nextSlow(). */
+    uint64_t chunkEnd_ = 0;
     /** Records consumable without re-resolving the frontier: the
      *  published count last observed (capped at size_), or size_
      *  while recording. */

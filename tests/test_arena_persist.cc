@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,7 +16,7 @@
 using namespace mab;
 
 /**
- * On-disk trace arena tests (MABA v1 spill files). The contract under
+ * On-disk trace arena tests (MABA v2 spill files). The contract under
  * test: a warm load is byte-identical to live generation, and *every*
  * corruption mode — truncation, flipped payload bytes, a stale format
  * version, the wrong key, the wrong record count — is detected,
@@ -177,7 +178,7 @@ TEST_F(ArenaPersistTest, TruncatedFileIsRejectedAndRegenerated)
     const fs::path file = spillFile();
 
     std::vector<char> bytes = readAll(file);
-    bytes.resize(bytes.size() - 16); // lose the last record
+    bytes.resize(bytes.size() - sizeof(PackedRecord)); // lose the last record
     writeAll(file, bytes);
 
     forgetMemory();
@@ -231,6 +232,65 @@ TEST_F(ArenaPersistTest, StaleFormatVersionIsRejected)
     EXPECT_EQ(s.fileRejects, 1u)
         << "a future/stale version must not be parsed";
     expectMatchesLive(app, trace, n, "post-version-bump");
+}
+
+/**
+ * A version-1 file (16-byte records: PC and flags in one word, the
+ * full address in the next) for the right key, count and checksum is
+ * still rejected by its version, and the trace is regenerated into the
+ * same v2 bytes a cold start spills.
+ */
+TEST_F(ArenaPersistTest, VersionOneFileIsRejectedAndRegenerated)
+{
+    const AppProfile app = allWorkloads().front().app;
+    const uint64_t n = 1500;
+    TraceArena::global().acquireTrace(app, n);
+    const fs::path file = spillFile();
+    const std::vector<char> v2 = readAll(file);
+
+    const std::string key = "trace:" + profileFingerprint(app) + "#" +
+        std::to_string(n);
+    ASSERT_EQ(fs::path(arena_file::filePath(tmp_.string(), key)), file);
+    std::vector<uint64_t> payload;
+    SyntheticTrace live(app);
+    for (uint64_t i = 0; i < n; ++i) {
+        const TraceRecord r = live.next();
+        payload.push_back(r.pc | uint64_t{r.isLoad} << 56 |
+                          uint64_t{r.isStore} << 57 |
+                          uint64_t{r.isBranch} << 58 |
+                          uint64_t{r.mispredicted} << 59 |
+                          uint64_t{r.dependsOnPrevLoad} << 60);
+        payload.push_back(r.addr);
+    }
+    uint64_t checksum = 0xcbf29ce484222325ull;
+    for (const uint64_t w : payload) {
+        checksum ^= w;
+        checksum *= 0x100000001b3ull;
+    }
+    const uint32_t version = 1;
+    const uint32_t keyLen = static_cast<uint32_t>(key.size());
+    const uint32_t payloadOffset = (32 + keyLen + 15) & ~15u;
+    std::vector<char> v1(payloadOffset + payload.size() * 8, 0);
+    std::memcpy(v1.data(), "MABA", 4);
+    std::memcpy(v1.data() + 4, &version, 4);
+    std::memcpy(v1.data() + 8, &n, 8);
+    std::memcpy(v1.data() + 16, &checksum, 8);
+    std::memcpy(v1.data() + 24, &keyLen, 4);
+    std::memcpy(v1.data() + 28, &payloadOffset, 4);
+    std::memcpy(v1.data() + 32, key.data(), key.size());
+    std::memcpy(v1.data() + payloadOffset, payload.data(),
+                payload.size() * 8);
+    writeAll(file, v1);
+
+    forgetMemory();
+    auto trace = TraceArena::global().acquireTrace(app, n);
+    const TraceArena::Stats s = TraceArena::global().stats();
+    EXPECT_EQ(s.fileRejects, 1u) << "a v1 file must not be parsed";
+    EXPECT_EQ(s.fileHits, 0u);
+    EXPECT_EQ(s.fileSpills, 1u);
+    expectMatchesLive(app, trace, n, "post-v1");
+    EXPECT_EQ(readAll(file), v2) << "regenerated file differs from a "
+                                    "cold v2 spill";
 }
 
 TEST_F(ArenaPersistTest, WrongMagicIsRejected)

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <stdexcept>
+#include <vector>
+
 #include "memory/hierarchy.h"
+#include "sim/rng.h"
 #include "trace/record.h"
 
 namespace mab {
@@ -217,6 +224,89 @@ TEST(Hierarchy, StoreMissConsumesBandwidthButLowPriority)
     const uint64_t before = h.dram().transfers();
     h.demandAccess(0x80000, true, 0);
     EXPECT_EQ(h.dram().transfers(), before + 1);
+}
+
+TEST(Hierarchy, TrackerCapacitiesBelowOneThrow)
+{
+    for (const int bad : {0, -1}) {
+        HierarchyConfig cfg = tinyConfig();
+        cfg.mshrEntries = bad;
+        EXPECT_THROW(CacheHierarchy{cfg}, std::invalid_argument);
+        Cache llc(cfg.llc);
+        Dram dram(DramConfig{});
+        EXPECT_THROW(CacheHierarchy(cfg, &llc, &dram),
+                     std::invalid_argument);
+        cfg = tinyConfig();
+        cfg.prefetchQueueMax = bad;
+        EXPECT_THROW(CacheHierarchy{cfg}, std::invalid_argument);
+        EXPECT_THROW(CacheHierarchy(cfg, &llc, &dram),
+                     std::invalid_argument);
+    }
+}
+
+/**
+ * The sorted ring against the binary heap it replaced: random
+ * add / prune / earliest / full sequences with non-monotone completion
+ * cycles must agree at every step, at the smallest capacity and the
+ * two configured defaults.
+ */
+TEST(InflightTracker, MatchesPriorityQueueReference)
+{
+    for (const int capacity : {1, 16, 64}) {
+        InflightTracker ring(capacity);
+        std::priority_queue<uint64_t, std::vector<uint64_t>,
+                            std::greater<>>
+            heap;
+        Rng rng(static_cast<uint64_t>(capacity));
+        uint64_t now = 0;
+        for (int step = 0; step < 200'000; ++step) {
+            ASSERT_EQ(ring.full(),
+                      heap.size() >= static_cast<size_t>(capacity));
+            ASSERT_EQ(ring.size(), heap.size());
+            ASSERT_EQ(ring.earliest(), heap.empty() ? 0 : heap.top());
+            switch (rng.below(4)) {
+              case 0:
+              case 1:
+                if (!ring.full()) {
+                    // Mostly later than the last one, sometimes
+                    // earlier, sometimes a duplicate.
+                    uint64_t done = now + rng.below(400);
+                    if (rng.bernoulli(0.2))
+                        done -= std::min(done, rng.below(300));
+                    ring.add(done);
+                    heap.push(done);
+                }
+                break;
+              case 2:
+                now += rng.below(60);
+                ring.prune(now);
+                while (!heap.empty() && heap.top() <= now)
+                    heap.pop();
+                break;
+              default: {
+                // The MSHR path: wait for the earliest, then retire.
+                const uint64_t until = ring.earliest();
+                ring.prune(until);
+                while (!heap.empty() && heap.top() <= until)
+                    heap.pop();
+                break;
+              }
+            }
+        }
+    }
+}
+
+TEST(InflightTracker, AddWhenFullThrows)
+{
+    InflightTracker t(2);
+    t.add(5);
+    t.add(3);
+    EXPECT_TRUE(t.full());
+    EXPECT_THROW(t.add(4), std::logic_error);
+    EXPECT_EQ(t.earliest(), 3u);
+    t.prune(3);
+    EXPECT_EQ(t.size(), 1u);
+    EXPECT_EQ(t.earliest(), 5u);
 }
 
 } // namespace

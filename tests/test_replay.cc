@@ -23,8 +23,10 @@ using namespace mab;
  * regardless of which consumer ends up holding the recorder role.
  */
 
-static_assert(sizeof(PackedRecord) == 16,
-              "replay buffers assume 16-byte packed records");
+static_assert(sizeof(PackedRecord) == 8,
+              "replay buffers assume one-word packed records");
+static_assert(sizeof(PackedUop) == 8,
+              "uop stream chunks assume one-word packed uops");
 
 namespace {
 
@@ -94,37 +96,185 @@ class ReplayTest : public ::testing::Test
 
 } // namespace
 
+namespace {
+
+/** A data base at the top of SyntheticTrace's range (14 bits << 32). */
+constexpr uint64_t kBase = 0x3FFFull << 32;
+
+/** The largest PC a SyntheticTrace can emit: the last stream of the
+ *  last phase's PC window. */
+constexpr uint64_t kMaxGeneratedPc = SyntheticTrace::kCodeBase +
+    ((SyntheticTrace::kMaxPhases - 1) << SyntheticTrace::kPhasePcShift) +
+    (SyntheticTrace::kMaxStreams - 1) * SyntheticTrace::kStreamPcStride;
+
+TraceRecord
+roundTrip(const TraceRecord &rec, uint64_t base = kBase)
+{
+    return PackedRecord::pack(rec, base).unpack(base);
+}
+
+} // namespace
+
+/** Every flag combination at both PC edges and both address-offset
+ *  edges; non-memory records carry address 0. */
 TEST(PackedRecord, RoundTripsEveryFieldCombination)
 {
+    const uint64_t pcs[] = {SyntheticTrace::kCodeBase,
+                            SyntheticTrace::kCodeBase +
+                                PackedRecord::kPcMask};
+    const uint64_t offsets[] = {0, PackedRecord::kAddrOffsetMask};
     for (unsigned bits = 0; bits < 32; ++bits) {
-        TraceRecord rec;
-        rec.pc = 0x400000 + bits * 0x1111;
-        rec.addr = 0xdeadbeef000 + bits;
-        rec.isLoad = bits & 1;
-        rec.isStore = (bits >> 1) & 1;
-        rec.isBranch = (bits >> 2) & 1;
-        rec.mispredicted = (bits >> 3) & 1;
-        rec.dependsOnPrevLoad = (bits >> 4) & 1;
-        const TraceRecord back = PackedRecord::pack(rec).unpack();
-        expectSameRecord(rec, back, bits, "roundtrip");
+        for (const uint64_t pc : pcs) {
+            for (const uint64_t off : offsets) {
+                TraceRecord rec;
+                rec.pc = pc;
+                rec.isLoad = bits & 1;
+                rec.isStore = (bits >> 1) & 1;
+                rec.isBranch = (bits >> 2) & 1;
+                rec.mispredicted = (bits >> 3) & 1;
+                rec.dependsOnPrevLoad = (bits >> 4) & 1;
+                rec.addr = rec.isMemory() ? kBase + off : 0;
+                expectSameRecord(rec, roundTrip(rec), bits, "roundtrip");
+            }
+        }
     }
 }
 
+/** The extreme PC, offset and phase values a generator can reach,
+ *  under the lowest and highest data bases. */
 TEST(PackedRecord, PreservesFullAddressAndMaxPc)
 {
-    TraceRecord rec;
-    rec.pc = PackedRecord::kPcMask; // 56-bit ceiling
-    rec.addr = ~0ull;
-    const TraceRecord back = PackedRecord::pack(rec).unpack();
-    EXPECT_EQ(back.pc, PackedRecord::kPcMask);
-    EXPECT_EQ(back.addr, ~0ull);
+    static_assert(kMaxGeneratedPc <=
+                  SyntheticTrace::kCodeBase + PackedRecord::kPcMask);
+    const uint64_t bases[] = {0, kBase, ~PackedRecord::kAddrOffsetMask};
+    for (const uint64_t base : bases) {
+        TraceRecord rec;
+        rec.isLoad = true;
+        rec.pc = kMaxGeneratedPc;
+        rec.addr = base + PackedRecord::kAddrOffsetMask;
+        TraceRecord back = roundTrip(rec, base);
+        EXPECT_EQ(back.pc, kMaxGeneratedPc);
+        EXPECT_EQ(back.addr, base + PackedRecord::kAddrOffsetMask);
+
+        rec.pc = SyntheticTrace::kCodeBase + PackedRecord::kPcMask;
+        rec.addr = base;
+        back = roundTrip(rec, base);
+        EXPECT_EQ(back.pc, SyntheticTrace::kCodeBase + PackedRecord::kPcMask);
+        EXPECT_EQ(back.addr, base);
+    }
 }
 
+/** One past each edge of the domain throws instead of wrapping. */
 TEST(PackedRecord, RejectsOverwidePc)
 {
     TraceRecord rec;
-    rec.pc = PackedRecord::kPcMask + 1;
-    EXPECT_THROW(PackedRecord::pack(rec), std::runtime_error);
+    rec.isLoad = true;
+    rec.addr = kBase;
+    rec.pc = SyntheticTrace::kCodeBase + PackedRecord::kPcMask + 1;
+    EXPECT_THROW(PackedRecord::pack(rec, kBase), std::runtime_error);
+    rec.pc = SyntheticTrace::kCodeBase - 1;
+    EXPECT_THROW(PackedRecord::pack(rec, kBase), std::runtime_error);
+
+    rec.pc = SyntheticTrace::kCodeBase;
+    rec.addr = kBase + PackedRecord::kAddrOffsetMask + 1;
+    EXPECT_THROW(PackedRecord::pack(rec, kBase), std::runtime_error);
+    rec.addr = kBase - 1;
+    EXPECT_THROW(PackedRecord::pack(rec, kBase), std::runtime_error);
+
+    rec.isLoad = false; // a non-memory record must carry address 0
+    rec.addr = kBase;
+    EXPECT_THROW(PackedRecord::pack(rec, kBase), std::runtime_error);
+    rec.addr = 0;
+    EXPECT_NO_THROW(PackedRecord::pack(rec, kBase));
+}
+
+/** Every word decodes to a record, and the bytes of a decoded record
+ *  pack back to the same word whenever its address fields are in use. */
+TEST(PackedRecord, EveryWordDecodes)
+{
+    uint64_t w = 0x9E3779B97F4A7C15ull;
+    for (int i = 0; i < 4096; ++i) {
+        w = w * 6364136223846793005ull + 1442695040888963407ull;
+        const PackedRecord p{w};
+        const TraceRecord rec = p.unpack(kBase);
+        EXPECT_EQ(rec.pc - SyntheticTrace::kCodeBase,
+                  w & PackedRecord::kPcMask);
+        if (rec.isMemory()) {
+            EXPECT_EQ(PackedRecord::pack(rec, kBase).w, w);
+        } else {
+            EXPECT_EQ(rec.addr, 0u);
+        }
+    }
+}
+
+TEST(PackedUop, RoundTripsEveryKindAndTheLargestFields)
+{
+    for (int kind = 0; kind <= static_cast<int>(UopKind::Branch); ++kind) {
+        for (const bool mispredicted : {false, true}) {
+            Uop u;
+            u.kind = static_cast<UopKind>(kind);
+            u.mispredicted = mispredicted;
+            u.depDistance = PackedUop::kMaxDepDistance;
+            u.execLatency = PackedUop::kMaxLatency;
+            u.drainLatency = PackedUop::kMaxLatency;
+            Uop back = PackedUop::pack(u).unpack();
+            EXPECT_EQ(back.kind, u.kind);
+            EXPECT_EQ(back.mispredicted, mispredicted);
+            EXPECT_EQ(back.depDistance, PackedUop::kMaxDepDistance);
+            EXPECT_EQ(back.execLatency, PackedUop::kMaxLatency);
+            EXPECT_EQ(back.drainLatency, PackedUop::kMaxLatency);
+
+            u.depDistance = 0;
+            u.execLatency = 0;
+            u.drainLatency = 0;
+            back = PackedUop::pack(u).unpack();
+            EXPECT_EQ(back.kind, u.kind);
+            EXPECT_EQ(back.mispredicted, mispredicted);
+            EXPECT_EQ(back.depDistance, 0);
+            EXPECT_EQ(back.execLatency, 0u);
+            EXPECT_EQ(back.drainLatency, 0u);
+        }
+    }
+}
+
+TEST(PackedUop, RejectsOnePastEachField)
+{
+    Uop u;
+    u.depDistance = PackedUop::kMaxDepDistance + 1;
+    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
+    u = Uop{};
+    u.execLatency = PackedUop::kMaxLatency + 1;
+    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
+    u = Uop{};
+    u.drainLatency = PackedUop::kMaxLatency + 1;
+    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
+    u = Uop{};
+    u.kind = static_cast<UopKind>(static_cast<int>(UopKind::Branch) + 1);
+    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
+}
+
+/** Latencies whose uops would overflow a PackedUop are rejected when
+ *  the generator is built, by live and replayed sources alike. */
+TEST(UopGen, RejectsL2LatencyAbovePackedRange)
+{
+    SmtAppParams p = smtAppCatalog().front();
+    p.l2Latency = PackedUop::kMaxLatency;
+    EXPECT_NO_THROW(ThreadSource(p, 1));
+    p.l2Latency = PackedUop::kMaxLatency + 1;
+    EXPECT_THROW(ThreadSource(p, 1), std::invalid_argument);
+    EXPECT_THROW(UopStream(p, 1), std::invalid_argument);
+}
+
+TEST(UopGen, RejectsDramLatencyAbovePackedRange)
+{
+    SmtAppParams p = smtAppCatalog().front();
+    p.dramLatency = PackedUop::kMaxLatency - 63;
+    EXPECT_NO_THROW(ThreadSource(p, 1));
+    p.dramLatency = PackedUop::kMaxLatency - 62;
+    EXPECT_THROW(ThreadSource(p, 1), std::invalid_argument);
+    EXPECT_THROW(UopStream(p, 1), std::invalid_argument);
+    p.dramLatency = ~0u; // used to wrap the uint32 latency
+    EXPECT_THROW(ThreadSource(p, 1), std::invalid_argument);
 }
 
 /** Replay equivalence for every field of every record of every
@@ -381,38 +531,134 @@ TEST_F(ReplayTest, ConsumerSurvivesMidStreamArenaEviction)
 }
 
 /** SMT leg: a ThreadSource replaying a shared UopStream must emit
- *  exactly the uops of a live ThreadSource, across chunk borders. */
+ *  exactly the uops of a live ThreadSource, across chunk borders —
+ *  for a catalog app, and for params that drive every packed field to
+ *  its edge (the largest latencies, dependency distance 63, every
+ *  kind, both flag values). */
 TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
 {
-    const SmtAppParams &params = smtAppCatalog().front();
-    const uint64_t seed = 12345;
-    const uint64_t n = UopStream::kChunkUops + 2000;
+    SmtAppParams edge = smtAppCatalog().front();
+    edge.name = "edge";
+    edge.loadFrac = 0.3;
+    edge.storeFrac = 0.2;
+    edge.branchFrac = 0.2;
+    edge.fpFrac = 0.1;
+    edge.mispredictRate = 0.5;
+    edge.l1MissRate = 1.0;
+    edge.dramRate = 0.5;
+    edge.l2Latency = PackedUop::kMaxLatency;
+    edge.dramLatency = PackedUop::kMaxLatency - 63;
+    edge.depProb = 1.0;
+    edge.depMeanDistance = 1000; // mostly capped: distance 63
+    edge.storeDrainDramRate = 0.5;
 
-    ThreadSource live(params, seed);
-    ThreadSource replay(params, seed);
-    replay.attachStream(acquireUopStream(params, seed));
-    ASSERT_TRUE(replay.replaying());
-    ASSERT_FALSE(live.replaying());
+    for (const SmtAppParams &params : {smtAppCatalog().front(), edge}) {
+        const uint64_t seed = 12345;
+        const uint64_t n = UopStream::kChunkUops + 2000;
 
-    for (uint64_t i = 0; i < n; ++i) {
-        const Uop a = live.next();
+        ThreadSource live(params, seed);
+        ThreadSource replay(params, seed);
+        replay.attachStream(acquireUopStream(params, seed));
+        ASSERT_TRUE(replay.replaying());
+        ASSERT_FALSE(live.replaying());
+
+        Uop maxSeen;
+        maxSeen.execLatency = 0;
+        std::vector<bool> kinds(5, false);
+        for (uint64_t i = 0; i < n; ++i) {
+            const Uop a = live.next();
+            const Uop b = replay.next();
+            ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind))
+                << params.name << " uop " << i;
+            ASSERT_EQ(a.execLatency, b.execLatency)
+                << params.name << " uop " << i;
+            ASSERT_EQ(a.drainLatency, b.drainLatency)
+                << params.name << " uop " << i;
+            ASSERT_EQ(a.mispredicted, b.mispredicted)
+                << params.name << " uop " << i;
+            ASSERT_EQ(a.depDistance, b.depDistance)
+                << params.name << " uop " << i;
+            maxSeen.execLatency = std::max(maxSeen.execLatency,
+                                           a.execLatency);
+            maxSeen.drainLatency = std::max(maxSeen.drainLatency,
+                                            a.drainLatency);
+            maxSeen.depDistance = std::max(maxSeen.depDistance,
+                                           a.depDistance);
+            maxSeen.mispredicted |= a.mispredicted;
+            kinds[static_cast<size_t>(a.kind)] = true;
+        }
+        if (params.name == "edge") {
+            // The stream really reached every edge it was built for.
+            EXPECT_EQ(maxSeen.execLatency, PackedUop::kMaxLatency);
+            EXPECT_EQ(maxSeen.drainLatency, PackedUop::kMaxLatency);
+            EXPECT_EQ(maxSeen.depDistance, PackedUop::kMaxDepDistance);
+            EXPECT_TRUE(maxSeen.mispredicted);
+            EXPECT_EQ(std::count(kinds.begin(), kinds.end(), true), 5);
+        }
+
+        // Same (params, seed) acquires the same shared stream; and
+        // reset rewinds the replay to uop 0.
+        EXPECT_EQ(acquireUopStream(params, seed).get(),
+                  acquireUopStream(params, seed).get());
+        replay.reset();
+        ThreadSource fresh(params, seed);
+        const Uop a = fresh.next();
         const Uop b = replay.next();
-        ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind))
-            << "uop " << i;
-        ASSERT_EQ(a.execLatency, b.execLatency) << "uop " << i;
-        ASSERT_EQ(a.drainLatency, b.drainLatency) << "uop " << i;
-        ASSERT_EQ(a.mispredicted, b.mispredicted) << "uop " << i;
-        ASSERT_EQ(a.depDistance, b.depDistance) << "uop " << i;
+        EXPECT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind));
+        EXPECT_EQ(a.execLatency, b.execLatency);
+    }
+}
+
+/** The arena charges 8 bytes per resident record and per uop. */
+TEST_F(ReplayTest, ArenaItemsCountEightBytesPerRecord)
+{
+    const AppProfile app = appByName("lbm06");
+    for (const uint64_t n :
+         {uint64_t{1000}, MaterializedTrace::kChunkRecords,
+          2 * MaterializedTrace::kChunkRecords + 17}) {
+        const auto trace = MaterializedTrace::generate(app, n);
+        EXPECT_EQ(trace->bytes(), 8 * n) << n << " records";
     }
 
-    // Same (params, seed) acquires the same shared stream; and reset
-    // rewinds the replay to uop 0.
-    EXPECT_EQ(acquireUopStream(params, seed).get(),
-              acquireUopStream(params, seed).get());
-    replay.reset();
-    ThreadSource fresh(params, seed);
-    const Uop a = fresh.next();
-    const Uop b = replay.next();
-    EXPECT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind));
-    EXPECT_EQ(a.execLatency, b.execLatency);
+    UopStream stream(smtAppCatalog().front(), 7);
+    EXPECT_EQ(stream.bytes(), 0u);
+    stream.chunk(1);
+    EXPECT_EQ(stream.bytes(), 8 * 2 * UopStream::kChunkUops);
+}
+
+/**
+ * A profile at every packed limit at once — the most phases, the most
+ * streams and the largest footprint SyntheticTrace accepts — records
+ * and replays exactly, and its records reach the far edge of the PC
+ * window.
+ */
+TEST_F(ReplayTest, ProfileAtEveryPackedLimitReplaysExactly)
+{
+    AppProfile app;
+    app.name = "packed-limits";
+    app.seed = 99;
+    app.loopPhases = false;
+    PatternPhase ph;
+    ph.kind = PatternKind::Streaming;
+    ph.memFraction = 0.9;
+    ph.branchFraction = 0.05;
+    ph.accessesPerLine = 1;
+    ph.footprintBytes = SyntheticTrace::kMaxFootprintBytes;
+    ph.numStreams = SyntheticTrace::kMaxStreams;
+    ph.lengthInstrs = 1;
+    app.phases.assign(SyntheticTrace::kMaxPhases, ph);
+    app.phases.back().lengthInstrs = 8000;
+
+    const uint64_t n = SyntheticTrace::kMaxPhases + 7000;
+    SyntheticTrace live(app);
+    ReplaySource replay(TraceArena::global().acquireTrace(app, n));
+    uint64_t maxPc = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+        const TraceRecord a = live.next();
+        expectSameRecord(a, replay.next(), i, "limits");
+        if (HasFatalFailure())
+            return;
+        maxPc = std::max(maxPc, a.pc);
+    }
+    EXPECT_EQ(maxPc, kMaxGeneratedPc);
 }

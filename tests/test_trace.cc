@@ -4,6 +4,7 @@
 #include <set>
 
 #include "trace/generator.h"
+#include "trace/replay.h"
 #include "trace/suites.h"
 
 namespace mab {
@@ -344,6 +345,74 @@ TEST(PatternKindNames, AllDistinct)
           PatternKind::Random}) {
         EXPECT_TRUE(names.insert(toString(kind)).second);
     }
+}
+
+/**
+ * Degenerate and out-of-domain profiles throw std::invalid_argument
+ * from the generator's constructor, on the live path and on the
+ * replayed one (a MaterializedTrace builds the same generator), and
+ * each accepted limit still constructs. The message names the field.
+ */
+void
+expectRejected(const AppProfile &app, const std::string &field)
+{
+    try {
+        SyntheticTrace live(app);
+        ADD_FAILURE() << "accepted a profile with a bad " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(MaterializedTrace(app, 100), std::invalid_argument);
+}
+
+TEST(ProfileCheck, RejectsAnAppWithoutPhases)
+{
+    AppProfile app = oneApp(PatternKind::Streaming);
+    app.phases.clear();
+    expectRejected(app, "phases");
+}
+
+TEST(ProfileCheck, RejectsMorePhasesThanThePackedPcHolds)
+{
+    AppProfile app = oneApp(PatternKind::Streaming);
+    app.phases.assign(SyntheticTrace::kMaxPhases, app.phases.front());
+    EXPECT_NO_THROW(SyntheticTrace{app});
+    app.phases.push_back(app.phases.front());
+    expectRejected(app, "phases");
+}
+
+TEST(ProfileCheck, RejectsFootprintBelowOneLine)
+{
+    EXPECT_NO_THROW(SyntheticTrace{oneApp(PatternKind::Random, 64)});
+    expectRejected(oneApp(PatternKind::Random, 63), "footprintBytes");
+    expectRejected(oneApp(PatternKind::Streaming, 0), "footprintBytes");
+}
+
+TEST(ProfileCheck, RejectsSpatialFootprintBelowOneRegion)
+{
+    EXPECT_NO_THROW(
+        SyntheticTrace{oneApp(PatternKind::SpatialRegion, 2048)});
+    expectRejected(oneApp(PatternKind::SpatialRegion, 2047),
+                   "footprintBytes");
+}
+
+TEST(ProfileCheck, RejectsFootprintAboveThePackedAddressRange)
+{
+    EXPECT_NO_THROW(SyntheticTrace{oneApp(
+        PatternKind::Random, SyntheticTrace::kMaxFootprintBytes)});
+    expectRejected(oneApp(PatternKind::Random,
+                          SyntheticTrace::kMaxFootprintBytes + 1),
+                   "footprintBytes");
+}
+
+TEST(ProfileCheck, RejectsMoreStreamsThanOnePhasePcWindowHolds)
+{
+    AppProfile app = oneApp(PatternKind::Strided);
+    app.phases[0].numStreams = SyntheticTrace::kMaxStreams;
+    EXPECT_NO_THROW(SyntheticTrace{app});
+    app.phases[0].numStreams = SyntheticTrace::kMaxStreams + 1;
+    expectRejected(app, "numStreams");
 }
 
 } // namespace
