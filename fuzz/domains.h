@@ -35,6 +35,10 @@ std::string checkPrefetch(uint64_t seed, bool shrink);
 std::string describePrefetch(uint64_t seed);
 bool selfTestPrefetch(uint64_t seedBase, uint64_t lane, std::string &log);
 
+std::string checkGenerate(uint64_t seed, bool shrink);
+std::string describeGenerate(uint64_t seed);
+bool selfTestGenerate(uint64_t seedBase, uint64_t lane, std::string &log);
+
 /** The prefetcher @p c names, built by the bench harness's factory
  *  with a 50-access bandit step, so the agent takes many decisions
  *  within a short fuzz run. */

@@ -26,9 +26,9 @@ namespace mab::fuzz {
  * a single replayable uint64 seed, runs them through the optimized
  * implementations and through slow-but-obviously-correct reference
  * models, and checks structural invariants on every iteration. Each
- * domain (cache, bandit, sim, replay, drift, smt, prefetch) is one
- * family of checks in one source file of fuzz/; registry.cc lists
- * them.
+ * domain (cache, bandit, sim, replay, drift, smt, prefetch, generate)
+ * is one family of checks in one source file of fuzz/; registry.cc
+ * lists them.
  *
  * On mismatch the failing case can be shrunk (chunk removal over the
  * op stream, or halving the run, then config-dimension reduction) and

@@ -23,6 +23,7 @@ const Domain kDomains[] = {
     {"drift", 5, checkDrift, describeDrift, nullptr},
     {"smt", 6, checkSmt, describeSmt, nullptr},
     {"prefetch", 7, checkPrefetch, describePrefetch, selfTestPrefetch},
+    {"generate", 8, checkGenerate, describeGenerate, selfTestGenerate},
 };
 
 } // namespace

@@ -69,10 +69,8 @@ PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig &config)
           config.qInit / 2.0),
       q1_(static_cast<size_t>(config.planeEntries) * kNumActions,
           config.qInit / 2.0),
-      // Wraps to 0 for one plane entry, where every remainder is 0.
-      planeRecip_(~static_cast<unsigned __int128>(0) /
-                      static_cast<uint64_t>(config.planeEntries) +
-                  1),
+      planeRecip_(remainderReciprocal(
+          static_cast<uint64_t>(config.planeEntries))),
       eq_(static_cast<size_t>(config.eqDepth) + 1),
       pending_(kMaxDegree * (static_cast<size_t>(config.eqDepth) + 1))
 {
@@ -108,16 +106,8 @@ PythiaPrefetcher::reset()
 int
 PythiaPrefetcher::planeIndex(uint64_t key) const
 {
-    // key % planeEntries = floor(((recip * key) mod 2^128) * d / 2^128),
-    // exact for every 64-bit key and 32-bit d; the product with d is
-    // taken in two 64-bit halves.
-    const uint64_t d = static_cast<uint64_t>(config_.planeEntries);
-    const unsigned __int128 low = planeRecip_ * key;
-    const unsigned __int128 bottom =
-        (static_cast<unsigned __int128>(static_cast<uint64_t>(low)) * d) >>
-        64;
-    const unsigned __int128 top = (low >> 64) * d;
-    return static_cast<int>((bottom + top) >> 64);
+    return static_cast<int>(remainderBy(
+        planeRecip_, static_cast<uint64_t>(config_.planeEntries), key));
 }
 
 int

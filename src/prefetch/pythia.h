@@ -161,9 +161,8 @@ class PythiaPrefetcher final : public Prefetcher
     Rng rng_;
     std::vector<double> q0_; // [planeEntries x kNumActions]
     std::vector<double> q1_;
-    /** ceil(2^128 / planeEntries): key % planeEntries without a
-     *  divide (Lemire, Kaser & Kurz, "Faster remainder by direct
-     *  computation", 2019). */
+    /** remainderReciprocal(planeEntries) (sim/rng.h): key %
+     *  planeEntries without a divide. */
     unsigned __int128 planeRecip_;
 
     /** FIFO ring of eqDepth + 1 entries, allocated once: a decision

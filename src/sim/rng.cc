@@ -1,5 +1,8 @@
 #include "sim/rng.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace mab {
 
 namespace {
@@ -15,12 +18,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 void
@@ -34,62 +31,18 @@ Rng::reseed(uint64_t seed)
         s_[0] = 0x9E3779B97F4A7C15ull;
 }
 
-uint64_t
-Rng::next64()
+void
+Rng::throwZeroBound()
 {
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
+    throw std::invalid_argument(
+        "Rng: bound 0 is empty; below() needs a bound >= 1");
 }
 
-double
-Rng::uniform()
+void
+Rng::throwEmptyRange(int64_t lo, int64_t hi)
 {
-    // 53 high-quality bits -> double in [0, 1).
-    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-uint64_t
-Rng::below(uint64_t bound)
-{
-    // Rejection sampling: draw until the value falls inside the largest
-    // multiple of bound that fits in 64 bits.
-    const uint64_t threshold = -bound % bound;
-    for (;;) {
-        const uint64_t r = next64();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-int64_t
-Rng::range(int64_t lo, int64_t hi)
-{
-    const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-    return lo + static_cast<int64_t>(below(span));
-}
-
-uint64_t
-Rng::geometric(double p, uint64_t cap)
-{
-    if (p >= 1.0)
-        return 0;
-    uint64_t n = 0;
-    while (n < cap && !bernoulli(p))
-        ++n;
-    return n;
+    throw std::invalid_argument("Rng::range: hi " + std::to_string(hi) +
+                                " is below lo " + std::to_string(lo));
 }
 
 } // namespace mab

@@ -4,100 +4,114 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace mab {
 
 namespace {
 
-/** DRAM loads take dramLatency plus [0, kDramSpread) cycles of
- *  bank/queue variance. */
-constexpr uint32_t kDramSpread = 64;
-
-/** Reject latencies whose uops would overflow a PackedUop field. */
+/** Reject a dramLatency whose DRAM spread would overflow a uint32_t
+ *  latency: the only latency limit left, since the 16-bit uop word
+ *  stores no latency. */
 const SmtAppParams &
 checkedParams(const SmtAppParams &params)
 {
-    const auto check = [&params](const char *field, uint32_t value,
-                                 uint32_t max) {
-        if (value > max)
-            throw std::invalid_argument(
-                "SmtAppParams '" + params.name + "': " + field + " " +
-                std::to_string(value) + " is above " +
-                std::to_string(max) + ", the packed uop latency range");
-    };
-    check("l2Latency", params.l2Latency, PackedUop::kMaxLatency);
-    check("dramLatency", params.dramLatency,
-          PackedUop::kMaxLatency - (kDramSpread - 1));
+    constexpr uint32_t kMaxDram = std::numeric_limits<uint32_t>::max() -
+        (PackedUop::kDramSpread - 1);
+    if (params.dramLatency > kMaxDram)
+        throw std::invalid_argument(
+            "SmtAppParams '" + params.name + "': dramLatency " +
+            std::to_string(params.dramLatency) + " is above " +
+            std::to_string(kMaxDram) +
+            ", where the 63 cycles of DRAM spread overflow a uint32_t");
     return params;
 }
 
 } // namespace
 
-PackedUop
-PackedUop::pack(const Uop &uop)
+UopDecoder::UopDecoder(const SmtAppParams &params)
 {
-    if (static_cast<unsigned>(uop.kind) >
-            static_cast<unsigned>(UopKind::Branch) ||
-        uop.execLatency > kMaxLatency || uop.drainLatency > kMaxLatency ||
-        uop.depDistance > kMaxDepDistance)
-        throw std::out_of_range("PackedUop: uop outside the packed domain");
-    return PackedUop{static_cast<uint64_t>(uop.kind) |
-                     static_cast<uint64_t>(uop.mispredicted) << 3 |
-                     static_cast<uint64_t>(uop.depDistance) << 4 |
-                     static_cast<uint64_t>(uop.execLatency) << 10 |
-                     static_cast<uint64_t>(uop.drainLatency) << 37};
+    const auto make = [](UopKind kind, uint32_t exec, uint32_t drain,
+                         bool mispredicted) {
+        Uop uop;
+        uop.kind = kind;
+        uop.execLatency = exec;
+        uop.drainLatency = drain;
+        uop.mispredicted = mispredicted;
+        return uop;
+    };
+    table_.fill(make(UopKind::IntAlu, 1, 0, false));
+    table_[PackedUop::kFpAlu] = make(UopKind::FpAlu, 4, 0, false);
+    table_[PackedUop::kLoadL1] = make(UopKind::Load, 4, 0, false);
+    table_[PackedUop::kLoadL2] =
+        make(UopKind::Load, params.l2Latency, 0, false);
+    table_[PackedUop::kLoadDram] =
+        make(UopKind::Load, params.dramLatency, 0, false);
+    table_[PackedUop::kStoreL2] =
+        make(UopKind::Store, 1, params.l2Latency, false);
+    table_[PackedUop::kStoreDram] =
+        make(UopKind::Store, 1, params.dramLatency, false);
+    table_[PackedUop::kBranch] = make(UopKind::Branch, 1, 0, false);
+    table_[PackedUop::kBranchMispredicted] =
+        make(UopKind::Branch, 1, 0, true);
 }
 
 UopGen::UopGen(const SmtAppParams &params, uint64_t seed)
-    : params_(checkedParams(params)), seed_(seed), rng_(seed)
+    : params_(checkedParams(params)), seed_(seed), rng_(seed),
+      // One uniform() picks the op class against running sums of the
+      // class fractions; each sum is formed left to right in double,
+      // the roundings of a running `acc +=`.
+      loadT_(Rng::chanceThreshold(params.loadFrac)),
+      storeT_(Rng::chanceThreshold(params.loadFrac + params.storeFrac)),
+      branchT_(Rng::chanceThreshold(params.loadFrac + params.storeFrac +
+                                    params.branchFrac)),
+      fpT_(Rng::chanceThreshold(params.loadFrac + params.storeFrac +
+                                params.branchFrac + params.fpFrac)),
+      l1MissT_(Rng::chanceThreshold(params.l1MissRate)),
+      dramT_(Rng::chanceThreshold(params.dramRate)),
+      drainDramT_(Rng::chanceThreshold(params.storeDrainDramRate)),
+      mispredictT_(Rng::chanceThreshold(params.mispredictRate)),
+      depT_(Rng::chanceThreshold(params.depProb)),
+      depDistanceT_(Rng::chanceThreshold(1.0 / params.depMeanDistance))
 {
 }
 
-Uop
-UopGen::next()
+PackedUop
+UopGen::nextPacked()
 {
-    Uop uop;
-    const double r = rng_.uniform();
-    double acc = params_.loadFrac;
-    if (r < acc) {
-        uop.kind = UopKind::Load;
-        if (rng_.bernoulli(params_.l1MissRate)) {
-            if (rng_.bernoulli(params_.dramRate)) {
+    uint16_t w = PackedUop::kIntAlu; // past every class fraction
+    const uint64_t r = rng_.next64() >> 11; // uniform() as 53 bits
+    if (r < loadT_) {
+        if (rng_.chance(l1MissT_)) {
+            if (rng_.chance(dramT_)) {
                 // Spread DRAM latencies to model bank/queue variance.
-                uop.execLatency = params_.dramLatency +
-                    static_cast<uint32_t>(rng_.below(kDramSpread));
+                w = static_cast<uint16_t>(
+                    PackedUop::kLoadDram |
+                    rng_.below(PackedUop::kDramSpread)
+                        << PackedUop::kSpreadShift);
             } else {
-                uop.execLatency = params_.l2Latency;
+                w = PackedUop::kLoadL2;
             }
         } else {
-            uop.execLatency = 4;
+            w = PackedUop::kLoadL1;
         }
-    } else if (r < (acc += params_.storeFrac)) {
-        uop.kind = UopKind::Store;
-        uop.execLatency = 1;
-        uop.drainLatency =
-            rng_.bernoulli(params_.storeDrainDramRate)
-                ? params_.dramLatency
-                : params_.l2Latency;
-    } else if (r < (acc += params_.branchFrac)) {
-        uop.kind = UopKind::Branch;
-        uop.execLatency = 1;
-        uop.mispredicted = rng_.bernoulli(params_.mispredictRate);
-    } else if (r < (acc += params_.fpFrac)) {
-        uop.kind = UopKind::FpAlu;
-        uop.execLatency = 4;
-    } else {
-        uop.kind = UopKind::IntAlu;
-        uop.execLatency = 1;
+    } else if (r < storeT_) {
+        w = rng_.chance(drainDramT_) ? PackedUop::kStoreDram
+                                     : PackedUop::kStoreL2;
+    } else if (r < branchT_) {
+        w = rng_.chance(mispredictT_) ? PackedUop::kBranchMispredicted
+                                      : PackedUop::kBranch;
+    } else if (r < fpT_) {
+        w = PackedUop::kFpAlu;
     }
 
-    if (rng_.bernoulli(params_.depProb)) {
-        const uint64_t d = 1 +
-            rng_.geometric(1.0 / params_.depMeanDistance, 62);
-        uop.depDistance = static_cast<uint16_t>(d);
+    if (rng_.chance(depT_)) {
+        const uint64_t d =
+            1 + rng_.geometricChance(depDistanceT_, kDepGeometricCap);
+        w = static_cast<uint16_t>(w | d << PackedUop::kDepShift);
     }
-    return uop;
+    return PackedUop{w};
 }
 
 UopStream::UopStream(const SmtAppParams &params, uint64_t seed)
@@ -124,7 +138,7 @@ UopStream::chunk(uint64_t idx)
     while (published_.load(std::memory_order_relaxed) <= idx) {
         auto buf = std::make_unique_for_overwrite<PackedUop[]>(kChunkUops);
         for (uint64_t i = 0; i < kChunkUops; ++i)
-            buf[i] = PackedUop::pack(gen_.next());
+            buf[i] = gen_.nextPacked();
         chunks_.push_back(std::move(buf));
         // Release-publish after the chunk contents and the directory
         // slot are written: a reader that observes the new count also
@@ -199,7 +213,7 @@ acquireUopStream(const SmtAppParams &params, uint64_t seed)
 }
 
 ThreadSource::ThreadSource(const SmtAppParams &params, uint64_t seed)
-    : gen_(params, seed)
+    : gen_(params, seed), decoder_(gen_.params())
 {
 }
 
@@ -226,12 +240,12 @@ Uop
 ThreadSource::next()
 {
     if (!stream_)
-        return gen_.next();
+        return decoder_.decode(gen_.nextPacked());
     const uint64_t off = pos_ & (UopStream::kChunkUops - 1);
     if (off == 0 || chunk_ == nullptr)
         chunk_ = stream_->chunk(pos_ / UopStream::kChunkUops);
     ++pos_;
-    return chunk_[off].unpack();
+    return decoder_.decode(chunk_[off]);
 }
 
 namespace {

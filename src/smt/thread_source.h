@@ -1,6 +1,7 @@
 #ifndef MAB_SMT_THREAD_SOURCE_H
 #define MAB_SMT_THREAD_SOURCE_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -47,45 +48,6 @@ struct Uop
 };
 
 /**
- * One Uop in one 64-bit word, UopStream's chunk format:
- *
- *   bits  0..2   kind
- *   bit   3      mispredicted
- *   bits  4..9   depDistance (at most 63)
- *   bits 10..36  execLatency
- *   bits 37..63  drainLatency
- *
- * UopGen only emits uops inside that domain (it rejects SmtAppParams
- * whose latencies would overflow a field); pack() throws on any other
- * uop. The word has no initializer: chunks are allocated for
- * overwrite and filled before they are published.
- */
-struct PackedUop
-{
-    static constexpr unsigned kLatencyBits = 27;
-    static constexpr uint32_t kMaxLatency = (1u << kLatencyBits) - 1;
-    static constexpr uint16_t kMaxDepDistance = 63;
-
-    uint64_t w;
-
-    static PackedUop pack(const Uop &uop);
-
-    Uop
-    unpack() const
-    {
-        Uop uop;
-        uop.kind = static_cast<UopKind>(w & 7);
-        uop.mispredicted = (w >> 3) & 1;
-        uop.depDistance = static_cast<uint16_t>((w >> 4) & 63);
-        uop.execLatency = static_cast<uint32_t>(w >> 10) & kMaxLatency;
-        uop.drainLatency = static_cast<uint32_t>(w >> 37);
-        return uop;
-    }
-};
-
-static_assert(sizeof(PackedUop) == 8, "PackedUop is one word");
-
-/**
  * Statistical profile of an SMT thread (the stand-in for a SimPointed
  * SPEC17 binary; see DESIGN.md). The parameters control the pressure
  * the thread puts on each pipeline structure — the property the fetch
@@ -123,20 +85,98 @@ struct SmtAppParams
 };
 
 /**
+ * One generated uop in 16 bits, UopStream's chunk word. A uop carries
+ * only the draws that made it; its latencies are constants of its app
+ * and come back from the UopDecoder table:
+ *
+ *   bits  0..3   op class (the enumerators below)
+ *   bits  4..9   depDistance (at most 63)
+ *   bits 10..15  DRAM spread (kLoadDram only: cycles above dramLatency)
+ *
+ * Every word decodes: the unused classes 9..15 decode to IntAlu and the
+ * spread bits of any other class are ignored. The word has no
+ * initializer: chunks are allocated for overwrite and filled before
+ * they are published.
+ */
+struct PackedUop
+{
+    enum Class : uint16_t
+    {
+        kIntAlu,
+        kFpAlu,
+        kLoadL1,
+        kLoadL2,
+        kLoadDram,
+        kStoreL2,
+        kStoreDram,
+        kBranch,
+        kBranchMispredicted,
+        kNumClasses,
+    };
+    static constexpr unsigned kDepShift = 4;
+    static constexpr unsigned kSpreadShift = 10;
+    static constexpr uint16_t kMaxDepDistance = 63;
+    /** DRAM loads take dramLatency plus [0, kDramSpread) cycles. */
+    static constexpr uint32_t kDramSpread = 64;
+
+    uint16_t w;
+};
+
+static_assert(sizeof(PackedUop) == 2, "PackedUop is 16 bits");
+
+/**
+ * The per-stream decode table of PackedUop: one Uop per op class,
+ * built from the app's SmtAppParams (loads 4 cycles from L1,
+ * l2Latency from L2 and dramLatency plus the word's spread from DRAM;
+ * stores execute in 1 cycle and drain for l2Latency or dramLatency;
+ * branches and IntAlu take 1 cycle, FpAlu 4).
+ */
+class UopDecoder
+{
+  public:
+    explicit UopDecoder(const SmtAppParams &params);
+
+    Uop
+    decode(PackedUop p) const
+    {
+        const unsigned cls = p.w & 15u;
+        Uop uop = table_[cls];
+        uop.depDistance = static_cast<uint16_t>(
+            (p.w >> PackedUop::kDepShift) & PackedUop::kMaxDepDistance);
+        // The spread counts only for a DRAM load (a mask, not a branch).
+        uop.execLatency += static_cast<uint32_t>(p.w >>
+                                                 PackedUop::kSpreadShift) &
+            (0u - static_cast<uint32_t>(cls == PackedUop::kLoadDram));
+        return uop;
+    }
+
+  private:
+    std::array<Uop, 16> table_;
+};
+
+/**
  * The raw micro-op generator: a pure function of (params, seed,
  * index). Shared by the live ThreadSource path and the materializing
- * UopStream so replay is byte-identical to live generation by
- * construction. The constructor throws std::invalid_argument on
- * latencies whose uops would not fit a PackedUop (l2Latency above
- * PackedUop::kMaxLatency, dramLatency above it minus the 63 cycles of
- * DRAM spread), so live and replayed runs accept the same params.
+ * UopStream, which both take nextPacked() and decode the same word, so
+ * replay is byte-identical to live generation by construction. Every
+ * draw is an inlined integer compare: the probabilities (and the
+ * running sums the op class is picked against) are precomputed
+ * Rng::chanceThresholds. The constructor throws std::invalid_argument
+ * for a dramLatency whose spread would overflow a uint32_t latency
+ * (above UINT32_MAX - 63), so live and replayed runs accept the same
+ * params.
  */
 class UopGen
 {
   public:
+    /** Cap of the geometric dependency draw: 1 + cap is the largest
+     *  depDistance, PackedUop::kMaxDepDistance. */
+    static constexpr uint64_t kDepGeometricCap =
+        PackedUop::kMaxDepDistance - 1;
+
     UopGen(const SmtAppParams &params, uint64_t seed);
 
-    Uop next();
+    PackedUop nextPacked();
     void reset() { rng_.reseed(seed_); }
 
     const SmtAppParams &params() const { return params_; }
@@ -145,6 +185,13 @@ class UopGen
     SmtAppParams params_;
     uint64_t seed_;
     Rng rng_;
+    /** chanceThresholds of uniform() < loadFrac, of the running sums
+     *  with storeFrac, branchFrac and fpFrac, and of each Bernoulli
+     *  draw; depDistance is the geometric draw with 1 /
+     *  depMeanDistance. */
+    uint64_t loadT_, storeT_, branchT_, fpT_;
+    uint64_t l1MissT_, dramT_, drainDramT_, mispredictT_, depT_,
+        depDistanceT_;
 };
 
 /**
@@ -170,7 +217,7 @@ class UopGen
 class UopStream final : public ArenaItem
 {
   public:
-    /** Uops per chunk (power of two; 128 KiB of PackedUops). */
+    /** Uops per chunk (power of two; 32 KiB of PackedUops). */
     static constexpr uint64_t kChunkUops = 1ull << 14;
 
     /** Directory capacity: kMaxChunks * kChunkUops uops (~268M). */
@@ -204,12 +251,13 @@ std::string smtParamsFingerprint(const SmtAppParams &params);
 
 /**
  * Deterministic source of a thread's micro-op stream. Two modes with
- * byte-identical output:
- *  - live (default): uops are generated on demand from the RNG;
+ * byte-identical output, both decoding PackedUop words through the
+ * thread's UopDecoder:
+ *  - live (default): each word comes straight from UopGen;
  *  - replay: attachStream() plugs in a shared UopStream and next()
- *    becomes a load and an unpack of one PackedUop from the
- *    materialized buffer (extending the shared stream only when
- *    running past its current end).
+ *    becomes a load of one 16-bit word from the materialized buffer
+ *    (extending the shared stream only when running past its current
+ *    end).
  */
 class ThreadSource
 {
@@ -234,6 +282,7 @@ class ThreadSource
 
   private:
     UopGen gen_;
+    UopDecoder decoder_;
 
     /** Replay state (unused in live mode). */
     std::shared_ptr<UopStream> stream_;

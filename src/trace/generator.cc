@@ -24,8 +24,8 @@ mix64(uint64_t x)
  * leave the domain of SyntheticTrace (see generator.h). Each message
  * names the offending field and its value.
  */
-void
-checkProfile(const AppProfile &app)
+const AppProfile &
+checkedProfile(const AppProfile &app)
 {
     const auto fail = [&app](const std::string &what) {
         throw std::invalid_argument("AppProfile '" + app.name + "': " +
@@ -61,6 +61,7 @@ checkProfile(const AppProfile &app)
                  std::to_string(SyntheticTrace::kMaxStreams) +
                  ", the stream PCs that fit one phase's PC window");
     }
+    return app;
 }
 
 } // namespace
@@ -78,10 +79,25 @@ toString(PatternKind kind)
     return "?";
 }
 
-SyntheticTrace::SyntheticTrace(AppProfile profile)
-    : profile_(std::move(profile)), rng_(profile_.seed)
+SyntheticTrace::PhaseDraws::PhaseDraws(const PatternPhase &ph)
+    : branch(Rng::chanceThreshold(ph.branchFraction)),
+      branchOrMem(
+          Rng::chanceThreshold(ph.branchFraction + ph.memFraction)),
+      mispredict(Rng::chanceThreshold(ph.mispredictRate)),
+      store(Rng::chanceThreshold(ph.storeFraction)),
+      chaseSerial(Rng::chanceThreshold(ph.chaseSerialFrac)),
+      lines(ph.footprintBytes / kLineBytes),
+      // At least 1: only SpatialRegion phases, whose footprint the
+      // profile check keeps at one region or more, draw from it.
+      regions(std::max<uint64_t>(ph.footprintBytes / 2048, 1)),
+      bytes(ph.footprintBytes)
 {
-    checkProfile(profile_);
+}
+
+SyntheticTrace::SyntheticTrace(AppProfile profile)
+    : profile_(std::move(profile)), rng_(profile_.seed),
+      draws_(checkedProfile(profile_).phases.front())
+{
     // Give every app a distinct, stable data segment so that traces of
     // different apps never alias in a shared cache.
     appBase_ = (mix64(profile_.seed ^ 0xA5A5A5A5ull) & 0x3FFFull) << 32;
@@ -101,19 +117,19 @@ SyntheticTrace::enterPhase(size_t idx)
     phaseIdx_ = idx;
     instrInPhase_ = 0;
     const PatternPhase &ph = profile_.phases[idx];
+    draws_ = PhaseDraws(ph);
 
-    const uint64_t pc_base = kCodeBase + (idx << kPhasePcShift);
+    phasePc_ = idx << kPhasePcShift;
     const int n = std::max(ph.numStreams, 1);
     streams_.assign(n, Stream{});
     for (int i = 0; i < n; ++i) {
-        streams_[i].pc =
-            pc_base + static_cast<uint64_t>(i) * kStreamPcStride;
-        streams_[i].cursor = rng_.below(ph.footprintBytes / kLineBytes) *
-            kLineBytes;
+        streams_[i].pcOffset =
+            phasePc_ + static_cast<uint64_t>(i) * kStreamPcStride;
+        streams_[i].cursor = rng_.below(draws_.lines) * kLineBytes;
         streams_[i].remaining = 0;
     }
     rrStream_ = 0;
-    chaseCursor_ = rng_.below(ph.footprintBytes / kLineBytes) * kLineBytes;
+    chaseCursor_ = rng_.below(draws_.lines) * kLineBytes;
 
     // Stable per-phase footprint with 12-20 of 32 lines present.
     regionFootprint_ = 0;
@@ -141,23 +157,25 @@ SyntheticTrace::nextAddress(bool &depends_on_prev)
         return repeatLine_ + rng_.below(kLineBytes / 8) * 8;
     }
 
-    const uint64_t footprint_lines = ph.footprintBytes / kLineBytes;
-    uint64_t addr = appBase_;
-
+    uint64_t offset = 0;
     switch (ph.kind) {
       case PatternKind::Streaming: {
         lastStream_ = rrStream_;
         Stream &s = streams_[rrStream_];
         rrStream_ = (rrStream_ + 1) % streams_.size();
         if (s.remaining == 0) {
-            s.cursor = rng_.below(footprint_lines) * kLineBytes;
+            s.cursor = rng_.below(draws_.lines) * kLineBytes;
             // 32KB-128KB runs: streaming kernels sweep long arrays,
             // so deep prefetch lookahead rarely overshoots.
             s.remaining = 512 + rng_.below(1536);
         }
-        s.cursor = (s.cursor + kLineBytes) % ph.footprintBytes;
+        // (cursor + 64) % footprint: the cursor is below the
+        // footprint, which is at least one line.
+        s.cursor += kLineBytes;
+        if (s.cursor >= ph.footprintBytes)
+            s.cursor -= ph.footprintBytes;
         --s.remaining;
-        addr = appBase_ + s.cursor;
+        offset = s.cursor;
         break;
       }
       case PatternKind::Strided: {
@@ -165,36 +183,36 @@ SyntheticTrace::nextAddress(bool &depends_on_prev)
         Stream &s = streams_[rrStream_];
         rrStream_ = (rrStream_ + 1) % streams_.size();
         if (s.remaining == 0) {
-            s.cursor = rng_.below(footprint_lines) * kLineBytes;
+            s.cursor = rng_.below(draws_.lines) * kLineBytes;
             s.remaining = 128 + rng_.below(384); // long strided walks
         }
-        s.cursor = static_cast<uint64_t>(
-            static_cast<int64_t>(s.cursor) + ph.strideBytes) %
-            ph.footprintBytes;
+        // Unsigned, so a stride near the int64 range wraps instead of
+        // overflowing; the sum mod 2^64 is the signed one's bits.
+        s.cursor = draws_.bytes.reduce(
+            s.cursor + static_cast<uint64_t>(ph.strideBytes));
         --s.remaining;
-        addr = appBase_ + s.cursor;
+        offset = s.cursor;
         break;
       }
       case PatternKind::PointerChase: {
-        addr = appBase_ + chaseCursor_;
+        offset = chaseCursor_;
         // Fresh random successor every advance: iterating a fixed
         // hash function would trap the walk in a ~sqrt(N) cycle that
         // fits in cache and fakes locality the pattern must not have.
-        chaseCursor_ = rng_.below(footprint_lines) * kLineBytes;
-        depends_on_prev = rng_.bernoulli(ph.chaseSerialFrac);
+        chaseCursor_ = rng_.below(draws_.lines) * kLineBytes;
+        depends_on_prev = rng_.chance(draws_.chaseSerial);
         break;
       }
       case PatternKind::SpatialRegion: {
         // 2KB regions, 32 lines; visit the lines set in the footprint.
         for (;;) {
             if (regionPos_ >= 32) {
-                regionBase_ = (rng_.below(ph.footprintBytes / 2048)) *
-                    2048;
+                regionBase_ = rng_.below(draws_.regions) * 2048;
                 regionPos_ = 0;
             }
             const int line = regionPos_++;
             if (regionFootprint_ & (1u << line)) {
-                addr = appBase_ + regionBase_ +
+                offset = regionBase_ +
                     static_cast<uint64_t>(line) * kLineBytes;
                 break;
             }
@@ -202,51 +220,48 @@ SyntheticTrace::nextAddress(bool &depends_on_prev)
         break;
       }
       case PatternKind::Random:
-        addr = appBase_ + rng_.below(footprint_lines) * kLineBytes;
+        offset = rng_.below(draws_.lines) * kLineBytes;
         break;
     }
 
-    repeatLine_ = lineAddr(addr);
+    repeatLine_ = lineAddr(offset);
     repeatLeft_ = ph.accessesPerLine - 1;
-    return addr;
+    return offset;
 }
 
-TraceRecord
-SyntheticTrace::next()
+PackedRecord
+SyntheticTrace::nextWord()
 {
     const PatternPhase &ph = profile_.phases[phaseIdx_];
-    TraceRecord rec;
+    uint64_t w = 0;
 
-    const double r = rng_.uniform();
-    if (r < ph.branchFraction) {
-        rec.pc = kCodeBase + (phaseIdx_ << kPhasePcShift) + 0x8000 +
-            rng_.below(16) * 8;
-        rec.isBranch = true;
-        rec.mispredicted = rng_.bernoulli(ph.mispredictRate);
-    } else if (r < ph.branchFraction + ph.memFraction) {
+    // One 53-bit draw against both cumulative fractions: the integer
+    // form of uniform() < branchFraction (+ memFraction).
+    const uint64_t r = rng_.next64() >> 11;
+    if (r < draws_.branch) {
+        w = (phasePc_ + 0x8000 + rng_.below(16) * 8) | PackedRecord::kBranch;
+        if (rng_.chance(draws_.mispredict))
+            w |= PackedRecord::kMispredicted;
+    } else if (r < draws_.branchOrMem) {
         bool depends = false;
-        const uint64_t addr = nextAddress(depends);
-        rec.addr = addr;
-        rec.dependsOnPrevLoad = depends;
-        if (rng_.bernoulli(ph.storeFraction)) {
-            rec.isStore = true;
-        } else {
-            rec.isLoad = true;
-        }
+        w = nextAddress(depends) << PackedRecord::kAddrShift;
+        if (depends)
+            w |= PackedRecord::kDependsOnPrevLoad;
+        w |= rng_.chance(draws_.store) ? PackedRecord::kStore
+                                       : PackedRecord::kLoad;
         // The PC of a memory op is the PC of the stream that issued it;
         // pointer chases and randoms use a phase-stable load PC.
         switch (ph.kind) {
           case PatternKind::Streaming:
           case PatternKind::Strided:
-            rec.pc = streams_[lastStream_].pc;
+            w |= streams_[lastStream_].pcOffset;
             break;
           default:
-            rec.pc = kCodeBase + (phaseIdx_ << kPhasePcShift) + 0x4000;
+            w |= phasePc_ + 0x4000;
             break;
         }
     } else {
-        rec.pc = kCodeBase + (phaseIdx_ << kPhasePcShift) + 0xC000 +
-            rng_.below(32) * 4;
+        w = phasePc_ + 0xC000 + rng_.below(32) * 4;
     }
 
     ++instrInPhase_;
@@ -260,20 +275,13 @@ SyntheticTrace::next()
             instrInPhase_ = 0;
         }
     }
-    return rec;
+    return PackedRecord{w};
 }
 
-void
-SyntheticTrace::fill(TraceRecord *out, uint64_t n)
+TraceRecord
+SyntheticTrace::next()
 {
-    // next() resolves non-virtually here (final class, same TU), so
-    // the generation loop inlines into one batched pass. The RNG draws
-    // do not: Rng::next64, uniform and below live in sim/rng.cc and
-    // the build has no LTO, so each stays an out-of-line call. This is
-    // the materialization fast path; it produces bit-for-bit the
-    // records n virtual next() calls would.
-    for (uint64_t i = 0; i < n; ++i)
-        out[i] = next();
+    return nextWord().unpack(appBase_);
 }
 
 std::unique_ptr<TraceSource>

@@ -21,21 +21,6 @@ class TraceSource
     /** Produce the next dynamic instruction. Sources never run dry. */
     virtual TraceRecord next() = 0;
 
-    /**
-     * Bulk generation: write the next @p n records to @p out, exactly
-     * as n calls to next() would. The default loops over the virtual
-     * next(); concrete sources override it with a direct (devirtual-
-     * ized) loop so materializing a workload pays no per-record
-     * dispatch. This is the path MaterializedTrace is built through
-     * (trace/replay.h).
-     */
-    virtual void
-    fill(TraceRecord *out, uint64_t n)
-    {
-        for (uint64_t i = 0; i < n; ++i)
-            out[i] = next();
-    }
-
     /** Restart the trace from the beginning. */
     virtual void reset() = 0;
 
@@ -131,8 +116,15 @@ struct AppProfile
  * pattern regimes (the stand-in for the DPC-3 / CRC-2 / Pythia trace
  * collections, see DESIGN.md).
  *
- * Every record stays inside one domain, the one the 8-byte
- * PackedRecord of trace/replay.h is laid out for:
+ * nextWord() builds each record directly as the 8-byte PackedRecord
+ * of trace/record.h, the word the trace arena stores unchanged; next()
+ * decodes that same word, so live and replayed runs take one path.
+ * Every draw is an inlined integer compare on the RNG output: each
+ * probability is a precomputed Rng::chanceThreshold and each
+ * footprint bound a precomputed Rng::Bound, set up per phase.
+ *
+ * Every record stays inside one domain, the one PackedRecord is laid
+ * out for:
  *  - the PC lies in [kCodeBase, kCodeBase + 2^kPcBits): phase i owns
  *    the 64 KiB window at kCodeBase + (i << kPhasePcShift), and its
  *    stream PCs sit kStreamPcStride bytes apart inside that window;
@@ -149,8 +141,8 @@ struct AppProfile
 class SyntheticTrace final : public TraceSource
 {
   public:
-    static constexpr uint64_t kCodeBase = 0x400000;
-    static constexpr unsigned kPcBits = 27;
+    static constexpr uint64_t kCodeBase = PackedRecord::kCodeBase;
+    static constexpr unsigned kPcBits = PackedRecord::kPcBits;
     static constexpr unsigned kPhasePcShift = 16;
     static constexpr uint64_t kStreamPcStride = 24;
     static constexpr size_t kMaxPhases = size_t{1}
@@ -162,8 +154,13 @@ class SyntheticTrace final : public TraceSource
 
     explicit SyntheticTrace(AppProfile profile);
 
+    /** The next record, decoded from nextWord(). */
     TraceRecord next() override;
-    void fill(TraceRecord *out, uint64_t n) override;
+
+    /** The next record as its PackedRecord word (addresses relative
+     *  to dataBase()). */
+    PackedRecord nextWord();
+
     void reset() override;
     const std::string &name() const override { return profile_.name; }
 
@@ -180,12 +177,28 @@ class SyntheticTrace final : public TraceSource
     /** Per-stream pattern cursor state. */
     struct Stream
     {
-        uint64_t pc = 0;
+        uint64_t pcOffset = 0; ///< PC - kCodeBase
         uint64_t cursor = 0;
         uint64_t remaining = 0;
     };
 
+    /** The current phase's draws in integer form (enterPhase). */
+    struct PhaseDraws
+    {
+        explicit PhaseDraws(const PatternPhase &ph);
+
+        uint64_t branch;     ///< r < branchFraction
+        uint64_t branchOrMem; ///< r < branchFraction + memFraction
+        uint64_t mispredict;
+        uint64_t store;
+        uint64_t chaseSerial;
+        Rng::Bound lines;   ///< footprintBytes / kLineBytes
+        Rng::Bound regions; ///< footprintBytes / 2048 (SpatialRegion)
+        Rng::Bound bytes;   ///< footprintBytes
+    };
+
     void enterPhase(size_t idx);
+    /** The next memory address, as an offset from dataBase(). */
     uint64_t nextAddress(bool &depends_on_prev);
 
     AppProfile profile_;
@@ -193,12 +206,16 @@ class SyntheticTrace final : public TraceSource
     size_t phaseIdx_ = 0;
     uint64_t instrInPhase_ = 0;
     uint64_t appBase_ = 0;
+    /** PC offset of the current phase's code window. */
+    uint64_t phasePc_ = 0;
+    PhaseDraws draws_;
 
     std::vector<Stream> streams_;
     size_t rrStream_ = 0;
     uint64_t chaseCursor_ = 0;
 
-    /** Intra-line repeat state (accessesPerLine). */
+    /** Intra-line repeat state (accessesPerLine); the line is an
+     *  offset from dataBase(). */
     uint64_t repeatLine_ = 0;
     int repeatLeft_ = 0;
     bool lastPickWasStream_ = false;

@@ -28,9 +28,8 @@ namespace mab {
  * amortize this by replaying pre-materialized traces; this header
  * brings that to the sweep engine.
  *
- *  - PackedRecord: an 8-byte buffer format for TraceRecord (flags,
- *    PC offset and address offset in one word).
- *  - MaterializedTrace: a chunked PackedRecord buffer recorded as a
+ *  - MaterializedTrace: a chunked buffer of PackedRecord words
+ *    (trace/record.h), the generator's own output, recorded as a
  *    side effect of the first run that consumes the workload — there
  *    is no standalone generation pass.
  *  - ReplaySource: a TraceSource whose replay read is one compare and
@@ -49,106 +48,6 @@ namespace mab {
  */
 
 /**
- * One trace record in one 64-bit word:
- *
- *   bits  0..26  PC - SyntheticTrace::kCodeBase
- *   bits 27..31  isLoad, isStore, isBranch, mispredicted,
- *                dependsOnPrevLoad
- *   bits 32..63  address - data base (memory records; 0 otherwise)
- *
- * The data base is the trace's, not the record's: SyntheticTrace::
- * dataBase(), whose low 32 bits are zero, held once by MaterializedTrace
- * and ReplaySource, so an address decodes as base | (w >> 32). pack()
- * throws on a record outside that domain (SyntheticTrace's profile
- * check keeps every generated record inside it). Every word decodes to
- * some record, so even a hostile payload that passed the arena file's
- * checksum replays without undefined behaviour.
- *
- * The word has no initializer on purpose: chunks are allocated for
- * overwrite and the recorder writes each slot before publishing it.
- */
-struct PackedRecord
-{
-    static constexpr uint64_t kPcMask =
-        (1ull << SyntheticTrace::kPcBits) - 1;
-    static constexpr uint64_t kLoad = 1ull << 27;
-    static constexpr uint64_t kStore = 1ull << 28;
-    static constexpr uint64_t kBranch = 1ull << 29;
-    static constexpr uint64_t kMispredicted = 1ull << 30;
-    static constexpr uint64_t kDependsOnPrevLoad = 1ull << 31;
-    static constexpr unsigned kAddrShift = 32;
-    static constexpr uint64_t kAddrOffsetMask = (1ull << kAddrShift) - 1;
-
-    uint64_t w;
-
-    static PackedRecord
-    pack(const TraceRecord &rec, uint64_t dataBase)
-    {
-        const uint64_t pcOff = rec.pc - SyntheticTrace::kCodeBase;
-        if (pcOff > kPcMask)
-            throw std::runtime_error(
-                "PackedRecord: pc outside the 2^27-byte code window");
-        uint64_t w = pcOff;
-        if (rec.isLoad)
-            w |= kLoad;
-        if (rec.isStore)
-            w |= kStore;
-        if (rec.isBranch)
-            w |= kBranch;
-        if (rec.mispredicted)
-            w |= kMispredicted;
-        if (rec.dependsOnPrevLoad)
-            w |= kDependsOnPrevLoad;
-        if (rec.isMemory()) {
-            if ((rec.addr & ~kAddrOffsetMask) != dataBase)
-                throw std::runtime_error(
-                    "PackedRecord: address outside the 4 GiB data "
-                    "window");
-            w |= rec.addr << kAddrShift;
-        } else if (rec.addr != 0) {
-            throw std::runtime_error(
-                "PackedRecord: non-memory record with an address");
-        }
-        return PackedRecord{w};
-    }
-
-    uint64_t pc() const { return SyntheticTrace::kCodeBase + (w & kPcMask); }
-    bool isLoad() const { return (w & kLoad) != 0; }
-    bool isStore() const { return (w & kStore) != 0; }
-    bool isMemory() const { return (w & (kLoad | kStore)) != 0; }
-    bool dependsOnPrevLoad() const { return (w & kDependsOnPrevLoad) != 0; }
-    bool
-    mispredictedBranch() const
-    {
-        return (w & (kBranch | kMispredicted)) == (kBranch | kMispredicted);
-    }
-
-    /** The address of a memory record (meaningless for others). */
-    uint64_t addr(uint64_t dataBase) const
-    {
-        return dataBase | (w >> kAddrShift);
-    }
-
-    TraceRecord
-    unpack(uint64_t dataBase) const
-    {
-        TraceRecord rec;
-        rec.pc = pc();
-        rec.isLoad = isLoad();
-        rec.isStore = isStore();
-        rec.isBranch = (w & kBranch) != 0;
-        rec.mispredicted = (w & kMispredicted) != 0;
-        rec.dependsOnPrevLoad = dependsOnPrevLoad();
-        rec.addr = isMemory() ? addr(dataBase) : 0;
-        return rec;
-    }
-};
-
-static_assert(sizeof(PackedRecord) == 8,
-              "PackedRecord is one word: the arena byte budget, the "
-              ".maba v2 payload and the replay loop are sized around it");
-
-/**
  * Anything the TraceArena can hold: reports its resident size (which
  * may grow, e.g. lazily-extended SMT uop streams) and the wall-clock
  * spent generating it.
@@ -160,6 +59,14 @@ class ArenaItem
 
     /** Resident bytes of the materialized payload. */
     virtual uint64_t bytes() const = 0;
+
+    /**
+     * Bytes the arena's budget charges the item: by default its
+     * resident bytes; an item whose final size is known up front
+     * (MaterializedTrace) is charged that size from install, before
+     * its payload has grown into it.
+     */
+    virtual uint64_t chargedBytes() const { return bytes(); }
 
     /** Wall-clock milliseconds spent generating the payload so far. */
     virtual double genMs() const = 0;
@@ -185,11 +92,14 @@ class PayloadOwner
  *
  * Records are materialized at *record* granularity by whichever
  * consumer holds the recorder role: the first run over a workload
- * claims the role and its ReplaySource generates each record live —
- * inside its own simulation loop, where the host core overlaps the
- * generator's RNG work with sim cache misses — storing the packed
- * form as a side effect (~one 8-byte store per record). There is
- * never a standalone generation pass. Later runs replay the published
+ * claims the role and its ReplaySource generates each record live,
+ * inside its own simulation loop, and stores the generator's word
+ * unchanged. The recording run pays the whole generator on top of
+ * its simulation, which does not hide it: BM_GeneratorNext measures
+ * 15-17 ns per record on a shared 4-vCPU Xeon, and pf_single's None
+ * column, whose cells record every trace, costs about 1.6x its Stride
+ * column (EXPERIMENTS.md "Synthetic-input kernel"). There is never a
+ * standalone generation pass. Later runs replay the published
  * records lock-free: the chunk directory is sized once at
  * construction so slots never move, each record is written before the
  * frontier count is release-published, and readers acquire the count.
@@ -293,15 +203,15 @@ class MaterializedTrace final : public ArenaItem
     }
 
     /**
-     * Generate the record at the frontier, store its packed form into
-     * @p slot and publish @p newCount records. Recorder only; defined
-     * in-class so recording a record is one direct (devirtualized)
-     * generator call, a pack and two plain stores.
+     * Generate the record at the frontier, store its word into @p slot
+     * and publish @p newCount records. Recorder only; defined in-class
+     * so recording a record is one direct (devirtualized) generator
+     * call and two plain stores.
      */
     PackedRecord
     recordInto(PackedRecord &slot, uint64_t newCount)
     {
-        const PackedRecord p = PackedRecord::pack(gen_.next(), dataBase_);
+        const PackedRecord p = gen_.nextWord();
         slot = p;
         avail_.store(newCount, std::memory_order_release);
         return p;
@@ -321,6 +231,11 @@ class MaterializedTrace final : public ArenaItem
     const std::string &name() const { return name_; }
 
     uint64_t bytes() const override;
+    /** The full size() records, whatever has been published. */
+    uint64_t chargedBytes() const override
+    {
+        return count_ * sizeof(PackedRecord);
+    }
     double genMs() const override;
 
   private:
@@ -351,11 +266,11 @@ class MaterializedTrace final : public ArenaItem
  *    crossing a 16K-record chunk boundary or the published frontier
  *    takes the out-of-line nextSlow(). No RNG, no phase machinery.
  *  - recording: this source holds the trace's recorder role; every
- *    record goes through nextSlow(), which generates it live (exactly
- *    what a bare SyntheticTrace would hand the run) and publishes the
- *    packed form as a side effect, so the first run over a workload
- *    pays one extra 8-byte store per record instead of a standalone
- *    generation pass.
+ *    record goes through nextSlow(), which generates it live (the
+ *    very word a bare SyntheticTrace would hand the run) and
+ *    publishes it as a side effect, so the first run over a workload
+ *    pays the generator once, inside its own loop, instead of a
+ *    standalone generation pass.
  *
  * The class is final and nextPacked() is defined in-class, so the
  * CoreModel run loop (which caches the concrete pointer, see
@@ -400,13 +315,6 @@ class ReplaySource final : public TraceSource
     }
 
     TraceRecord next() override { return nextPacked().unpack(dataBase_); }
-
-    void
-    fill(TraceRecord *out, uint64_t n) override
-    {
-        for (uint64_t i = 0; i < n; ++i)
-            out[i] = next();
-    }
 
     void
     reset() override
@@ -476,9 +384,12 @@ class ReplaySource final : public TraceSource
  * can only ever return the identical workload. Concurrent misses on
  * the same key generate once: the first task installs a future and
  * materializes outside the lock, later tasks block on the shared
- * future. Entries are evicted least-recently-acquired-first when the
- * byte budget is exceeded; evicted payloads stay alive for the tasks
- * still holding their shared_ptr and are freed with the last one.
+ * future. Every acquire, hit or miss, evicts least-recently-acquired
+ * entries while the charged bytes (ArenaItem::chargedBytes: a lazy
+ * trace counts its full length from install, a growing uop stream
+ * what it holds so far) exceed the byte budget; evicted payloads stay
+ * alive for the tasks still holding their shared_ptr and are freed
+ * with the last one.
  *
  * Environment knobs (read once, at first use):
  *   MAB_TRACE_ARENA=0        disable (every run generates live); the
@@ -521,7 +432,10 @@ class TraceArena
         uint64_t misses = 0;
         uint64_t evictions = 0;
         uint64_t entries = 0;
+        /** Resident bytes of the ready entries. */
         uint64_t bytes = 0;
+        /** What the budget charges them (ArenaItem::chargedBytes). */
+        uint64_t chargedBytes = 0;
         uint64_t budgetBytes = 0;
         double genMs = 0.0;
         /** Persistent-arena traffic (MAB_TRACE_ARENA_DIR). */

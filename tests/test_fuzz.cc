@@ -425,6 +425,7 @@ TEST(FuzzCaseStreams, DigestsArePinned)
         {"drift", 0xf0a4ef9fcb5ed737ull},
         {"smt", 0x764c43e7ed6a3efdull},
         {"prefetch", 0x618d629fb60e88bdull},
+        {"generate", 0x6243dbd92781af90ull},
     };
     for (const fuzz::Domain &d : fuzz::domains()) {
         uint64_t h = 1469598103934665603ull;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,8 +26,8 @@ using namespace mab;
 
 static_assert(sizeof(PackedRecord) == 8,
               "replay buffers assume one-word packed records");
-static_assert(sizeof(PackedUop) == 8,
-              "uop stream chunks assume one-word packed uops");
+static_assert(sizeof(PackedUop) == 2,
+              "uop stream chunks assume 16-bit packed uops");
 
 namespace {
 
@@ -207,70 +208,161 @@ TEST(PackedRecord, EveryWordDecodes)
     }
 }
 
-TEST(PackedUop, RoundTripsEveryKindAndTheLargestFields)
-{
-    for (int kind = 0; kind <= static_cast<int>(UopKind::Branch); ++kind) {
-        for (const bool mispredicted : {false, true}) {
-            Uop u;
-            u.kind = static_cast<UopKind>(kind);
-            u.mispredicted = mispredicted;
-            u.depDistance = PackedUop::kMaxDepDistance;
-            u.execLatency = PackedUop::kMaxLatency;
-            u.drainLatency = PackedUop::kMaxLatency;
-            Uop back = PackedUop::pack(u).unpack();
-            EXPECT_EQ(back.kind, u.kind);
-            EXPECT_EQ(back.mispredicted, mispredicted);
-            EXPECT_EQ(back.depDistance, PackedUop::kMaxDepDistance);
-            EXPECT_EQ(back.execLatency, PackedUop::kMaxLatency);
-            EXPECT_EQ(back.drainLatency, PackedUop::kMaxLatency);
+namespace {
 
-            u.depDistance = 0;
-            u.execLatency = 0;
-            u.drainLatency = 0;
-            back = PackedUop::pack(u).unpack();
-            EXPECT_EQ(back.kind, u.kind);
-            EXPECT_EQ(back.mispredicted, mispredicted);
-            EXPECT_EQ(back.depDistance, 0);
-            EXPECT_EQ(back.execLatency, 0u);
-            EXPECT_EQ(back.drainLatency, 0u);
-        }
-    }
+/** Catalog params with the largest latencies the generator accepts:
+ *  l2Latency UINT32_MAX and dramLatency UINT32_MAX - 63. */
+SmtAppParams
+widestLatencies()
+{
+    SmtAppParams p = smtAppCatalog().front();
+    p.l2Latency = std::numeric_limits<uint32_t>::max();
+    p.dramLatency = std::numeric_limits<uint32_t>::max() - 63;
+    return p;
 }
 
-TEST(PackedUop, RejectsOnePastEachField)
+/** What the decoder must give for op class @p cls of @p p. */
+Uop
+expectedUop(const SmtAppParams &p, unsigned cls, uint16_t dist,
+            uint32_t spread)
 {
     Uop u;
-    u.depDistance = PackedUop::kMaxDepDistance + 1;
-    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
-    u = Uop{};
-    u.execLatency = PackedUop::kMaxLatency + 1;
-    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
-    u = Uop{};
-    u.drainLatency = PackedUop::kMaxLatency + 1;
-    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
-    u = Uop{};
-    u.kind = static_cast<UopKind>(static_cast<int>(UopKind::Branch) + 1);
-    EXPECT_THROW(PackedUop::pack(u), std::out_of_range);
+    u.depDistance = dist;
+    switch (cls) {
+      case PackedUop::kFpAlu:
+        u.kind = UopKind::FpAlu;
+        u.execLatency = 4;
+        break;
+      case PackedUop::kLoadL1:
+        u.kind = UopKind::Load;
+        u.execLatency = 4;
+        break;
+      case PackedUop::kLoadL2:
+        u.kind = UopKind::Load;
+        u.execLatency = p.l2Latency;
+        break;
+      case PackedUop::kLoadDram:
+        u.kind = UopKind::Load;
+        u.execLatency = p.dramLatency + spread;
+        break;
+      case PackedUop::kStoreL2:
+        u.kind = UopKind::Store;
+        u.drainLatency = p.l2Latency;
+        break;
+      case PackedUop::kStoreDram:
+        u.kind = UopKind::Store;
+        u.drainLatency = p.dramLatency;
+        break;
+      case PackedUop::kBranch:
+        u.kind = UopKind::Branch;
+        break;
+      case PackedUop::kBranchMispredicted:
+        u.kind = UopKind::Branch;
+        u.mispredicted = true;
+        break;
+      default: // IntAlu, and every unused class
+        break;
+    }
+    return u;
 }
 
-/** Latencies whose uops would overflow a PackedUop are rejected when
- *  the generator is built, by live and replayed sources alike. */
+void
+expectSameUop(const Uop &a, const Uop &b, const std::string &what)
+{
+    EXPECT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind)) << what;
+    EXPECT_EQ(a.execLatency, b.execLatency) << what;
+    EXPECT_EQ(a.drainLatency, b.drainLatency) << what;
+    EXPECT_EQ(a.mispredicted, b.mispredicted) << what;
+    EXPECT_EQ(a.depDistance, b.depDistance) << what;
+}
+
+} // namespace
+
+/** Every op class decodes to its kind and latencies, with the largest
+ *  dependency distance and spread and with none, under the widest
+ *  latencies the generator accepts. */
+TEST(PackedUop, RoundTripsEveryKindAndTheLargestFields)
+{
+    const SmtAppParams p = widestLatencies();
+    const UopDecoder dec(p);
+    for (unsigned cls = 0; cls < PackedUop::kNumClasses; ++cls) {
+        for (const uint16_t dist : {uint16_t{0}, PackedUop::kMaxDepDistance}) {
+            for (const uint32_t spread :
+                 {0u, PackedUop::kDramSpread - 1}) {
+                const PackedUop w{static_cast<uint16_t>(
+                    cls | dist << PackedUop::kDepShift |
+                    spread << PackedUop::kSpreadShift)};
+                expectSameUop(dec.decode(w),
+                              expectedUop(p, cls, dist, spread),
+                              "class " + std::to_string(cls));
+            }
+        }
+    }
+    // The widest DRAM load reaches the top of the latency range.
+    const PackedUop top{static_cast<uint16_t>(
+        PackedUop::kLoadDram |
+        (PackedUop::kDramSpread - 1) << PackedUop::kSpreadShift)};
+    EXPECT_EQ(dec.decode(top).execLatency,
+              std::numeric_limits<uint32_t>::max());
+}
+
+/** The word has no value outside its domain: every one of the 2^16
+ *  words decodes, one past the last class (and every unused class)
+ *  decodes to IntAlu, and each field's bits land in that field only. */
+TEST(PackedUop, RejectsOnePastEachField)
+{
+    const SmtAppParams p = widestLatencies();
+    const UopDecoder dec(p);
+    for (uint32_t w = 0; w <= 0xFFFF; ++w) {
+        const unsigned cls = w & 15;
+        const uint16_t dist = (w >> PackedUop::kDepShift) & 63;
+        const uint32_t spread = w >> PackedUop::kSpreadShift;
+        const Uop want = expectedUop(
+            p, cls, dist, cls == PackedUop::kLoadDram ? spread : 0);
+        const Uop got = dec.decode(PackedUop{static_cast<uint16_t>(w)});
+        if (static_cast<int>(got.kind) != static_cast<int>(want.kind) ||
+            got.execLatency != want.execLatency ||
+            got.drainLatency != want.drainLatency ||
+            got.mispredicted != want.mispredicted ||
+            got.depDistance != want.depDistance) {
+            ADD_FAILURE() << "word " << w << " decodes wrong";
+            break;
+        }
+    }
+    const Uop past = dec.decode(PackedUop{PackedUop::kNumClasses});
+    EXPECT_EQ(static_cast<int>(past.kind),
+              static_cast<int>(UopKind::IntAlu));
+    EXPECT_EQ(past.execLatency, 1u);
+}
+
+/** The 16-bit word stores no latency, so any l2Latency is accepted,
+ *  by live and replayed sources alike, and reaches the decoded uops. */
 TEST(UopGen, RejectsL2LatencyAbovePackedRange)
 {
     SmtAppParams p = smtAppCatalog().front();
-    p.l2Latency = PackedUop::kMaxLatency;
-    EXPECT_NO_THROW(ThreadSource(p, 1));
-    p.l2Latency = PackedUop::kMaxLatency + 1;
-    EXPECT_THROW(ThreadSource(p, 1), std::invalid_argument);
-    EXPECT_THROW(UopStream(p, 1), std::invalid_argument);
+    for (const uint32_t l2 :
+         {uint32_t{1} << 27, std::numeric_limits<uint32_t>::max()}) {
+        p.l2Latency = l2;
+        EXPECT_NO_THROW(ThreadSource(p, 1));
+        EXPECT_NO_THROW(UopStream(p, 1));
+        ThreadSource src(p, 1);
+        bool seen = false;
+        for (int i = 0; i < 20'000 && !seen; ++i) {
+            const Uop u = src.next();
+            seen = u.execLatency == l2 || u.drainLatency == l2;
+        }
+        EXPECT_TRUE(seen) << "no uop carries l2Latency " << l2;
+    }
 }
 
+/** The one latency limit left: dramLatency + 63 cycles of spread must
+ *  fit a uint32_t. */
 TEST(UopGen, RejectsDramLatencyAbovePackedRange)
 {
     SmtAppParams p = smtAppCatalog().front();
-    p.dramLatency = PackedUop::kMaxLatency - 63;
+    p.dramLatency = std::numeric_limits<uint32_t>::max() - 63;
     EXPECT_NO_THROW(ThreadSource(p, 1));
-    p.dramLatency = PackedUop::kMaxLatency - 62;
+    p.dramLatency = std::numeric_limits<uint32_t>::max() - 62;
     EXPECT_THROW(ThreadSource(p, 1), std::invalid_argument);
     EXPECT_THROW(UopStream(p, 1), std::invalid_argument);
     p.dramLatency = ~0u; // used to wrap the uint32 latency
@@ -447,6 +539,60 @@ TEST_F(ReplayTest, ArenaEvictsLeastRecentlyUsedOverBudget)
     EXPECT_EQ(arena.stats().misses, 4u);
 }
 
+/**
+ * The budget holds before a byte is recorded: a lazy trace is charged
+ * its full length from install, and every acquire, hits included,
+ * evicts down to the budget. With room for two and a half traces,
+ * installing five evicts three, and the charged bytes never exceed
+ * the budget while nothing is resident yet.
+ */
+TEST_F(ReplayTest, ArenaChargesLazyTracesTheirFullLength)
+{
+    TraceArena &arena = TraceArena::global();
+    const uint64_t n = 3 * MaterializedTrace::kChunkRecords;
+    const uint64_t traceBytes = n * sizeof(PackedRecord);
+    arena.setBudgetBytes(2 * traceBytes + traceBytes / 2);
+    AppProfile app = appByName("lbm06");
+    std::vector<std::shared_ptr<MaterializedTrace>> held;
+    for (uint64_t i = 0; i < 5; ++i) {
+        app.seed = 100 + i;
+        held.push_back(arena.acquireTrace(app, n));
+        const TraceArena::Stats s = arena.stats();
+        EXPECT_LE(s.chargedBytes, s.budgetBytes) << "after install " << i;
+        EXPECT_EQ(s.bytes, 0u) << "nothing is recorded yet";
+    }
+    TraceArena::Stats s = arena.stats();
+    EXPECT_EQ(s.evictions, 3u);
+    EXPECT_EQ(s.entries, 2u);
+    EXPECT_EQ(s.chargedBytes, 2 * traceBytes);
+
+    // A smaller budget takes effect at the next acquire, a hit too.
+    arena.setBudgetBytes(traceBytes);
+    EXPECT_EQ(arena.acquireTrace(app, n).get(), held.back().get());
+    s = arena.stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.evictions, 4u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_LE(s.chargedBytes, s.budgetBytes);
+
+    // A uop stream grows after install; the next acquire of a stream
+    // that is already resident charges the new size.
+    arena.clear();
+    const uint64_t chunkBytes = UopStream::kChunkUops * sizeof(PackedUop);
+    arena.setBudgetBytes(4 * chunkBytes);
+    const SmtAppParams &gcc = smtAppCatalog().front();
+    const auto a = acquireUopStream(gcc, 1);
+    const auto b = acquireUopStream(gcc, 2);
+    b->chunk(1);
+    a->chunk(3);
+    EXPECT_EQ(arena.stats().chargedBytes, 6 * chunkBytes);
+    EXPECT_EQ(acquireUopStream(gcc, 2).get(), b.get());
+    s = arena.stats();
+    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.chargedBytes, 2 * chunkBytes);
+}
+
 TEST_F(ReplayTest, DisabledArenaFallsBackToLiveGeneration)
 {
     TraceArena::global().setEnabled(false);
@@ -532,8 +678,8 @@ TEST_F(ReplayTest, ConsumerSurvivesMidStreamArenaEviction)
 
 /** SMT leg: a ThreadSource replaying a shared UopStream must emit
  *  exactly the uops of a live ThreadSource, across chunk borders —
- *  for a catalog app, and for params that drive every packed field to
- *  its edge (the largest latencies, dependency distance 63, every
+ *  for a catalog app, and for params that drive every field to its
+ *  edge (the largest latencies accepted, dependency distance 63, every
  *  kind, both flag values). */
 TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
 {
@@ -546,8 +692,8 @@ TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
     edge.mispredictRate = 0.5;
     edge.l1MissRate = 1.0;
     edge.dramRate = 0.5;
-    edge.l2Latency = PackedUop::kMaxLatency;
-    edge.dramLatency = PackedUop::kMaxLatency - 63;
+    edge.l2Latency = std::numeric_limits<uint32_t>::max();
+    edge.dramLatency = std::numeric_limits<uint32_t>::max() - 63;
     edge.depProb = 1.0;
     edge.depMeanDistance = 1000; // mostly capped: distance 63
     edge.storeDrainDramRate = 0.5;
@@ -589,8 +735,10 @@ TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
         }
         if (params.name == "edge") {
             // The stream really reached every edge it was built for.
-            EXPECT_EQ(maxSeen.execLatency, PackedUop::kMaxLatency);
-            EXPECT_EQ(maxSeen.drainLatency, PackedUop::kMaxLatency);
+            EXPECT_EQ(maxSeen.execLatency,
+                      std::numeric_limits<uint32_t>::max());
+            EXPECT_EQ(maxSeen.drainLatency,
+                      std::numeric_limits<uint32_t>::max());
             EXPECT_EQ(maxSeen.depDistance, PackedUop::kMaxDepDistance);
             EXPECT_TRUE(maxSeen.mispredicted);
             EXPECT_EQ(std::count(kinds.begin(), kinds.end(), true), 5);
@@ -609,7 +757,7 @@ TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
     }
 }
 
-/** The arena charges 8 bytes per resident record and per uop. */
+/** The arena charges 8 bytes per resident record and 2 per uop. */
 TEST_F(ReplayTest, ArenaItemsCountEightBytesPerRecord)
 {
     const AppProfile app = appByName("lbm06");
@@ -623,7 +771,7 @@ TEST_F(ReplayTest, ArenaItemsCountEightBytesPerRecord)
     UopStream stream(smtAppCatalog().front(), 7);
     EXPECT_EQ(stream.bytes(), 0u);
     stream.chunk(1);
-    EXPECT_EQ(stream.bytes(), 8 * 2 * UopStream::kChunkUops);
+    EXPECT_EQ(stream.bytes(), 2 * 2 * UopStream::kChunkUops);
 }
 
 /**

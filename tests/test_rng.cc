@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cpu/core_model.h"
@@ -144,6 +148,128 @@ TEST(Rng, GeometricMean)
         sum += static_cast<double>(rng.geometric(0.25, 1000));
     // Mean of failures-before-success is (1-p)/p = 3.
     EXPECT_NEAR(sum / n, 3.0, 0.1);
+}
+
+// ---- Degenerate inputs are defined in Release builds ----
+
+TEST(Rng, BelowZeroThrowsNamingTheBound)
+{
+    Rng rng(1);
+    try {
+        rng.below(0);
+        FAIL() << "below(0) returned";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("bound 0"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Rng, ZeroBoundThrows)
+{
+    EXPECT_THROW(Rng::Bound(0), std::invalid_argument);
+}
+
+TEST(Rng, RangeWithHiBelowLoThrowsNamingBoth)
+{
+    Rng rng(1);
+    try {
+        rng.range(5, -3);
+        FAIL() << "range(5, -3) returned";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("-3"), std::string::npos) << what;
+        EXPECT_NE(what.find("5"), std::string::npos) << what;
+    }
+}
+
+TEST(Rng, RangeOverTheFull64BitSpanIsOneRawDraw)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    Rng a(12);
+    Rng b(12);
+    for (int i = 0; i < 100; ++i) {
+        const int64_t want =
+            static_cast<int64_t>(static_cast<uint64_t>(kMin) + b.next64());
+        EXPECT_EQ(a.range(kMin, kMax), want);
+    }
+    // Spans one short of 2^64 stay in range from either end.
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_GE(a.range(kMin + 1, kMax), kMin + 1);
+        EXPECT_LE(a.range(kMin, kMax - 1), kMax - 1);
+    }
+}
+
+// ---- The exact integer draws equal the double-valued ones ----
+
+TEST(Rng, ChanceOfThresholdEqualsBernoulliOnTwinStreams)
+{
+    const double probs[] = {-1.0,
+                            -0.0,
+                            0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            0x1.0p-53,
+                            0.1,
+                            1.0 / 3.0,
+                            0.5,
+                            1.0 - 0x1.0p-53,
+                            1.0,
+                            1.5,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+    for (const double p : probs) {
+        const uint64_t t = Rng::chanceThreshold(p);
+        EXPECT_LE(t, Rng::kChanceOne) << p;
+        Rng a(77);
+        Rng b(77);
+        for (int i = 0; i < 20'000; ++i)
+            ASSERT_EQ(a.chance(t), b.bernoulli(p))
+                << "p " << p << " draw " << i;
+        // The threshold is exact at its edge: the draw just below it
+        // passes and the draw at it fails, as the double compare says.
+        for (const uint64_t k : {t - 1, t}) {
+            if (k >= Rng::kChanceOne)
+                continue;
+            EXPECT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < p)
+                << "p " << p << " draw " << k;
+        }
+        // A geometric run takes the same draws and counts the same as
+        // Bernoulli trials until the first success (none for p >= 1;
+        // NaN fails every trial).
+        for (int i = 0; i < 200; ++i) {
+            uint64_t n = 0;
+            while (!(p >= 1.0) && n < 62 && !b.bernoulli(p))
+                ++n;
+            ASSERT_EQ(a.geometricChance(t, 62), n) << p;
+        }
+    }
+}
+
+TEST(Rng, BelowBoundEqualsBelowOnTwinStreams)
+{
+    const uint64_t bounds[] = {1,
+                               2,
+                               3,
+                               8,
+                               1536,
+                               3ull << 19,
+                               (1ull << 32) + 1,
+                               1ull << 63,
+                               (1ull << 63) + 1,
+                               ~0ull};
+    for (const uint64_t n : bounds) {
+        const Rng::Bound bound(n);
+        EXPECT_EQ(bound.threshold, -n % n) << n;
+        Rng a(31);
+        Rng b(31);
+        for (int i = 0; i < 5'000; ++i)
+            ASSERT_EQ(a.below(bound), b.below(n)) << "bound " << n;
+        const uint64_t all = ~uint64_t{0};
+        for (const uint64_t x : {uint64_t{0}, n - 1, n, n + 1, 2 * n - 1,
+                                 bound.threshold, all, all - 1}) {
+            EXPECT_EQ(bound.reduce(x), x % n) << x << " % " << n;
+        }
+    }
 }
 
 // ---- Seed-threading contract (golden snapshots rely on this) ----

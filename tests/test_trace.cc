@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
+#include "smt/thread_source.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
 #include "trace/suites.h"
@@ -139,6 +141,36 @@ TEST(Trace, StridedKeepsConfiguredStride)
         prev = addr;
     }
     EXPECT_GT(strided, total * 9 / 10);
+}
+
+/** A stride at either end of the int64 range wraps the cursor in
+ *  unsigned arithmetic (no signed overflow) and stays inside the
+ *  footprint: inside a walk the next offset is (offset + stride) mod
+ *  2^64 mod footprint. */
+TEST(Trace, StridedExtremeStridesWrapInsideTheFootprint)
+{
+    for (const int64_t stride : {std::numeric_limits<int64_t>::max(),
+                                 std::numeric_limits<int64_t>::min()}) {
+        AppProfile app = oneApp(PatternKind::Strided, 3 * 4096 + 64);
+        app.phases[0].numStreams = 1;
+        app.phases[0].accessesPerLine = 1;
+        app.phases[0].memFraction = 1.0;
+        app.phases[0].branchFraction = 0.0;
+        app.phases[0].strideBytes = stride;
+        const uint64_t fp = app.phases[0].footprintBytes;
+        SyntheticTrace t(app);
+        const uint64_t base = t.dataBase();
+        uint64_t prev = t.next().addr - base;
+        int stepped = 0;
+        const int n = 5000;
+        for (int i = 0; i < n; ++i) {
+            const uint64_t off = t.next().addr - base;
+            ASSERT_LT(off, fp) << "stride " << stride;
+            stepped += off == (prev + static_cast<uint64_t>(stride)) % fp;
+            prev = off;
+        }
+        EXPECT_GT(stepped, n * 9 / 10) << "stride " << stride;
+    }
 }
 
 TEST(Trace, PointerChaseSetsDependencyFlagAtConfiguredRate)
@@ -413,6 +445,148 @@ TEST(ProfileCheck, RejectsMoreStreamsThanOnePhasePcWindowHolds)
     EXPECT_NO_THROW(SyntheticTrace{app});
     app.phases[0].numStreams = SyntheticTrace::kMaxStreams + 1;
     expectRejected(app, "numStreams");
+}
+
+// ---------------------------------------------------------------------------
+// Pinned inputs. The arena and live generation now share one word per
+// record and per uop, so a replay-vs-live comparison can no longer
+// catch a draw that drifts; these digests, taken before the integer
+// draws and the 16-bit uop word replaced the double-valued ones, can.
+
+void
+fnv1a(uint64_t &h, uint64_t value, int bytes)
+{
+    for (int i = 0; i < bytes; ++i) {
+        h ^= (value >> (8 * i)) & 0xFF;
+        h *= 1099511628211ull;
+    }
+}
+
+TEST(GeneratorStreams, DigestsArePinned)
+{
+    constexpr uint64_t kRecords = 200'000;
+    // FNV-1a 64 over the little-endian PackedRecord words of the first
+    // 200k records of every suite app.
+    const std::map<std::string, uint64_t> traces = {
+        {"gcc06", 0xb54790f3594e201bull},
+        {"mcf06", 0x102b8d4531ea304full},
+        {"lbm06", 0xd4ea20433e7d4e6bull},
+        {"libquantum06", 0xb608734393b2c45bull},
+        {"bwaves06", 0x1bd45ef8b0f8eafbull},
+        {"milc06", 0x76d721808dded448ull},
+        {"omnetpp06", 0xcb4f5a4b52aec262ull},
+        {"soplex06", 0xa602f85b8ab631e3ull},
+        {"cactusADM06", 0x9fdd82ebb3a997d3ull},
+        {"sphinx06", 0xbfae1ae1ac1ef500ull},
+        {"gcc17", 0x0ef65ed1f6f3cc2full},
+        {"mcf17", 0xd0998babc7cceca3ull},
+        {"lbm17", 0xe4a4f32262b144ffull},
+        {"cactuBSSN17", 0x4b1e5f32906d51c1ull},
+        {"xalancbmk17", 0x4424b191eb092963ull},
+        {"deepsjeng17", 0xac91395e6479bbd3ull},
+        {"x264_17", 0xdd395f4b435b689bull},
+        {"pop2_17", 0x0d1ef046825ed3b7ull},
+        {"fotonik17", 0xca89f1ff01c05b70ull},
+        {"roms17", 0x2d6847ea7d8f14d7ull},
+        {"xz17", 0x5d35098baab92d7bull},
+        {"wrf17", 0xf3bb211462c8df93ull},
+        {"exchange17", 0xd1e7caf4f3f2845full},
+        {"ligra_bfs", 0xfc9bdaa38e00e4f7ull},
+        {"ligra_pagerank", 0xbe69bd92ddaea712ull},
+        {"ligra_components", 0x9d9e67c9b0a170d6ull},
+        {"ligra_bc", 0x58bb692d30d66515ull},
+        {"ligra_radii", 0xc112bea07b4bf73full},
+        {"ligra_triangle", 0x532a306abc0f10a7ull},
+        {"parsec_blackscholes", 0x549e73c2ea157e45ull},
+        {"parsec_canneal", 0xc4e5965b561cf5dfull},
+        {"parsec_fluidanimate", 0xdb1967cc0d1582feull},
+        {"parsec_streamcluster", 0xd6d6b1cd476999cfull},
+        {"parsec_dedup", 0x25efee5fc28db276ull},
+        {"parsec_ferret", 0x65c0d99a4a752887ull},
+        {"cloud_cassandra", 0x44bfaa81ea01654dull},
+        {"cloud_classification", 0xdd69e88db22179ffull},
+        {"cloud_cloud9", 0x69afa2c92482b96eull},
+        {"cloud_nutch", 0x4b141c987d71f897ull},
+    };
+    const std::vector<WorkloadSpec> all = allWorkloads();
+    ASSERT_EQ(all.size(), traces.size());
+    for (const WorkloadSpec &w : all) {
+        SyntheticTrace gen(w.app);
+        uint64_t h = 1469598103934665603ull;
+        for (uint64_t i = 0; i < kRecords; ++i)
+            fnv1a(h, gen.nextWord().w, 8);
+        ASSERT_EQ(traces.count(w.app.name), 1u) << w.app.name;
+        EXPECT_EQ(h, traces.at(w.app.name)) << w.app.name << " moved";
+    }
+
+    // FNV-1a 64 over the decoded fields (kind 1 byte, execLatency and
+    // drainLatency 4, mispredicted 1, depDistance 2) of the first 200k
+    // uops of every SMT catalog app at both lane seeds of a run with
+    // seed 1 (SmtSimulator: seed * 0x9E37 + lane).
+    const std::map<std::string, uint64_t> uops = {
+        {"gcc/1", 0x571fb01edd152a35ull},
+        {"gcc/2", 0xd9b3cb26ce38f745ull},
+        {"lbm/1", 0x5b0e0cb5b5b851bbull},
+        {"lbm/2", 0x2638309c876c401aull},
+        {"mcf/1", 0xbac47dd74e6967ccull},
+        {"mcf/2", 0x8871e4d5fd9120dcull},
+        {"cactuBSSN/1", 0xe8b954610b7d94c3ull},
+        {"cactuBSSN/2", 0xe03d0a99d6433c1aull},
+        {"perlbench/1", 0xf76b3fa9cc4e1f0dull},
+        {"perlbench/2", 0xef58117311e9fd39ull},
+        {"bwaves/1", 0x04aafe5a99f69733ull},
+        {"bwaves/2", 0x4e12a7d0f20a6065ull},
+        {"namd/1", 0xe2c10259df1b5940ull},
+        {"namd/2", 0x22a32b6dcecac27bull},
+        {"parest/1", 0xf4501976c4ff262eull},
+        {"parest/2", 0x01dba85db52441a4ull},
+        {"povray/1", 0xcd98883aceaf89a7ull},
+        {"povray/2", 0x88ee4465cbe4bfaeull},
+        {"wrf/1", 0x40d3d2c566ecd1adull},
+        {"wrf/2", 0xdac04c96f38a33b4ull},
+        {"blender/1", 0x42cdf331ddccb347ull},
+        {"blender/2", 0x68fb482c32b0fba8ull},
+        {"cam4/1", 0xab698ce9d920c0daull},
+        {"cam4/2", 0x18ef559a112ce0b6ull},
+        {"imagick/1", 0xf6104275310d8902ull},
+        {"imagick/2", 0x351e9136e439ca30ull},
+        {"nab/1", 0xfffdc4400fb6ce20ull},
+        {"nab/2", 0xaeb89fbc8ff54493ull},
+        {"fotonik3d/1", 0xf1b0a8f9eaadb479ull},
+        {"fotonik3d/2", 0x7b7a5453857381eaull},
+        {"roms/1", 0x94a3e644231154f4ull},
+        {"roms/2", 0xb9d827b278b9032aull},
+        {"x264/1", 0xaf404674a55feeb8ull},
+        {"x264/2", 0x585944986cf763e7ull},
+        {"deepsjeng/1", 0x2151d0de9427727aull},
+        {"deepsjeng/2", 0x32c75e654a9f239full},
+        {"leela/1", 0xf1be8b3c37eca1bfull},
+        {"leela/2", 0x840ec47be18a6926ull},
+        {"exchange2/1", 0x0fb2bc9a58bc3ea9ull},
+        {"exchange2/2", 0x9f1c0a49167a3f5dull},
+        {"xz/1", 0x239a39258f9e1c9eull},
+        {"xz/2", 0x83cdaa5fe3f2952aull},
+        {"xalancbmk/1", 0x6635e554d814f260ull},
+        {"xalancbmk/2", 0xbd684636f9805ef5ull},
+    };
+    ASSERT_EQ(smtAppCatalog().size() * 2, uops.size());
+    for (const SmtAppParams &p : smtAppCatalog()) {
+        for (uint64_t lane = 1; lane <= 2; ++lane) {
+            ThreadSource src(p, 0x9E37u + lane);
+            uint64_t h = 1469598103934665603ull;
+            for (uint64_t i = 0; i < kRecords; ++i) {
+                const Uop u = src.next();
+                fnv1a(h, static_cast<uint64_t>(u.kind), 1);
+                fnv1a(h, u.execLatency, 4);
+                fnv1a(h, u.drainLatency, 4);
+                fnv1a(h, u.mispredicted ? 1 : 0, 1);
+                fnv1a(h, u.depDistance, 2);
+            }
+            const std::string key = p.name + "/" + std::to_string(lane);
+            ASSERT_EQ(uops.count(key), 1u) << key;
+            EXPECT_EQ(h, uops.at(key)) << key << " moved";
+        }
+    }
 }
 
 } // namespace
