@@ -34,7 +34,7 @@ exitOnUsageError(const std::string &err)
 const std::vector<Flag> kSweepFlags = {
     {"--jobs", "n"},      {"--json", "path"},
     {"--trace", "path"},  {"--trace-granularity", "cycles"},
-    {"--audit", "path"},  {"--no-trace-cache", nullptr},
+    {"--audit", "path"},
 };
 
 /** `flag`'s value, else the environment variable @p env, else null. */
@@ -616,11 +616,6 @@ Sweep::Sweep(int argc, char **argv, const char *bench)
         argc, argv, std::getenv("MAB_TRACE_GRANULARITY"), &granularity));
     if (granularity != 0)
         tracing::Tracer::global().setGranularity(granularity);
-    // MAB_TRACE_ARENA=0 is parsed by the arena itself on first use.
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--no-trace-cache") == 0)
-            TraceArena::global().setEnabled(false);
-    }
     tracePath_ = flagOrEnv(argc, argv, "--trace", "MAB_TRACE");
     auditPath_ = flagOrEnv(argc, argv, "--audit", "MAB_AUDIT");
     reportPath_ = flagOrEnv(argc, argv, "--json", "MAB_BENCH_JSON");

@@ -104,7 +104,7 @@ struct Cell
  * groups are taken @p jobs at a time, and each such window is emitted
  * rank-major: the k-th cell of every group in the window goes before
  * any group's (k+1)-th. So the J lanes start on J different streams,
- * each recording its own, and a bandwidth-major grid records each
+ * each generating its own, and a bandwidth-major grid generates each
  * stream once (EXPERIMENTS.md, "Sweep claim order").
  */
 std::vector<size_t> claimOrder(const std::vector<std::string> &keys,
@@ -232,7 +232,8 @@ void printPctOfBestStatic(const json::Value &table);
  * hardware threads), --json <path> / MAB_BENCH_JSON, --trace <path> /
  * MAB_TRACE (Chrome-trace timeline), --trace-granularity <cycles> /
  * MAB_TRACE_GRANULARITY, --audit <path> / MAB_AUDIT (bandit decision
- * log), --no-trace-cache; plus MAB_PROFILE=1 (profiler only). Any
+ * log); plus MAB_PROFILE=1 (profiler only) and the trace arena's own
+ * MAB_TRACE_ARENA* variables (trace/replay.h). Any
  * other argument, a missing value or a repeated flag exits 2, and an
  * unwritable report path exits 1, before the first cell runs. An open
  * sink serializes the sweep to jobs 1: concurrent runs would

@@ -47,9 +47,11 @@ std::unique_ptr<Prefetcher> makeCasePrefetcher(const SimCase &c);
 /**
  * Live generation vs materialized replay of @p c's workload over
  * c.instructions records: every field of every record, fresh and
- * again after reset() on both sides, then every exported counter of
- * the case's CoreModel run over each source. Returns "" on agreement,
- * else the first divergence, prefixed by @p label.
+ * again after reset() on both sides; two consumers of one trace on one
+ * thread, interleaved in random bursts over at least two chunks; then
+ * every exported counter of the case's CoreModel run over each source.
+ * Returns "" on agreement, else the first divergence, prefixed by
+ * @p label.
  */
 std::string diffLiveAndReplay(const SimCase &c, const std::string &label);
 

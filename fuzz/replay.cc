@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 
 #include "cpu/core_model.h"
@@ -34,6 +35,36 @@ diffRecordStreams(SyntheticTrace &live, ReplaySource &replay,
             return field("mispredicted");
         if (a.dependsOnPrevLoad != b.dependsOnPrevLoad)
             return field("dependsOnPrevLoad");
+    }
+    return "";
+}
+
+/**
+ * Two consumers of one fresh trace of @p count records on one thread,
+ * read in bursts whose consumer and length @p sched draws: whichever
+ * first reaches an unpublished chunk generates it, and each must match
+ * its own live generator record for record.
+ */
+std::string
+diffInterleaved(const AppProfile &app, uint64_t count, Rng &sched,
+                const std::string &label)
+{
+    const auto mat = std::make_shared<MaterializedTrace>(app, count);
+    SyntheticTrace live[2] = {SyntheticTrace(app), SyntheticTrace(app)};
+    ReplaySource replay[2] = {ReplaySource(mat), ReplaySource(mat)};
+    while (replay[0].position() < count || replay[1].position() < count) {
+        size_t who = sched.below(2);
+        if (replay[who].position() == count)
+            who ^= 1;
+        const uint64_t at = replay[who].position();
+        const uint64_t burst = std::min(
+            count - at, 1 + sched.below(MaterializedTrace::kChunkWords));
+        const std::string err = diffRecordStreams(
+            live[who], replay[who], burst,
+            label + "interleaved consumer " + std::to_string(who) +
+                " from record " + std::to_string(at) + ",");
+        if (!err.empty())
+            return err;
     }
     return "";
 }
@@ -98,6 +129,15 @@ diffLiveAndReplay(const SimCase &c, const std::string &label)
         if (!err.empty())
             return err;
     }
+
+    // Two same-thread consumers over at least two chunks. Their
+    // schedule has an Rng of its own, so the case generator's draws
+    // (and FuzzCaseStreams' pinned digests) are untouched.
+    Rng sched(subSeed(c.app.seed, 1));
+    std::string err = diffInterleaved(
+        c.app, n + MaterializedTrace::kChunkWords, sched, label);
+    if (!err.empty())
+        return err;
 
     // End-to-end: the same case simulated over the live generator and
     // over the replayed materialization (arena-off vs arena-on

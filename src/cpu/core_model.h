@@ -189,10 +189,11 @@ class CoreModel
      * pointers — the classes are final, so the calls are direct and
      * inlinable. The replay loop reads ReplaySource::nextPacked(), an
      * in-header compare and 8-byte load that it inlines (only chunk
-     * crossings and recording call out), so with the trace arena on
-     * the per-instruction trace cost is that load and bit tests on
-     * the word. Other dynamic types (FileTrace, the comparison
-     * prefetchers) fall back to the virtual call.
+     * crossings call out), so with the trace arena on the
+     * per-instruction trace cost is that load and bit tests on the
+     * word. Other dynamic types (a decorating source such as
+     * perfbench's TimedTrace, the comparison prefetchers) fall back
+     * to the virtual call.
      */
     ReplaySource *replayTrace_ = nullptr;
     SyntheticTrace *synthTrace_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -78,7 +77,7 @@ UopGen::UopGen(const SmtAppParams &params, uint64_t seed)
 }
 
 PackedUop
-UopGen::nextPacked()
+UopGen::nextWord()
 {
     uint16_t w = PackedUop::kIntAlu; // past every class fraction
     const uint64_t r = rng_.next64() >> 11; // uniform() as 53 bits
@@ -114,59 +113,11 @@ UopGen::nextPacked()
     return PackedUop{w};
 }
 
+template class ChunkedStream<PackedUop, UopGen>;
+
 UopStream::UopStream(const SmtAppParams &params, uint64_t seed)
-    : gen_(params, seed)
+    : ChunkedStream(UopGen(params, seed), kMaxChunks * kChunkWords)
 {
-    // Reserve the full chunk directory up front: slots below the
-    // published count must never move, because readers index into the
-    // vector concurrently with push_back (the buffer therefore must
-    // not reallocate; see chunk()).
-    chunks_.reserve(kMaxChunks);
-}
-
-const PackedUop *
-UopStream::chunk(uint64_t idx)
-{
-    if (idx < published_.load(std::memory_order_acquire))
-        return chunks_[idx].get();
-
-    std::lock_guard<std::mutex> lock(genMu_);
-    if (idx >= kMaxChunks)
-        throw std::runtime_error(
-            "UopStream: run exceeds the stream capacity");
-    const auto start = std::chrono::steady_clock::now();
-    while (published_.load(std::memory_order_relaxed) <= idx) {
-        auto buf = std::make_unique_for_overwrite<PackedUop[]>(kChunkUops);
-        for (uint64_t i = 0; i < kChunkUops; ++i)
-            buf[i] = gen_.nextPacked();
-        chunks_.push_back(std::move(buf));
-        // Release-publish after the chunk contents and the directory
-        // slot are written: a reader that observes the new count also
-        // observes the chunk.
-        published_.store(chunks_.size(), std::memory_order_release);
-    }
-    genNs_.fetch_add(
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()),
-        std::memory_order_relaxed);
-    return chunks_[idx].get();
-}
-
-uint64_t
-UopStream::bytes() const
-{
-    return published_.load(std::memory_order_acquire) * kChunkUops *
-        sizeof(PackedUop);
-}
-
-double
-UopStream::genMs() const
-{
-    return static_cast<double>(
-               genNs_.load(std::memory_order_relaxed)) /
-        1e6;
 }
 
 std::string
@@ -240,10 +191,10 @@ Uop
 ThreadSource::next()
 {
     if (!stream_)
-        return decoder_.decode(gen_.nextPacked());
-    const uint64_t off = pos_ & (UopStream::kChunkUops - 1);
+        return decoder_.decode(gen_.nextWord());
+    const uint64_t off = pos_ & (UopStream::kChunkWords - 1);
     if (off == 0 || chunk_ == nullptr)
-        chunk_ = stream_->chunk(pos_ / UopStream::kChunkUops);
+        chunk_ = stream_->chunk(pos_ >> UopStream::kChunkShift);
     ++pos_;
     return decoder_.decode(chunk_[off]);
 }

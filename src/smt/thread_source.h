@@ -2,10 +2,8 @@
 #define MAB_SMT_THREAD_SOURCE_H
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -157,7 +155,7 @@ class UopDecoder
 /**
  * The raw micro-op generator: a pure function of (params, seed,
  * index). Shared by the live ThreadSource path and the materializing
- * UopStream, which both take nextPacked() and decode the same word, so
+ * UopStream, which both take nextWord() and decode the same word, so
  * replay is byte-identical to live generation by construction. Every
  * draw is an inlined integer compare: the probabilities (and the
  * running sums the op class is picked against) are precomputed
@@ -176,7 +174,7 @@ class UopGen
 
     UopGen(const SmtAppParams &params, uint64_t seed);
 
-    PackedUop nextPacked();
+    PackedUop nextWord();
     void reset() { rng_.reseed(seed_); }
 
     const SmtAppParams &params() const { return params_; }
@@ -194,52 +192,30 @@ class UopGen
         depDistanceT_;
 };
 
+extern template class ChunkedStream<PackedUop, UopGen>;
+
 /**
- * A lazily-materialized, append-only micro-op stream shared across
- * SMT runs (the SMT-side payload of the TraceArena). The fig13/table9
- * sweeps run every mix under three fetch regimes, and each app
- * appears in ~21 mixes with the same per-lane seed — so without
- * sharing, the identical uop stream is regenerated dozens of times.
- *
- * Uops are generated in fixed chunks under a generation mutex and
- * published through an acquire/release chunk count, so concurrent
- * sweep tasks can replay (and extend) one stream safely. Chunk
- * storage never moves once published: readers cache the chunk pointer
- * and index into it lock-free; only crossing a chunk boundary takes
- * the publish check.
+ * A lazily-materialized micro-op stream shared across SMT runs (the
+ * SMT-side payload of the TraceArena): the ChunkedStream of a UopGen,
+ * the same chunk-at-a-time generation as MaterializedTrace. The
+ * fig13/table9 sweeps run every mix under three fetch regimes, and
+ * each app appears in ~21 mixes with the same per-lane seed — so
+ * without sharing, the identical uop stream is regenerated dozens of
+ * times.
  *
  * Unlike MaterializedTrace the stream has no fixed length — SMT runs
  * are cycle-bounded, so how many uops a run consumes depends on the
  * pipeline dynamics. The stream simply grows to the high-water mark
- * of its consumers, and bytes() reports the current resident size to
- * the arena's budget.
+ * of its consumers, up to kMaxChunks chunks, and the arena's budget
+ * charges what it holds (bytes()).
  */
-class UopStream final : public ArenaItem
+class UopStream final : public ChunkedStream<PackedUop, UopGen>
 {
   public:
-    /** Uops per chunk (power of two; 32 KiB of PackedUops). */
-    static constexpr uint64_t kChunkUops = 1ull << 14;
-
-    /** Directory capacity: kMaxChunks * kChunkUops uops (~268M). */
+    /** Directory capacity: kMaxChunks * kChunkWords uops (~268M). */
     static constexpr uint64_t kMaxChunks = 1ull << 14;
 
     UopStream(const SmtAppParams &params, uint64_t seed);
-
-    /**
-     * Pointer to chunk @p idx's kChunkUops records, generating up to
-     * and including that chunk first if needed. Thread-safe.
-     */
-    const PackedUop *chunk(uint64_t idx);
-
-    uint64_t bytes() const override;
-    double genMs() const override;
-
-  private:
-    UopGen gen_;
-    std::mutex genMu_;                      ///< guards extension
-    std::vector<std::unique_ptr<PackedUop[]>> chunks_;
-    std::atomic<uint64_t> published_{0};    ///< readable chunk count
-    std::atomic<uint64_t> genNs_{0};
 };
 
 /** Shared stream of (@p params, @p seed) from the global TraceArena. */
@@ -255,9 +231,9 @@ std::string smtParamsFingerprint(const SmtAppParams &params);
  * thread's UopDecoder:
  *  - live (default): each word comes straight from UopGen;
  *  - replay: attachStream() plugs in a shared UopStream and next()
- *    becomes a load of one 16-bit word from the materialized buffer
- *    (extending the shared stream only when running past its current
- *    end).
+ *    becomes a load of one 16-bit word from the current chunk; only a
+ *    chunk boundary asks the stream for the next chunk (generating it
+ *    if no reader has yet).
  */
 class ThreadSource
 {

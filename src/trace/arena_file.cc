@@ -23,9 +23,9 @@ constexpr char kMagic[4] = {'M', 'A', 'B', 'A'};
 constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderBytes = 32;
 
-/** Header scatter/gather: fixed little-endian-of-the-host layout, the
- *  same convention trace_io uses (arena files are per-machine caches,
- *  not interchange — a foreign-endian file fails the checksum). */
+/** Header scatter/gather in the host's byte order (arena files are
+ *  per-machine caches, not interchange — a foreign-endian file fails
+ *  the checksum). */
 struct Header
 {
     uint64_t count = 0;

@@ -67,7 +67,7 @@ struct TraceRecord
  * replays without undefined behaviour.
  *
  * The word has no initializer on purpose: chunks are allocated for
- * overwrite and the recorder writes each slot before publishing it.
+ * overwrite and every slot is written before the chunk is published.
  */
 struct PackedRecord
 {

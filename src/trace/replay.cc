@@ -65,176 +65,44 @@ profileFingerprint(const AppProfile &profile)
     return key;
 }
 
+template class ChunkedStream<PackedRecord, SyntheticTrace>;
+
 MaterializedTrace::MaterializedTrace(const AppProfile &profile,
                                      uint64_t count)
-    : name_(profile.name), count_(count), gen_(profile),
-      dataBase_(gen_.dataBase())
+    : ChunkedStream(SyntheticTrace(profile), count), name_(profile.name),
+      dataBase_(generator().dataBase())
 {
-    // The whole directory exists up front (null slots): readers index
-    // it lock-free while the recorder fills slots in, so it must
-    // never reallocate.
-    chunks_.resize(numChunks());
 }
 
 MaterializedTrace::MaterializedTrace(const AppProfile &profile,
                                      uint64_t count,
                                      const PackedRecord *payload,
                                      std::shared_ptr<PayloadOwner> owner)
-    : name_(profile.name), count_(count), gen_(profile),
-      dataBase_(gen_.dataBase()), mapped_(payload),
-      owner_(std::move(owner))
+    : MaterializedTrace(profile, count)
 {
-    // Every record is already on disk: publish the full frontier so
-    // no consumer ever claims the recorder role, and skip the chunk
-    // directory entirely — chunkPtr() serves straight from mapped_.
-    avail_.store(count, std::memory_order_release);
-}
-
-bool
-MaterializedTrace::tryBecomeRecorder()
-{
-    bool expected = false;
-    if (!recorderActive_.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel,
-            std::memory_order_acquire))
-        return false;
-    recorderThread_.store(std::this_thread::get_id(),
-                          std::memory_order_seq_cst);
-    return true;
-}
-
-void
-MaterializedTrace::releaseRecorder()
-{
-    // Clear the thread id first: a waiter that still observes the
-    // role as active must never read its *own* id from a holder that
-    // has already left (see recorderIsThisThread).
-    recorderThread_.store(std::thread::id{},
-                          std::memory_order_seq_cst);
-    recorderActive_.store(false, std::memory_order_release);
-}
-
-bool
-MaterializedTrace::recorderIsThisThread() const
-{
-    return recorderActive_.load(std::memory_order_seq_cst) &&
-        recorderThread_.load(std::memory_order_seq_cst) ==
-        std::this_thread::get_id();
-}
-
-void
-MaterializedTrace::materializeAll()
-{
-    while (available() < count_) {
-        if (!tryBecomeRecorder()) {
-            std::this_thread::yield();
-            continue;
-        }
-        const auto start = std::chrono::steady_clock::now();
-        uint64_t i = avail_.load(std::memory_order_relaxed);
-        while (i < count_) {
-            PackedRecord *slot = recordChunk(i >> kChunkShift);
-            const uint64_t end =
-                std::min(count_, (i >> kChunkShift << kChunkShift) +
-                             kChunkRecords);
-            for (; i < end; ++i)
-                recordInto(slot[i & (kChunkRecords - 1)], i + 1);
-        }
-        genNs_.fetch_add(
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count()),
-            std::memory_order_relaxed);
-        releaseRecorder();
-    }
-}
-
-uint64_t
-MaterializedTrace::bytes() const
-{
-    const uint64_t avail = available();
-    if (avail == 0)
-        return 0;
-    // Chunks are allocated whole when their first record lands.
-    const uint64_t chunks =
-        (avail + kChunkRecords - 1) >> kChunkShift;
-    const uint64_t records = std::min(count_, chunks << kChunkShift);
-    return records * sizeof(PackedRecord);
-}
-
-double
-MaterializedTrace::genMs() const
-{
-    // Standalone (burst) generation only. Records captured inside a
-    // recording run are not counted: that run pays the generator for
-    // each of them inside its own loop (15-17 ns per record in
-    // BM_GeneratorNext on a shared 4-vCPU Xeon).
-    return static_cast<double>(
-               genNs_.load(std::memory_order_relaxed)) /
-        1e6;
+    owner_ = std::move(owner);
+    adopt(payload);
 }
 
 std::shared_ptr<MaterializedTrace>
 MaterializedTrace::generate(const AppProfile &profile, uint64_t count)
 {
     auto trace = std::make_shared<MaterializedTrace>(profile, count);
-    trace->materializeAll();
+    if (trace->numChunks() > 0)
+        trace->chunk(trace->numChunks() - 1);
     return trace;
 }
 
 PackedRecord
 ReplaySource::nextSlow()
 {
-    if (pos_ >= known_)
-        advance(); // exhaustion check + frontier resolution
-    const uint64_t idx = pos_ >> MaterializedTrace::kChunkShift;
-    const uint64_t off = pos_ & (MaterializedTrace::kChunkRecords - 1);
-    if (recording_) {
-        if (off == 0 || recChunk_ == nullptr)
-            recChunk_ = trace_->recordChunk(idx);
-        ++pos_;
-        return trace_->recordInto(recChunk_[off], pos_);
-    }
-    chunk_ = trace_->chunkPtr(idx);
-    chunkEnd_ =
-        std::min(known_, (idx + 1) << MaterializedTrace::kChunkShift);
-    ++pos_;
-    return chunk_[off];
-}
-
-void
-ReplaySource::advance()
-{
     if (pos_ >= size_)
         throwExhausted();
-    for (;;) {
-        const uint64_t avail = trace_->available();
-        if (pos_ < avail) {
-            known_ = std::min(avail, size_);
-            return;
-        }
-        if (trace_->tryBecomeRecorder()) {
-            // Records may have been published between the load above
-            // and the claim; only record from the true frontier.
-            const uint64_t now = trace_->available();
-            if (pos_ < now) {
-                trace_->releaseRecorder();
-                known_ = std::min(now, size_);
-                return;
-            }
-            recording_ = true;
-            known_ = size_;
-            return;
-        }
-        if (trace_->recorderIsThisThread())
-            throw std::runtime_error(
-                "ReplaySource '" + trace_->name() +
-                "': read past the materialization frontier while "
-                "another source on this thread holds the recorder "
-                "role — it can never catch up");
-        std::this_thread::yield();
-    }
+    const uint64_t idx = pos_ >> MaterializedTrace::kChunkShift;
+    chunk_ = trace_->chunk(idx, &generated_);
+    chunkEnd_ =
+        std::min(size_, (idx + 1) << MaterializedTrace::kChunkShift);
+    return chunk_[pos_++ & (MaterializedTrace::kChunkWords - 1)];
 }
 
 void
@@ -327,6 +195,8 @@ TraceArena::stats() const
     s.fileHits = fileHits_.load(std::memory_order_relaxed);
     s.fileSpills = fileSpills_.load(std::memory_order_relaxed);
     s.fileRejects = fileRejects_.load(std::memory_order_relaxed);
+    s.genMs =
+        static_cast<double>(genNs_.load(std::memory_order_relaxed)) / 1e6;
     for (const auto &[key, entry] : map_) {
         if (entry.fut.wait_for(std::chrono::seconds(0)) !=
             std::future_status::ready)
@@ -335,7 +205,6 @@ TraceArena::stats() const
         if (const auto &item = entry.fut.get()) {
             s.bytes += item->bytes();
             s.chargedBytes += item->chargedBytes();
-            s.genMs += item->genMs();
         }
     }
     return s;
@@ -347,6 +216,7 @@ TraceArena::clear()
     std::lock_guard<std::mutex> lock(mu_);
     map_.clear();
     tick_ = hits_ = misses_ = evictions_ = 0;
+    genNs_.store(0, std::memory_order_relaxed);
     fileHits_.store(0, std::memory_order_relaxed);
     fileSpills_.store(0, std::memory_order_relaxed);
     fileRejects_.store(0, std::memory_order_relaxed);
@@ -393,6 +263,14 @@ TraceArena::acquire(const std::string &key, const Generator &gen)
         std::lock_guard<std::mutex> lock(mu_);
         map_.erase(key);
         throw;
+    }
+    if (item) {
+        // Before the item is shared: what gen() already generated (a
+        // cold arena-directory trace) counts now, every later chunk as
+        // it is generated.
+        item->arenaGenNs_ = &genNs_;
+        genNs_.fetch_add(item->genNs_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
     }
     prom.set_value(item);
     evictOverBudget(key);
@@ -454,10 +332,9 @@ TraceArena::acquireTrace(const AppProfile &profile, uint64_t count)
                 fileSpills_.fetch_add(1, std::memory_order_relaxed);
             return trace;
         }
-        // In-memory arena: construction is cheap — records
-        // materialize lazily, inside the first consuming run — so a
-        // miss never blocks siblings behind a standalone generation
-        // pass.
+        // In-memory arena: construction is cheap — each chunk is
+        // generated by the first run that reads it — so a miss never
+        // blocks siblings behind a whole-trace generation pass.
         return std::make_shared<MaterializedTrace>(profile, count);
     });
     return std::static_pointer_cast<MaterializedTrace>(item);

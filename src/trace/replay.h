@@ -1,7 +1,9 @@
 #ifndef MAB_TRACE_REPLAY_H
 #define MAB_TRACE_REPLAY_H
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -9,7 +11,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -28,15 +29,16 @@ namespace mab {
  * amortize this by replaying pre-materialized traces; this header
  * brings that to the sweep engine.
  *
- *  - MaterializedTrace: a chunked buffer of PackedRecord words
- *    (trace/record.h), the generator's own output, recorded as a
- *    side effect of the first run that consumes the workload — there
- *    is no standalone generation pass.
+ *  - ChunkedStream: the one way a stream is materialized. A reader
+ *    that needs an unpublished chunk generates it (and every earlier
+ *    unpublished one) under the stream's mutex; every other read is
+ *    an acquire load and an index. MaterializedTrace (PackedRecords,
+ *    trace/record.h) and the SMT UopStream (smt/thread_source.h) are
+ *    its two instances.
  *  - ReplaySource: a TraceSource whose replay read is one compare and
- *    one load from the buffer (or, on the first run, a live generator
- *    call that also records).
+ *    one load from the current chunk.
  *  - TraceArena: a process-wide, mutex-guarded cache of materialized
- *    workloads, shared_ptr-shared across sweep tasks, with a byte
+ *    streams, shared_ptr-shared across sweep tasks, with a byte
  *    budget, LRU eviction and hit/miss/bytes/genMs counters (the
  *    meta.traceArena block of --json reports).
  *
@@ -69,7 +71,31 @@ class ArenaItem
     virtual uint64_t chargedBytes() const { return bytes(); }
 
     /** Wall-clock milliseconds spent generating the payload so far. */
-    virtual double genMs() const = 0;
+    double
+    genMs() const
+    {
+        return static_cast<double>(genNs_.load(std::memory_order_relaxed)) /
+            1e6;
+    }
+
+  protected:
+    /** Count @p ns of generation to the item and, once the arena has
+     *  installed it, to the arena's total. */
+    void
+    addGenNs(uint64_t ns)
+    {
+        genNs_.fetch_add(ns, std::memory_order_relaxed);
+        if (arenaGenNs_)
+            arenaGenNs_->fetch_add(ns, std::memory_order_relaxed);
+    }
+
+  private:
+    friend class TraceArena;
+
+    std::atomic<uint64_t> genNs_{0};
+    /** The installing arena's total; set once, before the item is
+     *  shared, and null for an item built outside the arena. */
+    std::atomic<uint64_t> *arenaGenNs_ = nullptr;
 };
 
 /**
@@ -86,43 +112,153 @@ class PayloadOwner
 };
 
 /**
- * A materialized instruction trace: exactly the first size() records
- * the generating SyntheticTrace produces from a fresh start, in
- * PackedRecord form.
- *
- * Records are materialized at *record* granularity by whichever
- * consumer holds the recorder role: the first run over a workload
- * claims the role and its ReplaySource generates each record live,
- * inside its own simulation loop, and stores the generator's word
- * unchanged. The recording run pays the whole generator on top of
- * its simulation, which does not hide it: BM_GeneratorNext measures
- * 15-17 ns per record on a shared 4-vCPU Xeon, and pf_single's None
- * column, whose cells record every trace, costs about 1.6x its Stride
- * column (EXPERIMENTS.md "Synthetic-input kernel"). There is never a
- * standalone generation pass. Later runs replay the published
- * records lock-free: the chunk directory is sized once at
- * construction so slots never move, each record is written before the
- * frontier count is release-published, and readers acquire the count.
- *
- * A concurrent run that catches up to the frontier (same workload,
- * --jobs > 1) waits for the recorder to publish more records — it
- * tracks one record behind the recorder's sim loop — and inherits the
- * role if the recorder retires mid-trace.
+ * A stream of up to capacity() Words from a Gen, materialized a chunk
+ * of kChunkWords at a time. chunk(k) on an unpublished chunk takes the
+ * generation mutex, generates every unpublished chunk up to k with
+ * Gen::nextWord() and release-publishes the chunk count; every other
+ * read is an acquire load and an index. The chunk directory is sized
+ * once at construction, so a published slot never moves, and any
+ * number of readers on any threads share the stream: whoever first
+ * needs a chunk generates it. Generation is timed where it happens
+ * (ArenaItem::genMs).
  */
-class MaterializedTrace final : public ArenaItem
+template <class Word, class Gen>
+class ChunkedStream : public ArenaItem
 {
   public:
-    /** Records per chunk (power of two; 128 KiB of PackedRecords). */
+    /** Words per chunk (a power of two). */
     static constexpr unsigned kChunkShift = 14;
-    static constexpr uint64_t kChunkRecords = 1ull << kChunkShift;
+    static constexpr uint64_t kChunkWords = 1ull << kChunkShift;
 
+    /**
+     * Chunk @p idx, generating it first if it is unpublished; sets
+     * @p generated (when given) to whether this call generated it.
+     * Thread-safe.
+     */
+    const Word *
+    chunk(uint64_t idx, bool *generated = nullptr)
+    {
+        if (idx < published_.load(std::memory_order_acquire)) {
+            if (generated)
+                *generated = false;
+            return dir_[idx];
+        }
+        return generateThrough(idx, generated);
+    }
+
+    /** Published chunk @p idx (below numChunks() once available()
+     *  reached capacity()): a plain read that never generates. */
+    const Word *chunkPtr(uint64_t idx) const { return dir_[idx]; }
+
+    /** Words published so far. */
+    uint64_t
+    available() const
+    {
+        return std::min(capacity_,
+                        published_.load(std::memory_order_acquire)
+                            << kChunkShift);
+    }
+
+    uint64_t capacity() const { return capacity_; }
+    uint64_t numChunks() const
+    {
+        return (capacity_ + kChunkWords - 1) >> kChunkShift;
+    }
+    uint64_t chunkLength(uint64_t idx) const
+    {
+        return std::min(kChunkWords, capacity_ - (idx << kChunkShift));
+    }
+
+    uint64_t bytes() const override { return available() * sizeof(Word); }
+
+  protected:
+    ChunkedStream(Gen gen, uint64_t capacity)
+        : gen_(std::move(gen)), capacity_(capacity),
+          dir_(std::make_unique_for_overwrite<const Word *[]>(numChunks()))
+    {
+    }
+
+    /** Publish every chunk from @p payload, capacity() contiguous
+     *  words the caller keeps alive: nothing is ever generated. */
+    void
+    adopt(const Word *payload)
+    {
+        for (uint64_t k = 0; k < numChunks(); ++k)
+            dir_[k] = payload + (k << kChunkShift);
+        published_.store(numChunks(), std::memory_order_release);
+    }
+
+    /** The generator, for constructors only (generation owns it). */
+    const Gen &generator() const { return gen_; }
+
+  private:
+    const Word *generateThrough(uint64_t idx, bool *generated);
+
+    Gen gen_;
+    const uint64_t capacity_;
+    /** numChunks() slots; those below published_ are set and final. */
+    std::unique_ptr<const Word *[]> dir_;
+    std::atomic<uint64_t> published_{0};
+    std::mutex genMu_; ///< guards gen_, owned_ and new slots
+    std::vector<std::unique_ptr<Word[]>> owned_;
+};
+
+template <class Word, class Gen>
+const Word *
+ChunkedStream<Word, Gen>::generateThrough(uint64_t idx, bool *generated)
+{
+    if (idx >= numChunks())
+        throw std::runtime_error("chunk " + std::to_string(idx) +
+                                 " is past the stream's " +
+                                 std::to_string(capacity_) + " words");
+    std::lock_guard<std::mutex> lock(genMu_);
+    uint64_t next = published_.load(std::memory_order_relaxed);
+    if (generated)
+        *generated = next <= idx;
+    if (next > idx)
+        return dir_[idx]; // a concurrent reader generated it
+    const auto start = std::chrono::steady_clock::now();
+    for (; next <= idx; ++next) {
+        // Allocate before drawing: a failed allocation must leave the
+        // generator at the first unpublished word.
+        const uint64_t len = chunkLength(next);
+        owned_.push_back(std::make_unique_for_overwrite<Word[]>(len));
+        Word *words = owned_.back().get();
+        for (uint64_t i = 0; i < len; ++i)
+            words[i] = gen_.nextWord();
+        dir_[next] = words;
+        // Release-publish after the chunk and its slot are written: a
+        // reader that observes the new count also observes both.
+        published_.store(next + 1, std::memory_order_release);
+    }
+    addGenNs(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+    return dir_[idx];
+}
+
+extern template class ChunkedStream<PackedRecord, SyntheticTrace>;
+
+/**
+ * A materialized instruction trace: exactly the first size() records
+ * the generating SyntheticTrace produces from a fresh start, in
+ * PackedRecord form, generated a chunk at a time by the first reader
+ * that needs each chunk (or adopted whole from a mapped arena file).
+ * Its length is fixed, so the arena charges it the full size() from
+ * install.
+ */
+class MaterializedTrace final
+    : public ChunkedStream<PackedRecord, SyntheticTrace>
+{
+  public:
     /** Lazy trace of the first @p count records over @p profile. */
     MaterializedTrace(const AppProfile &profile, uint64_t count);
 
     /**
      * Fully-materialized trace over an external payload of @p count
-     * contiguous PackedRecords (an mmap'd arena file): every record
-     * is published up front, no recorder ever runs, and @p owner is
+     * contiguous PackedRecords (an mmap'd arena file): every chunk is
+     * published up front, nothing is ever generated, and @p owner is
      * kept alive until the trace dies. The payload bytes were
      * checksum- and fingerprint-verified by the loader
      * (trace/arena_file.cc), so replay through it is byte-identical
@@ -133,154 +269,48 @@ class MaterializedTrace final : public ArenaItem
                       std::shared_ptr<PayloadOwner> owner);
 
     /**
-     * Fully materialized trace (every record generated eagerly):
-     * microbench / test convenience for timing or inspecting the
-     * whole buffer at once.
+     * A trace with every chunk generated: the cold path of the
+     * arena directory, and a test / microbench convenience for timing
+     * or inspecting the whole buffer at once.
      */
     static std::shared_ptr<MaterializedTrace>
     generate(const AppProfile &profile, uint64_t count);
 
-    /** Records published so far (readable without the recorder). */
-    uint64_t available() const
-    {
-        return avail_.load(std::memory_order_acquire);
-    }
-
     /** The data base every packed address is an offset from. */
     uint64_t dataBase() const { return dataBase_; }
 
-    /**
-     * Pointer to chunk @p idx. Only records below available() may be
-     * read through it; the slot itself never moves once its first
-     * record is published.
-     */
-    const PackedRecord *chunkPtr(uint64_t idx) const
-    {
-        // Mapped traces serve chunks straight out of the contiguous
-        // external payload; the branch sits on the once-per-16K-record
-        // refill path, never in the per-record loop.
-        if (mapped_)
-            return mapped_ + (idx << kChunkShift);
-        return chunks_[idx].get();
-    }
-
     /** True when the payload is externally backed (arena file). */
-    bool isMapped() const { return mapped_ != nullptr; }
+    bool isMapped() const { return owner_ != nullptr; }
 
-    /**
-     * Claim the (single) recorder role. On success the caller — and
-     * only the caller, from one thread — advances the trace via
-     * recordNext() until it calls releaseRecorder(). The claim
-     * acquire-synchronizes with the previous holder's release, so the
-     * generator state hands off cleanly mid-trace.
-     */
-    bool tryBecomeRecorder();
-    void releaseRecorder();
-
-    /**
-     * True when the active recorder runs on the calling thread. A
-     * second source on the recorder's own thread that reads past the
-     * frontier can never be satisfied (the recorder only advances
-     * between its own next() calls), so waiters use this to throw
-     * instead of spinning forever.
-     */
-    bool recorderIsThisThread() const;
-
-    /**
-     * The writable chunk @p idx (recorder only), allocating its slot
-     * on first use, uninitialized: each record is written before it
-     * is published. Taken once per 16K records by the recording
-     * source, which then writes records through the raw pointer.
-     */
-    PackedRecord *
-    recordChunk(uint64_t idx)
-    {
-        std::unique_ptr<PackedRecord[]> &slot = chunks_[idx];
-        if (!slot)
-            slot = std::make_unique_for_overwrite<PackedRecord[]>(
-                chunkLength(idx));
-        return slot.get();
-    }
-
-    /**
-     * Generate the record at the frontier, store its word into @p slot
-     * and publish @p newCount records. Recorder only; defined in-class
-     * so recording a record is one direct (devirtualized) generator
-     * call and two plain stores.
-     */
-    PackedRecord
-    recordInto(PackedRecord &slot, uint64_t newCount)
-    {
-        const PackedRecord p = gen_.nextWord();
-        slot = p;
-        avail_.store(newCount, std::memory_order_release);
-        return p;
-    }
-
-    uint64_t size() const { return count_; }
-    uint64_t numChunks() const
-    {
-        return (count_ + kChunkRecords - 1) / kChunkRecords;
-    }
-    uint64_t chunkLength(uint64_t idx) const
-    {
-        const uint64_t base = idx << kChunkShift;
-        return count_ - base < kChunkRecords ? count_ - base
-                                             : kChunkRecords;
-    }
+    uint64_t size() const { return capacity(); }
     const std::string &name() const { return name_; }
 
-    uint64_t bytes() const override;
-    /** The full size() records, whatever has been published. */
+    /** The full size() records, whatever has been generated. */
     uint64_t chargedBytes() const override
     {
-        return count_ * sizeof(PackedRecord);
+        return size() * sizeof(PackedRecord);
     }
-    double genMs() const override;
 
   private:
-    /** Drive recordNext() to the end of the trace (generate()). */
-    void materializeAll();
-
     std::string name_;
-    uint64_t count_;
-
-    SyntheticTrace gen_;
     const uint64_t dataBase_;
-    /** Directory sized once at construction; slots never move. */
-    std::vector<std::unique_ptr<PackedRecord[]>> chunks_;
-    /** External contiguous payload (mapped mode), else nullptr. */
-    const PackedRecord *mapped_ = nullptr;
     std::shared_ptr<PayloadOwner> owner_;
-    std::atomic<uint64_t> avail_{0}; ///< published record count
-    std::atomic<bool> recorderActive_{false};
-    std::atomic<std::thread::id> recorderThread_{};
-    std::atomic<uint64_t> genNs_{0}; ///< standalone (burst) gen only
 };
 
 /**
- * TraceSource over a MaterializedTrace. Two modes, decided per run at
- * the materialization frontier:
- *
- *  - replay: nextPacked() is one compare and one 8-byte load; only
- *    crossing a 16K-record chunk boundary or the published frontier
- *    takes the out-of-line nextSlow(). No RNG, no phase machinery.
- *  - recording: this source holds the trace's recorder role; every
- *    record goes through nextSlow(), which generates it live (the
- *    very word a bare SyntheticTrace would hand the run) and
- *    publishes it as a side effect, so the first run over a workload
- *    pays the generator once, inside its own loop, instead of a
- *    standalone generation pass.
+ * TraceSource over a MaterializedTrace. nextPacked() is one compare
+ * and one 8-byte load from the current chunk; only crossing a
+ * 16K-record chunk boundary, and exhaustion, take the out-of-line
+ * nextSlow(), which asks the trace for the next chunk (generating it
+ * if no reader has yet). No RNG, no phase machinery on the read.
  *
  * The class is final and nextPacked() is defined in-class, so the
  * CoreModel run loop (which caches the concrete pointer, see
- * cpu/core_model.h) inlines the replay read; the recording branch
- * stays out of line to keep it small enough to inline.
+ * cpu/core_model.h) inlines the replay read.
  *
- * Unlike FileTrace the source does NOT wrap around: running past the
- * end would silently diverge from live generation, so it throws
- * instead (the arena always materializes exactly the records a run
- * consumes).
+ * The source does NOT wrap around: running past the end would
+ * silently diverge from live generation, so it throws instead (the
+ * arena always materializes exactly the records a run consumes).
  */
 class ReplaySource final : public TraceSource
 {
@@ -289,12 +319,6 @@ class ReplaySource final : public TraceSource
         : trace_(std::move(trace)), dataBase_(trace_->dataBase()),
           size_(trace_->size())
     {
-    }
-
-    ~ReplaySource() override
-    {
-        if (recording_)
-            trace_->releaseRecorder();
     }
 
     ReplaySource(const ReplaySource &) = delete;
@@ -310,7 +334,7 @@ class ReplaySource final : public TraceSource
     nextPacked()
     {
         if (pos_ < chunkEnd_) [[likely]]
-            return chunk_[pos_++ & (MaterializedTrace::kChunkRecords - 1)];
+            return chunk_[pos_++ & (MaterializedTrace::kChunkWords - 1)];
         return nextSlow();
     }
 
@@ -319,15 +343,10 @@ class ReplaySource final : public TraceSource
     void
     reset() override
     {
-        if (recording_) {
-            trace_->releaseRecorder();
-            recording_ = false;
-        }
         pos_ = 0;
-        known_ = 0;
         chunkEnd_ = 0;
         chunk_ = nullptr;
-        recChunk_ = nullptr;
+        generated_ = false;
     }
 
     const std::string &name() const override { return trace_->name(); }
@@ -336,43 +355,29 @@ class ReplaySource final : public TraceSource
     uint64_t dataBase() const { return dataBase_; }
     uint64_t size() const { return size_; }
     uint64_t position() const { return pos_; }
-    bool recording() const { return recording_; }
+
+    /** True while the chunk being read was generated by this source's
+     *  own read (its first touch of the stream), false while it
+     *  replays a chunk some earlier read generated. */
+    bool recording() const { return generated_; }
 
   private:
-    /**
-     * Every read nextPacked()'s compare does not cover: a chunk
-     * boundary, the published frontier, exhaustion, and each record
-     * of a recording run.
-     */
+    /** A chunk boundary or exhaustion: throws past size(), else moves
+     *  the window to the chunk holding pos_. */
     PackedRecord nextSlow();
-
-    /**
-     * Frontier resolution, at pos_ == known_. Either the run is
-     * exhausted (throws), more published records became visible
-     * (refreshes known_), or this source is at the true frontier —
-     * then it claims the recorder role, or waits for the concurrent
-     * recorder to publish past pos_.
-     */
-    void advance();
 
     [[noreturn]] void throwExhausted() const;
 
     std::shared_ptr<MaterializedTrace> trace_;
     const uint64_t dataBase_;
-    /** The replay chunk holding pos_ (never used while recording). */
+    /** The chunk of the current window (null before the first read). */
     const PackedRecord *chunk_ = nullptr;
-    PackedRecord *recChunk_ = nullptr; ///< current chunk (recording)
     uint64_t size_;
     uint64_t pos_ = 0;
     /** Records readable through chunk_ without another check: the end
-     *  of its chunk or known_, whichever is first; 0 while recording,
-     *  so every recorded record takes nextSlow(). */
+     *  of its chunk or size_, whichever is first. */
     uint64_t chunkEnd_ = 0;
-    /** Records consumable without re-resolving the frontier: the
-     *  published count last observed (capped at size_), or size_
-     *  while recording. */
-    uint64_t known_ = 0;
-    bool recording_ = false;
+    bool generated_ = false;
 };
 
 /**
@@ -392,8 +397,7 @@ class ReplaySource final : public TraceSource
  * with the last one.
  *
  * Environment knobs (read once, at first use):
- *   MAB_TRACE_ARENA=0        disable (every run generates live); the
- *                            bench flag --no-trace-cache does the same
+ *   MAB_TRACE_ARENA=0        disable (every run generates live)
  *   MAB_TRACE_ARENA_MB=<n>   byte budget in MiB (default 512)
  *   MAB_TRACE_ARENA_DIR=<d>  persist instruction traces as versioned
  *                            on-disk PackedRecord files under <d>
@@ -437,6 +441,9 @@ class TraceArena
         /** What the budget charges them (ArenaItem::chargedBytes). */
         uint64_t chargedBytes = 0;
         uint64_t budgetBytes = 0;
+        /** Generation time of every stream the arena installed since
+         *  the last clear(), evicted ones and chunks generated after
+         *  their eviction included. */
         double genMs = 0.0;
         /** Persistent-arena traffic (MAB_TRACE_ARENA_DIR). */
         std::string dir;
@@ -484,6 +491,9 @@ class TraceArena
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;
+    /** Installed items add their generation here (ArenaItem::addGenNs),
+     *  from whichever thread generates. */
+    std::atomic<uint64_t> genNs_{0};
     /** On-disk arena directory; "" keeps the arena in-memory only. */
     std::string dir_;
     /** File-traffic counters are atomic: they tick inside generators

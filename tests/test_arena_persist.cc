@@ -133,7 +133,7 @@ expectMatchesLive(const AppProfile &app,
 TEST_F(ArenaPersistTest, ColdRunSpillsAndWarmRunLoads)
 {
     const AppProfile app = allWorkloads().front().app;
-    const uint64_t n = MaterializedTrace::kChunkRecords + 777;
+    const uint64_t n = MaterializedTrace::kChunkWords + 777;
 
     // Cold: generate + spill.
     auto cold = TraceArena::global().acquireTrace(app, n);
@@ -370,8 +370,8 @@ TEST_F(ArenaPersistTest, DirectApiReportsNoFileOnEmptyDir)
 TEST_F(ArenaPersistTest, SaveRefusesAPartiallyMaterializedTrace)
 {
     const AppProfile app = allWorkloads().front().app;
-    // A lazily-recording trace with no consumer has zero records
-    // available; spilling it would persist garbage.
+    // A lazy trace no consumer has read has no chunk generated;
+    // spilling it would persist garbage.
     MaterializedTrace lazy(app, 4096);
     EXPECT_FALSE(
         arena_file::save(tmp_.string(), "trace:lazy#4096", lazy));

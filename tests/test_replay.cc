@@ -21,7 +21,7 @@ using namespace mab;
  * Trace-arena / replay tests: the hard invariant is that replay is
  * byte-identical to live generation — every field of every record,
  * for every workload, across chunk boundaries, after reset(), and
- * regardless of which consumer ends up holding the recorder role.
+ * regardless of which consumer generates each chunk.
  */
 
 static_assert(sizeof(PackedRecord) == 8,
@@ -373,7 +373,7 @@ TEST(UopGen, RejectsDramLatencyAbovePackedRange)
  *  workload of every suite, crossing at least one chunk boundary. */
 TEST_F(ReplayTest, ReplayMatchesLiveGenerationForEveryWorkload)
 {
-    const uint64_t n = MaterializedTrace::kChunkRecords + 1000;
+    const uint64_t n = MaterializedTrace::kChunkWords + 1000;
     for (const WorkloadSpec &w : allWorkloads()) {
         SyntheticTrace live(w.app);
         ReplaySource replay(
@@ -393,7 +393,7 @@ TEST_F(ReplayTest, ResetReplaysTheSameRecords)
     const uint64_t n = 5000;
     ReplaySource replay(TraceArena::global().acquireTrace(app, n));
     for (uint64_t i = 0; i < 1234; ++i)
-        replay.next(); // consume partway (source is the recorder)
+        replay.next(); // consume partway (this source generated it)
     replay.reset();
     EXPECT_EQ(replay.position(), 0u);
     SyntheticTrace live(app);
@@ -404,29 +404,35 @@ TEST_F(ReplayTest, ResetReplaysTheSameRecords)
     }
 }
 
-TEST_F(ReplayTest, RecorderHandoffPreservesTheStream)
+/** A consumer destroyed mid-chunk leaves the stream whole: the chunk
+ *  its read generated stays published, and a later consumer replays
+ *  it and generates the next one. recording() is true for the source
+ *  whose read generated the chunk it is in, false for one replaying
+ *  it. */
+TEST_F(ReplayTest, ConsumerDestroyedMidChunkLeavesStreamWhole)
 {
     const AppProfile app = appByName("mcf06");
-    const uint64_t n = 3000;
+    const uint64_t n = MaterializedTrace::kChunkWords + 3000;
     const auto trace = TraceArena::global().acquireTrace(app, n);
     {
         ReplaySource first(trace);
-        for (uint64_t i = 0; i < n / 2; ++i)
+        for (uint64_t i = 0; i < 1500; ++i)
             first.next();
         EXPECT_TRUE(first.recording());
-        // Destroyed mid-trace: the recorder role is released with the
-        // generator parked at the frontier.
     }
+    EXPECT_EQ(trace->available(), MaterializedTrace::kChunkWords);
     ReplaySource second(trace);
     SyntheticTrace live(app);
     for (uint64_t i = 0; i < n; ++i) {
-        // First half replays published records; the second half makes
-        // this source claim the role and continue generation.
-        expectSameRecord(live.next(), second.next(), i, "handoff");
+        expectSameRecord(live.next(), second.next(), i, "second");
         if (HasFatalFailure())
             return;
+        if (i == 0) {
+            EXPECT_FALSE(second.recording()) << "chunk 0 is replayed";
+        }
     }
-    EXPECT_TRUE(second.recording());
+    EXPECT_TRUE(second.recording()) << "chunk 1 is its own";
+    EXPECT_EQ(trace->available(), n);
 }
 
 TEST_F(ReplayTest, ExhaustionThrowsInsteadOfWrapping)
@@ -438,24 +444,47 @@ TEST_F(ReplayTest, ExhaustionThrowsInsteadOfWrapping)
     EXPECT_THROW(replay.next(), std::runtime_error);
 }
 
-TEST_F(ReplayTest, SameThreadReadPastFrontierThrows)
+/** Two consumers of one trace on one thread: the second reads a chunk
+ *  ahead of the first, generating it, then the first catches up and
+ *  passes it. Each matches live generation record for record. */
+TEST_F(ReplayTest, SameThreadConsumersInterleave)
 {
     const AppProfile app = appByName("lbm06");
-    const auto trace = TraceArena::global().acquireTrace(app, 1000);
-    ReplaySource recorder(trace);
-    recorder.next(); // becomes the recorder at record 0
-    ASSERT_TRUE(recorder.recording());
-    ReplaySource behind(trace);
-    behind.next(); // published record: fine
-    // Record 1 is past the frontier and the recorder lives on this
-    // very thread — waiting can never succeed, so it must throw.
-    EXPECT_THROW(behind.next(), std::runtime_error);
+    const uint64_t k = MaterializedTrace::kChunkWords;
+    const uint64_t n = 3 * k + 500;
+    const auto trace = TraceArena::global().acquireTrace(app, n);
+    ReplaySource first(trace);
+    ReplaySource second(trace);
+    SyntheticTrace liveFirst(app);
+    SyntheticTrace liveSecond(app);
+    const auto read = [&](ReplaySource &src, SyntheticTrace &live,
+                          uint64_t count, const char *who) {
+        for (uint64_t i = 0; i < count; ++i) {
+            const uint64_t at = src.position();
+            expectSameRecord(live.next(), src.next(), at, who);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    };
+    read(first, liveFirst, 10, "first");
+    EXPECT_TRUE(first.recording());
+    read(second, liveSecond, k + 10, "second"); // a chunk ahead
+    EXPECT_TRUE(second.recording());
+    EXPECT_EQ(trace->available(), 2 * k);
+    read(first, liveFirst, k, "first"); // into the chunk second made
+    EXPECT_FALSE(first.recording());
+    read(first, liveFirst, n - k - 10, "first"); // and past it
+    EXPECT_TRUE(first.recording());
+    read(second, liveSecond, n - k - 10, "second");
+    EXPECT_FALSE(second.recording());
+    EXPECT_THROW(first.next(), std::runtime_error);
+    EXPECT_THROW(second.next(), std::runtime_error);
 }
 
 TEST_F(ReplayTest, ConcurrentConsumersSeeIdenticalRecords)
 {
     const AppProfile app = appByName("ligra_bfs");
-    const uint64_t n = 2 * MaterializedTrace::kChunkRecords;
+    const uint64_t n = 2 * MaterializedTrace::kChunkWords;
     auto hashOf = [](TraceSource &src, uint64_t count) {
         uint64_t h = 1469598103934665603ull;
         for (uint64_t i = 0; i < count; ++i) {
@@ -549,7 +578,7 @@ TEST_F(ReplayTest, ArenaEvictsLeastRecentlyUsedOverBudget)
 TEST_F(ReplayTest, ArenaChargesLazyTracesTheirFullLength)
 {
     TraceArena &arena = TraceArena::global();
-    const uint64_t n = 3 * MaterializedTrace::kChunkRecords;
+    const uint64_t n = 3 * MaterializedTrace::kChunkWords;
     const uint64_t traceBytes = n * sizeof(PackedRecord);
     arena.setBudgetBytes(2 * traceBytes + traceBytes / 2);
     AppProfile app = appByName("lbm06");
@@ -559,7 +588,7 @@ TEST_F(ReplayTest, ArenaChargesLazyTracesTheirFullLength)
         held.push_back(arena.acquireTrace(app, n));
         const TraceArena::Stats s = arena.stats();
         EXPECT_LE(s.chargedBytes, s.budgetBytes) << "after install " << i;
-        EXPECT_EQ(s.bytes, 0u) << "nothing is recorded yet";
+        EXPECT_EQ(s.bytes, 0u) << "nothing is generated yet";
     }
     TraceArena::Stats s = arena.stats();
     EXPECT_EQ(s.evictions, 3u);
@@ -578,7 +607,7 @@ TEST_F(ReplayTest, ArenaChargesLazyTracesTheirFullLength)
     // A uop stream grows after install; the next acquire of a stream
     // that is already resident charges the new size.
     arena.clear();
-    const uint64_t chunkBytes = UopStream::kChunkUops * sizeof(PackedUop);
+    const uint64_t chunkBytes = UopStream::kChunkWords * sizeof(PackedUop);
     arena.setBudgetBytes(4 * chunkBytes);
     const SmtAppParams &gcc = smtAppCatalog().front();
     const auto a = acquireUopStream(gcc, 1);
@@ -591,6 +620,42 @@ TEST_F(ReplayTest, ArenaChargesLazyTracesTheirFullLength)
     EXPECT_EQ(s.evictions, 1u);
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.chargedBytes, 2 * chunkBytes);
+}
+
+/**
+ * meta.traceArena.genMs counts every generation of an installed
+ * stream: a trace's chunks, generated inside the runs that read them,
+ * and a uop stream's chunks generated before and after the stream was
+ * evicted. Under a budget that holds one stream, B's growth evicts A;
+ * a chunk read through the A its consumer still holds counts too.
+ */
+TEST_F(ReplayTest, ArenaGenMsCountsEvictedStreams)
+{
+    TraceArena &arena = TraceArena::global();
+    {
+        ReplaySource src(arena.acquireTrace(appByName("lbm06"), 5000));
+        for (int i = 0; i < 5000; ++i)
+            src.next();
+    }
+    EXPECT_GT(arena.stats().genMs, 0.0) << "trace generation counts";
+
+    arena.clear();
+    const uint64_t chunkBytes = UopStream::kChunkWords * sizeof(PackedUop);
+    arena.setBudgetBytes(4 * chunkBytes);
+    const SmtAppParams &gcc = smtAppCatalog().front();
+    const auto a = acquireUopStream(gcc, 1);
+    const auto b = acquireUopStream(gcc, 2);
+    a->chunk(1);
+    b->chunk(2);
+    EXPECT_EQ(acquireUopStream(gcc, 2).get(), b.get());
+    ASSERT_EQ(arena.stats().evictions, 1u);
+    ASSERT_EQ(arena.stats().entries, 1u);
+    a->chunk(2); // A is evicted, its consumer still reads it
+    EXPECT_EQ(a->available(), 3 * UopStream::kChunkWords);
+    EXPECT_GT(a->genMs(), 0.0);
+    EXPECT_NEAR(arena.stats().genMs, a->genMs() + b->genMs(), 1e-9);
+    arena.clear();
+    EXPECT_EQ(arena.stats().genMs, 0.0);
 }
 
 TEST_F(ReplayTest, DisabledArenaFallsBackToLiveGeneration)
@@ -700,7 +765,7 @@ TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
 
     for (const SmtAppParams &params : {smtAppCatalog().front(), edge}) {
         const uint64_t seed = 12345;
-        const uint64_t n = UopStream::kChunkUops + 2000;
+        const uint64_t n = UopStream::kChunkWords + 2000;
 
         ThreadSource live(params, seed);
         ThreadSource replay(params, seed);
@@ -762,8 +827,8 @@ TEST_F(ReplayTest, ArenaItemsCountEightBytesPerRecord)
 {
     const AppProfile app = appByName("lbm06");
     for (const uint64_t n :
-         {uint64_t{1000}, MaterializedTrace::kChunkRecords,
-          2 * MaterializedTrace::kChunkRecords + 17}) {
+         {uint64_t{1000}, MaterializedTrace::kChunkWords,
+          2 * MaterializedTrace::kChunkWords + 17}) {
         const auto trace = MaterializedTrace::generate(app, n);
         EXPECT_EQ(trace->bytes(), 8 * n) << n << " records";
     }
@@ -771,7 +836,7 @@ TEST_F(ReplayTest, ArenaItemsCountEightBytesPerRecord)
     UopStream stream(smtAppCatalog().front(), 7);
     EXPECT_EQ(stream.bytes(), 0u);
     stream.chunk(1);
-    EXPECT_EQ(stream.bytes(), 2 * 2 * UopStream::kChunkUops);
+    EXPECT_EQ(stream.bytes(), 2 * 2 * UopStream::kChunkWords);
 }
 
 /**
