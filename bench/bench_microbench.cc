@@ -62,9 +62,10 @@ addressStream(size_t n)
 } // namespace
 
 /**
- * The Cache::lookupDemand + Cache::fill pair — the per-access work of
- * every level of the hierarchy. The single-pass probe (one combined
- * hit/first-invalid/LRU scan per set) shows up directly here.
+ * The memory walk's per-level work: Cache::lookupDemand, then
+ * Cache::insert on a miss, as CacheHierarchy does at every level.
+ * The lookup's scan and the victim choice without a rescan show up
+ * directly here.
  */
 static void
 BM_CacheLookupFill(benchmark::State &state)
@@ -82,7 +83,7 @@ BM_CacheLookupFill(benchmark::State &state)
         ++cycle;
         const Cache::LookupResult r = cache.lookupDemand(line, cycle);
         if (!r.hit)
-            cache.fill(line, cycle + 30, false);
+            cache.insert(line, cycle + 30, false);
         benchmark::DoNotOptimize(cache.demandHits);
     }
     state.SetItemsProcessed(state.iterations());
@@ -133,10 +134,11 @@ BENCHMARK(BM_CacheProbeHit)->Arg(32 * 1024)->Arg(2 * 1024 * 1024)
     ->UseRealTime();
 
 /**
- * Pure miss probe + victim fill: a streaming line sequence that never
- * re-hits, against a fully valid cache. Every access scans a full set
- * without a match, then runs the fused first-invalid/LRU victim scan
- * and writes the new line — the worst-case per-access path.
+ * Pure miss probe + victim insert: a streaming line sequence that
+ * never re-hits, against a fully valid cache. Every access scans a
+ * full set without a match, then inserts the line as the memory walk
+ * does — the LRU victim scan over the set's stamps, no second tag
+ * scan — the worst-case per-access path.
  */
 static void
 BM_CacheProbeMiss(benchmark::State &state)
@@ -153,7 +155,7 @@ BM_CacheProbeMiss(benchmark::State &state)
         ++cycle;
         const Cache::LookupResult r =
             cache.lookupDemand(next * kLineBytes, cycle);
-        cache.fill(next * kLineBytes, cycle + 30, false);
+        cache.insert(next * kLineBytes, cycle + 30, false);
         ++next;
         benchmark::DoNotOptimize(r);
     }

@@ -478,8 +478,8 @@ genCacheCase(uint64_t seed)
     Rng rng(subSeed(seed, 1));
     CacheCase c;
     // Degenerate geometries (1 way, 1 set, one-line caches) are part
-    // of the distribution on purpose: the fused fill probe has
-    // boundary behavior there. One case in eight goes wide
+    // of the distribution on purpose: the fill path (a probe, then an
+    // insert) has boundary behavior there. One case in eight goes wide
     // (16..kMaxWays ways) to exercise stamp-clock renormalization
     // with sets nearly filling the 8-bit stamp domain.
     c.config.name = "fuzz";

@@ -145,8 +145,8 @@ class CacheModel
 /**
  * Textbook reference cache: per-set line vectors, explicit separate
  * passes for hit probe, invalid-way scan and LRU victim scan — the
- * semantics mab::Cache's fused single-pass probe must reproduce
- * exactly (hit/miss, recency, MSHR readyCycle merge, prefetch
+ * semantics mab::Cache's one-scan probes over prefix-ordered sets
+ * must reproduce exactly (hit/miss, recency, MSHR readyCycle merge, prefetch
  * tagging/promotion, eviction attribution). Deliberately slow and
  * obvious; never optimize this class.
  */

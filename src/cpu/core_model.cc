@@ -103,49 +103,70 @@ struct PackedRec
     bool mispredictedBranch() const { return p.mispredictedBranch(); }
 };
 
+/**
+ * std::max by value. std::max returns a reference, and a reference
+ * that may point into the run loop's clocks keeps them in memory
+ * instead of registers.
+ */
+template <class T>
+T
+maxOf(T a, T b)
+{
+    return std::max(a, b);
+}
+
 } // namespace
+
+TraceRecord
+CoreModel::nextLive()
+{
+    return replayTrace_ ? replayTrace_->next()
+        : synthTrace_   ? synthTrace_->next()
+                        : trace_.next();
+}
 
 template <bool Profiled>
 void
 CoreModel::stepOneT()
 {
-    const TraceRecord rec = replayTrace_ ? replayTrace_->next()
-        : synthTrace_                    ? synthTrace_->next()
-                                         : trace_.next();
-    stepRecT<Profiled>(LiveRec{rec});
+    Clocks c = clocks_;
+    stepRecT<Profiled>(LiveRec{nextLive()}, c);
+    clocks_ = c;
 }
 
 template <bool Profiled, class Rec>
 void
-CoreModel::stepRecT(const Rec &rec)
+CoreModel::stepRecT(const Rec &rec, Clocks &c)
 {
     std::conditional_t<Profiled, tracing::ScopedPhase,
                        tracing::NoopPhase>
         phase(tracing::Phase::CoreTick);
-    const size_t slot = robSlot_;
-    if (++robSlot_ == static_cast<size_t>(config_.robSize))
-        robSlot_ = 0;
+    const size_t slot = c.robSlot;
+    if (++c.robSlot == static_cast<size_t>(config_.robSize))
+        c.robSlot = 0;
 
     // Dispatch: the frontend must have the instruction (fetch clock,
     // possibly stalled by a misprediction) and the ROB entry of
-    // instruction i - robSize must have committed.
-    double dispatch = std::max(fetchClock_, robCommit_[slot]);
-    dispatch = std::max(dispatch,
-                        static_cast<double>(frontendStallUntil_));
-    fetchClock_ = dispatch + fetchStep_;
+    // instruction i - robSize must have committed. The ROB and stall
+    // bounds are combined first, off the fetch clock's dependency
+    // chain; max over finite non-negative doubles is exact, so the
+    // order changes no bit.
+    const double dispatch =
+        maxOf(c.fetch, maxOf(robCommit_[slot], c.stall));
+    c.fetch = dispatch + fetchStep_;
 
     double complete = dispatch + 1.0;
     if (rec.isMemory()) {
         uint64_t issue_cycle = static_cast<uint64_t>(dispatch);
         if (rec.dependsOnPrevLoad())
-            issue_cycle = std::max(issue_cycle, prevLoadDone_);
+            issue_cycle = maxOf(issue_cycle, c.prevLoadDone);
 
         const auto res = hierarchy_.demandAccessT<Profiled>(
             rec.addr(), rec.isStore(), issue_cycle);
         if (rec.isLoad()) {
             complete = std::max(complete,
                                 static_cast<double>(res.readyCycle));
-            prevLoadDone_ = res.readyCycle;
+            c.prevLoadDone = res.readyCycle;
         }
         // Stores commit without waiting for memory (store buffer).
 
@@ -155,7 +176,7 @@ CoreModel::stepRecT(const Rec &rec)
             pa.addr = rec.addr();
             pa.hit = res.level == HitLevel::L2;
             pa.cycle = issue_cycle;
-            pa.instrCount = instructions_;
+            pa.instrCount = c.instructions;
             issuePrefetchesT<Profiled>(pa, false);
         }
         if (l1Prefetcher_) {
@@ -164,21 +185,21 @@ CoreModel::stepRecT(const Rec &rec)
             pa.addr = rec.addr();
             pa.hit = res.level == HitLevel::L1;
             pa.cycle = issue_cycle;
-            pa.instrCount = instructions_;
+            pa.instrCount = c.instructions;
             issuePrefetchesT<Profiled>(pa, true);
         }
     }
 
     if (rec.mispredictedBranch()) {
-        frontendStallUntil_ = static_cast<uint64_t>(complete) +
-            config_.branchMissPenalty;
+        c.stall = static_cast<double>(static_cast<uint64_t>(complete) +
+                                      config_.branchMissPenalty);
     }
 
     // In-order commit at commitWidth per cycle.
-    commitClock_ = std::max(commitClock_ + commitStep_, complete);
-    robCommit_[slot] = commitClock_;
-    robResidencySum_ += commitClock_ - dispatch;
-    ++instructions_;
+    c.commit = maxOf(c.commit + commitStep_, complete);
+    robCommit_[slot] = c.commit;
+    c.residency += c.commit - dispatch;
+    ++c.instructions;
 }
 
 // stepOne() in the header calls these from other translation units;
@@ -195,28 +216,38 @@ CoreModel::runTo(uint64_t instructions, uint64_t granularity)
         // instantiation) no phase timers, no per-step dispatch branch
         // anywhere down the call chain. With a ReplaySource the loop
         // consumes packed records directly — no unpacked TraceRecord
-        // ever exists on the replay path.
+        // ever exists on the replay path. Each loop steps its own
+        // copy of the clocks: the replay loop inlines its step, so no
+        // call ever sees its copy's address and the compiler keeps the
+        // fields in registers.
         if (replayTrace_) {
+            Clocks c = clocks_;
             const uint64_t base = replayTrace_->dataBase();
-            while (instructions_ < instructions)
+            while (c.instructions < instructions)
                 stepRecT<Profiled>(
-                    PackedRec{replayTrace_->nextPacked(), base});
+                    PackedRec{replayTrace_->nextPacked(), base}, c);
+            clocks_ = c;
             return;
         }
-        while (instructions_ < instructions)
-            stepOneT<Profiled>();
+        Clocks c = clocks_;
+        while (c.instructions < instructions)
+            stepRecT<Profiled>(LiveRec{nextLive()}, c);
+        clocks_ = c;
         return;
     }
 
+    Clocks c = clocks_;
+    const auto cycles = [&c] { return static_cast<uint64_t>(c.commit); };
     uint64_t next_sample = (cycles() / granularity + 1) * granularity;
-    while (instructions_ < instructions) {
-        stepOneT<Profiled>();
+    while (c.instructions < instructions) {
+        stepRecT<Profiled>(LiveRec{nextLive()}, c);
         if (cycles() >= next_sample) {
+            clocks_ = c;
             sampleInterval();
-            next_sample =
-                (cycles() / granularity + 1) * granularity;
+            next_sample = (cycles() / granularity + 1) * granularity;
         }
     }
+    clocks_ = c;
     sampleInterval();
 }
 
@@ -239,7 +270,7 @@ CoreModel::sampleInterval()
     tracing::Tracer &tracer = tracing::Tracer::global();
     const uint64_t now = cycles();
     SampleSnapshot cur;
-    cur.instructions = instructions_;
+    cur.instructions = clocks_.instructions;
     cur.cycles = now;
     cur.l2Accesses = hierarchy_.l2DemandAccesses();
     cur.l2Hits = hierarchy_.hitsAt(HitLevel::L2);
@@ -286,7 +317,7 @@ void
 CoreModel::exportStats(StatsRegistry &reg,
                        const std::string &prefix) const
 {
-    reg.setCounter(prefix + ".instructions", instructions_);
+    reg.setCounter(prefix + ".instructions", clocks_.instructions);
     reg.setCounter(prefix + ".cycles", cycles());
     reg.setScalar(prefix + ".ipc", ipc());
     reg.setScalar(prefix + ".robOccupancy", robOccupancy());

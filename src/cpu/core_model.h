@@ -86,7 +86,7 @@ class CoreModel
     /** Run until @p instructions have been committed in total. */
     void run(uint64_t instructions);
 
-    uint64_t instructions() const { return instructions_; }
+    uint64_t instructions() const { return clocks_.instructions; }
 
     /** Core parameters the model was built with (introspection). */
     const CoreConfig &config() const { return config_; }
@@ -94,7 +94,7 @@ class CoreModel
     /** Committed cycles so far (the in-order commit clock). */
     uint64_t cycles() const
     {
-        return static_cast<uint64_t>(commitClock_);
+        return static_cast<uint64_t>(clocks_.commit);
     }
 
     double
@@ -102,7 +102,7 @@ class CoreModel
     {
         const uint64_t c = cycles();
         return c == 0 ? 0.0
-                      : static_cast<double>(instructions_) / c;
+                      : static_cast<double>(clocks_.instructions) / c;
     }
 
     CacheHierarchy &hierarchy() { return hierarchy_; }
@@ -115,8 +115,8 @@ class CoreModel
      */
     double robOccupancy() const
     {
-        return commitClock_ <= 0.0 ? 0.0
-                                   : robResidencySum_ / commitClock_;
+        return clocks_.commit <= 0.0 ? 0.0
+                                     : clocks_.residency / clocks_.commit;
     }
 
     /**
@@ -129,20 +129,49 @@ class CoreModel
 
   private:
     /**
-     * One simulator step, templated on whether phase profiling is
-     * live. The false instantiation compiles to exactly the
-     * uninstrumented step (NoopPhase, demandAccessT<false>); defined
-     * in core_model.cc with explicit instantiations for both flavors.
+     * The per-instruction state of the timing model. The run loop
+     * copies it into a local, steps on the local and stores it back.
+     * The out-of-line memory walk and prefetcher calls cannot reach a
+     * local, so the compiler keeps its fields in registers instead of
+     * storing and reloading them through this around every call.
+     */
+    struct Clocks
+    {
+        double fetch = 0.0;
+        /** The in-order commit clock (cycles()). */
+        double commit = 0.0;
+        /** Summed commit-to-dispatch residency (robOccupancy()). */
+        double residency = 0.0;
+        /** Frontend stalled by a misprediction until this cycle; a
+         *  whole number, held as the double dispatch compares it as. */
+        double stall = 0.0;
+        uint64_t prevLoadDone = 0;
+        uint64_t instructions = 0;
+        /** instructions % robSize, kept as a wrapping cursor. */
+        size_t robSlot = 0;
+    };
+
+    /**
+     * One simulator step on clocks_, templated on whether phase
+     * profiling is live. The false instantiation compiles to exactly
+     * the uninstrumented step (NoopPhase, demandAccessT<false>);
+     * defined in core_model.cc with explicit instantiations for both
+     * flavors.
      */
     template <bool Profiled> void stepOneT();
+
+    /** The next record of a source that is not replayed packed. */
+    TraceRecord nextLive();
 
     /**
      * The step body, templated on a record *view* so the replay loop
      * feeds PackedRecords straight through (flag reads compile to bit
      * tests on one register) while every other source goes through
      * the unpacked TraceRecord facade. Views live in core_model.cc.
+     * Every caller passes a local copy of clocks_ as @p c.
      */
-    template <bool Profiled, class Rec> void stepRecT(const Rec &rec);
+    template <bool Profiled, class Rec>
+    void stepRecT(const Rec &rec, Clocks &c);
 
     template <bool Profiled>
     void issuePrefetchesT(const PrefetchAccess &access, bool at_l1);
@@ -199,23 +228,14 @@ class CoreModel
     SyntheticTrace *synthTrace_ = nullptr;
     BanditPrefetchController *banditL2_ = nullptr;
 
-    uint64_t instructions_ = 0;
-    double fetchClock_ = 0.0;
-    double commitClock_ = 0.0;
-    double robResidencySum_ = 0.0;
-    uint64_t frontendStallUntil_ = 0;
-    uint64_t prevLoadDone_ = 0;
+    Clocks clocks_;
 
     /**
-     * Per-record loop invariants, hoisted out of the step path:
-     * instructions_ % robSize as a wrapping cursor (instructions_
-     * only ever increments by one per step, so the cursor tracks the
-     * modulo exactly without the per-record integer divide) and the
+     * Per-record loop invariants, hoisted out of the step path: the
      * reciprocal issue/commit increments (the divides by fetchWidth /
      * commitWidth are loop-invariant; precomputing the quotient
      * reuses the identical IEEE result every step).
      */
-    size_t robSlot_ = 0;
     double fetchStep_ = 0.0;
     double commitStep_ = 0.0;
 

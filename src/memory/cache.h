@@ -35,8 +35,8 @@ struct CacheConfig
  * or wrong (evicted without a demand use) — the taxonomy of Figure 9.
  *
  * Storage is structure-of-arrays: three parallel planes indexed by
- * set * ways + way, plus one clock byte per set, carved out of one
- * calloc block —
+ * set * ways + way, plus a clock byte and a count byte per set, carved
+ * out of one calloc block —
  *
  *   tags_[]   uint64  the line address with the valid/prefetched/used
  *                     flags packed into its low bits (line addresses
@@ -48,14 +48,16 @@ struct CacheConfig
  *                     owns),
  *   ready_[]  uint64  fill-completion cycle (read only on a hit),
  *   stamp_[]  uint8   LRU use stamp (see below),
- *   clock_[]  uint8   per-set stamp clock.
+ *   clock_[]  uint8   per-set stamp clock,
+ *   count_[]  uint8   per-set number of valid lines.
  *
- * This replaces the former 32-byte array-of-struct Line layout: the
- * hot probe now touches 8 bytes per way instead of 32, the per-way
- * loops are branch-light compare sweeps over tiny contiguous rows the
- * compiler can unroll or vectorize, and the default three-level
- * hierarchy's state drops from ~1.2 MB to ~630 KB per core — most of
- * a sweep cell's working set.
+ * The valid lines of a set are always its first count_ ways: insert()
+ * takes way count_ while the set has room, and invalidate() moves the
+ * set's last valid line into the hole it leaves. Every probe therefore
+ * scans count_ ways, not the associativity, and a fill into a set with
+ * room picks its way without a scan. Way numbers are never observable
+ * (only hits, ready cycles and evicted lines are), so the layout
+ * changes no output.
  *
  * LRU recency is an 8-bit *use stamp* per line instead of a 64-bit
  * last-use tick: each set hands out stamps from its own byte-wide
@@ -70,10 +72,18 @@ struct CacheConfig
  * every eviction decision — of the old layout exactly. Invalid
  * lines' stamps are dead values, never read; the all-zero byte
  * pattern remains the reset state (zero tag words carry no valid
- * bit, a zero clock is simply a fresh epoch), preserving the
- * calloc/lazy-page trick below. Renormalization needs the clock to
- * clear 255 - kMaxWays assignments per epoch, bounding associativity
- * at kMaxWays = 128 ways.
+ * bit, zero counts are empty sets, a zero clock is simply a fresh
+ * epoch), preserving the calloc/lazy-page trick below.
+ * Renormalization needs the clock to clear 255 - kMaxWays assignments
+ * per epoch, bounding associativity at kMaxWays = 128 ways.
+ *
+ * lookupDemand() remembers the slot of its last hit. An L1 sees long
+ * streaks of accesses to one line, and a repeat of the remembered
+ * line is answered from that slot without a scan. Every insert(),
+ * fill(), invalidate() and clear() forgets it, a hit on another line
+ * replaces it, and misses and contains() change nothing, so a
+ * remembered line is still its set's most recently used line with its
+ * used flag set: the scan would find it and have nothing to update.
  */
 class Cache
 {
@@ -81,6 +91,11 @@ class Cache
     /** Highest supported associativity (8-bit stamp-clock domain). */
     static constexpr int kMaxWays = 128;
 
+    /**
+     * Throws std::invalid_argument, naming the field and its value,
+     * unless 1 <= ways <= kMaxWays and sizeBytes is a nonzero
+     * power-of-two number of ways-line sets.
+     */
     explicit Cache(const CacheConfig &config);
 
     /** Outcome of a demand lookup. */
@@ -98,17 +113,31 @@ class Cache
 
     /**
      * Demand lookup for @p line at @p cycle. Updates recency and
-     * clears the prefetched tag on first use.
+     * clears the prefetched tag on first use. Always inlined: the
+     * memory walk probes three levels in one function, and GCC's size
+     * heuristic would otherwise call out to each probe.
      */
-    LookupResult
+    [[gnu::always_inline]] LookupResult
     lookupDemand(uint64_t line, uint64_t cycle)
     {
         assert((line & kFlagMask) == 0);
         LookupResult res;
+        const uint64_t key = line | kValid;
+        if (key == lastHitKey_) {
+            // The remembered hit again: the line is its set's MRU line
+            // and already marked used (see the class comment).
+            assert((tags_[lastHitSlot_] & ~kPrefetched) == (key | kUsed));
+            ++demandHits;
+            const uint64_t ready = ready_[lastHitSlot_];
+            res.hit = true;
+            res.readyCycle = ready;
+            res.inflight = ready > cycle;
+            return res;
+        }
         const uint64_t set = setIndex(line);
         const uint64_t base = set * static_cast<uint64_t>(ways_);
         uint64_t *tags = tags_ + base;
-        const int w = findWay(tags, line | kValid);
+        const int w = findWay(tags, key, count_[set]);
         if (w < 0) {
             ++demandMisses;
             return res;
@@ -128,6 +157,8 @@ class Cache
         uint8_t *stamp = stamp_ + base;
         if (stamp[w] != static_cast<uint8_t>(clock_[set] - 1))
             stamp[w] = bumpClock(set, base);
+        lastHitKey_ = key;
+        lastHitSlot_ = base + w;
         return res;
     }
 
@@ -135,9 +166,9 @@ class Cache
     bool
     contains(uint64_t line) const
     {
-        const uint64_t base = setIndex(line) *
-            static_cast<uint64_t>(ways_);
-        return findWay(tags_ + base, line | kValid) >= 0;
+        const uint64_t set = setIndex(line);
+        return findWay(tags_ + set * static_cast<uint64_t>(ways_),
+                       line | kValid, count_[set]) >= 0;
     }
 
     /** Information about the victim of a fill. */
@@ -150,76 +181,93 @@ class Cache
     };
 
     /**
-     * Insert @p line; its data becomes usable at @p readyCycle.
-     * If the line is already present the existing entry is kept (a
-     * prefetch into a present line is a no-op; a demand fill clears
-     * the prefetched tag).
-     *
-     * Fused probe: one scan finds the hit, the first invalid way and
-     * the LRU victim at once. The hit can short-circuit; the
-     * invalid/LRU candidates cannot be committed before a miss is
-     * proven, since invalidate() punches holes in front of valid
-     * lines.
+     * Insert @p line, which must be absent (asserted in debug
+     * builds); its data becomes usable at @p readyCycle. The victim
+     * is way count_ of a set with room, else the valid line with the
+     * lowest stamp. No tag is compared: the memory walk calls this
+     * right after a lookup or contains() at this level missed.
      */
     EvictInfo
-    fill(uint64_t line, uint64_t readyCycle, bool prefetch)
+    insert(uint64_t line, uint64_t readyCycle, bool prefetch)
     {
         assert((line & kFlagMask) == 0);
-        EvictInfo info;
         const uint64_t set = setIndex(line);
         const uint64_t base = set * static_cast<uint64_t>(ways_);
         uint64_t *tags = tags_ + base;
         uint8_t *stamp = stamp_ + base;
-        const int ways = ways_;
-        const uint64_t key = line | kValid;
+        const int n = count_[set];
+        assert(findWay(tags, line | kValid, n) < 0 &&
+               "insert() of a resident line");
+        lastHitKey_ = 0;
 
-        int firstInvalid = -1;
-        int lru = 0;
-        uint8_t lruStamp = 255;
-        for (int i = 0; i < ways; ++i) {
-            const uint64_t t = tags[i];
-            if (t & kValid) {
-                if ((t & ~(kPrefetched | kUsed)) == key) {
-                    // Already present: a demand fill promotes a
-                    // prefetched line.
-                    if (!prefetch)
-                        tags[i] = t & ~kPrefetched;
-                    return info;
-                }
-                if (stamp[i] < lruStamp) {
-                    lru = i;
-                    lruStamp = stamp[i];
-                }
-            } else if (firstInvalid < 0) {
-                firstInvalid = i;
+        EvictInfo info;
+        int w = n;
+        if (n < ways_) {
+            count_[set] = static_cast<uint8_t>(n + 1);
+        } else {
+            // The unique lowest stamp; the running minimum stays in a
+            // register, so the scan compiles to conditional moves.
+            w = 0;
+            uint8_t least = stamp[0];
+            for (int i = 1; i < n; ++i) {
+                const uint8_t s = stamp[i];
+                w = s < least ? i : w;
+                least = s < least ? s : least;
             }
-        }
-        const int w = firstInvalid >= 0 ? firstInvalid : lru;
-
-        const uint64_t t = tags[w];
-        if (t & kValid) {
+            const uint64_t t = tags[w];
             info.evictedValid = true;
             info.evictedLine = t & ~kFlagMask;
             info.evictedUnusedPrefetch =
                 (t & (kPrefetched | kUsed)) == kPrefetched;
         }
-        tags[w] = prefetch ? (key | kPrefetched) : key;
+        tags[w] = prefetch ? (line | kValid | kPrefetched)
+                           : (line | kValid);
         ready_[base + w] = readyCycle;
         stamp[w] = bumpClock(set, base);
         return info;
+    }
+
+    /**
+     * Insert @p line unless it is present; its data becomes usable at
+     * @p readyCycle. A present line keeps its entry (a prefetch into
+     * it is a no-op; a demand fill clears the prefetched tag). The
+     * tests and the cache fuzz domain fill; the memory walk, which
+     * knows the line is absent, calls insert().
+     */
+    EvictInfo
+    fill(uint64_t line, uint64_t readyCycle, bool prefetch)
+    {
+        assert((line & kFlagMask) == 0);
+        const uint64_t set = setIndex(line);
+        const uint64_t base = set * static_cast<uint64_t>(ways_);
+        const int w = findWay(tags_ + base, line | kValid, count_[set]);
+        if (w < 0)
+            return insert(line, readyCycle, prefetch);
+        lastHitKey_ = 0;
+        if (!prefetch)
+            tags_[base + w] &= ~kPrefetched;
+        return {};
     }
 
     /** Remove @p line if present (back-invalidation support). */
     void
     invalidate(uint64_t line)
     {
-        const uint64_t base = setIndex(line) *
-            static_cast<uint64_t>(ways_);
-        const int w = findWay(tags_ + base, line | kValid);
+        lastHitKey_ = 0;
+        const uint64_t set = setIndex(line);
+        const uint64_t base = set * static_cast<uint64_t>(ways_);
+        const int n = count_[set];
+        const int w = findWay(tags_ + base, line | kValid, n);
         if (w < 0)
             return;
-        // The dead stamp is simply never read again; no compaction.
-        tags_[base + w] &= ~kValid;
+        // Keep the valid lines a prefix: the last one fills the hole.
+        const uint64_t hole = base + w;
+        const uint64_t last = base + n - 1;
+        tags_[hole] = tags_[last];
+        ready_[hole] = ready_[last];
+        stamp_[hole] = stamp_[last];
+        tags_[last] = 0;
+        count_[set] = static_cast<uint8_t>(n - 1);
     }
 
     /** Reset contents and statistics. */
@@ -247,9 +295,10 @@ class Cache
     static_assert(kFlagMask < kLineBytes,
                   "flag bits must fit below line alignment");
 
-    /** Per-line plane bytes: tag+flags (8) + ready (8) + stamp (1);
-     *  each set adds one clock_ byte on top. */
+    /** Per-line plane bytes: tag+flags (8) + ready (8) + stamp (1). */
     static constexpr uint64_t kBytesPerLine = 17;
+    /** Per-set plane bytes: clock (1) + count (1). */
+    static constexpr uint64_t kBytesPerSet = 2;
 
     /** The set @p line maps to. */
     uint64_t
@@ -259,19 +308,16 @@ class Cache
     }
 
     /**
-     * Single-pass tag probe over one set's tag row: the way holding
-     * @p key (= line | kValid), or -1. Masking the prefetched/used
-     * bits out of each stored word folds the validity check into the
-     * equality compare — an invalid slot has the kValid bit clear and
-     * can never equal the key. All per-access paths (lookupDemand /
-     * contains / invalidate) reduce to this one scan; fill runs its
-     * own fused hit+victim scan.
+     * Single-pass tag probe over the first @p n ways of one set's tag
+     * row (its valid lines): the way holding @p key (= line | kValid),
+     * or -1. Masking the prefetched/used bits out of each stored word
+     * leaves the valid bit in the compare. Every probe (lookupDemand,
+     * contains, fill, invalidate) is this one scan.
      */
     int
-    findWay(const uint64_t *tags, uint64_t key) const
+    findWay(const uint64_t *tags, uint64_t key, int n) const
     {
-        const int ways = ways_;
-        for (int i = 0; i < ways; ++i) {
+        for (int i = 0; i < n; ++i) {
             if ((tags[i] & ~(kPrefetched | kUsed)) == key)
                 return i;
         }
@@ -290,12 +336,12 @@ class Cache
     {
         uint8_t c = clock_[set];
         if (c == 255)
-            c = renormalize(base);
+            c = renormalize(base, count_[set]);
         clock_[set] = static_cast<uint8_t>(c + 1);
         return c;
     }
 
-    uint8_t renormalize(uint64_t base);
+    uint8_t renormalize(uint64_t base, int n);
 
     struct FreeDeleter
     {
@@ -307,23 +353,29 @@ class Cache
     uint64_t setMask_;
     int ways_;
 
+    /** The last lookupDemand() hit: its key (line | kValid; 0, which
+     *  no key equals, when forgotten) and its plane index. */
+    uint64_t lastHitKey_ = 0;
+    uint64_t lastHitSlot_ = 0;
+
     /**
      * The SoA planes, carved out of one calloc block (tags, ready,
-     * stamps, per-set clocks — in that order, so the wide planes keep
-     * their natural alignment). The all-zero byte pattern IS the
-     * reset state (no valid lines — a zero tag word has kValid
-     * clear), so a fresh array needs no explicit initialization pass
-     * — the OS hands out lazily-zeroed pages and only the sets a run
-     * actually touches ever fault in. A value-initialized vector
-     * would memset the whole array up front (LLC: ~560 KB per
-     * CoreModel), which dominated short sweep runs that touch a few
-     * hundred sets.
+     * stamps, per-set clocks and counts — in that order, so the wide
+     * planes keep their natural alignment). The all-zero byte pattern
+     * IS the reset state (no valid lines — a zero tag word has kValid
+     * clear, a zero count is an empty set), so a fresh array needs no
+     * explicit initialization pass — the OS hands out lazily-zeroed
+     * pages and only the sets a run actually touches ever fault in. A
+     * value-initialized vector would memset the whole array up front
+     * (LLC: ~560 KB per CoreModel), which dominated short sweep runs
+     * that touch a few hundred sets.
      */
     std::unique_ptr<uint8_t[], FreeDeleter> blob_;
     uint64_t *tags_;
     uint64_t *ready_;
     uint8_t *stamp_;
     uint8_t *clock_;
+    uint8_t *count_;
 };
 
 } // namespace mab

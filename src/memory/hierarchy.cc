@@ -87,9 +87,9 @@ CacheHierarchy::demandMissToDram(uint64_t line, bool isStore,
     res.readyCycle = dram_ready + config_.l1.hitLatency;
     demandMshr_.add(res.readyCycle);
 
-    llc_->fill(line, res.readyCycle, false);
-    countL2Eviction(l2_.fill(line, res.readyCycle, false));
-    l1_.fill(line, res.readyCycle, false);
+    llc_->insert(line, res.readyCycle, false);
+    countL2Eviction(l2_.insert(line, res.readyCycle, false));
+    l1_.insert(line, res.readyCycle, false);
     return res;
 }
 

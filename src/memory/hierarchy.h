@@ -227,7 +227,7 @@ class CacheHierarchy
             // Promotion from LLC into L2: cheap, no DRAM traffic.
             const uint64_t ready = cycle + config_.l2.hitLatency +
                 config_.llc.hitLatency;
-            countL2Eviction(l2_.fill(line, ready, true));
+            countL2Eviction(l2_.insert(line, ready, true));
             ++pfStats_.issued;
             return true;
         }
@@ -245,8 +245,8 @@ class CacheHierarchy
         // Fill LLC untagged and L2 tagged: classification is
         // attributed at the L2, the prefetcher's home level (see
         // class comment).
-        llc_->fill(line, ready, false);
-        countL2Eviction(l2_.fill(line, ready, true));
+        llc_->insert(line, ready, false);
+        countL2Eviction(l2_.insert(line, ready, true));
         ++pfStats_.issued;
         return true;
     }
@@ -264,14 +264,14 @@ class CacheHierarchy
             return false;
 
         if (l2_.contains(line)) {
-            l1_.fill(line, cycle + config_.l2.hitLatency, false);
+            l1_.insert(line, cycle + config_.l2.hitLatency, false);
             return true;
         }
         if (llc_->contains(line)) {
             const uint64_t ready = cycle + config_.l2.hitLatency +
                 config_.llc.hitLatency;
-            countL2Eviction(l2_.fill(line, ready, false));
-            l1_.fill(line, ready, false);
+            countL2Eviction(l2_.insert(line, ready, false));
+            l1_.insert(line, ready, false);
             return true;
         }
 
@@ -283,9 +283,9 @@ class CacheHierarchy
         }
         const uint64_t ready = dram_->schedule(cycle, false);
         prefetchQueue_.add(ready);
-        llc_->fill(line, ready, false);
-        countL2Eviction(l2_.fill(line, ready, false));
-        l1_.fill(line, ready, false);
+        llc_->insert(line, ready, false);
+        countL2Eviction(l2_.insert(line, ready, false));
+        l1_.insert(line, ready, false);
         return true;
     }
 
@@ -338,10 +338,14 @@ class CacheHierarchy
      * The flattened L1→L2→LLC→DRAM demand walk. GCC keeps this
      * function itself out of line: the core's run loop (the only hot
      * caller, via demandAccessT) makes one call per demand access.
-     * Inside it, every level's probe is the Cache header's fused scan,
-     * inlined with no hop between levels; the only calls left are the
-     * cold DRAM leg (demandMissToDram) and the cache's rare stamp
-     * renormalization (see EXPERIMENTS.md "One-word records").
+     * Inside it, each level's lookupDemand() is inlined, and a level
+     * that missed is filled with insert(), which compares no tag: the
+     * lookup proved the line absent and nothing touches that cache
+     * before the fill. Every fill site of this class follows a miss
+     * at its level in the same call the same way. The only calls left
+     * are the cold DRAM leg (demandMissToDram) and the cache's rare
+     * stamp renormalization (see EXPERIMENTS.md "Memory-walk
+     * kernel").
      */
     AccessResult
     demandAccessImpl(uint64_t addr, bool isStore, uint64_t cycle)
@@ -371,7 +375,7 @@ class CacheHierarchy
             }
             res.level = HitLevel::L2;
             res.readyCycle = std::max(l2_time, r2.readyCycle);
-            l1_.fill(line, res.readyCycle, false);
+            l1_.insert(line, res.readyCycle, false);
             ++hitLevel_[static_cast<int>(HitLevel::L2)];
             return res;
         }
@@ -381,8 +385,8 @@ class CacheHierarchy
         if (r3.hit) {
             res.level = HitLevel::Llc;
             res.readyCycle = std::max(llc_time, r3.readyCycle);
-            countL2Eviction(l2_.fill(line, res.readyCycle, false));
-            l1_.fill(line, res.readyCycle, false);
+            countL2Eviction(l2_.insert(line, res.readyCycle, false));
+            l1_.insert(line, res.readyCycle, false);
             ++hitLevel_[static_cast<int>(HitLevel::Llc)];
             return res;
         }

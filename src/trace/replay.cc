@@ -65,6 +65,16 @@ profileFingerprint(const AppProfile &profile)
     return key;
 }
 
+void
+ArenaItem::grew(uint64_t ns)
+{
+    genNs_.fetch_add(ns, std::memory_order_relaxed);
+    if (arena_) {
+        arena_->genNs_.fetch_add(ns, std::memory_order_relaxed);
+        arena_->evictOverBudget(this);
+    }
+}
+
 template class ChunkedStream<PackedRecord, SyntheticTrace>;
 
 MaterializedTrace::MaterializedTrace(const AppProfile &profile,
@@ -247,10 +257,12 @@ TraceArena::acquire(const std::string &key, const Generator &gen)
     }
 
     if (!generate_here) {
-        // A hit re-checks the budget too: an item that grew since its
-        // install (a uop stream) is charged its new size here.
-        evictOverBudget(key);
-        return fut.get(); // may wait for a concurrent generator
+        // A hit re-checks the budget too: a smaller budget takes
+        // effect here.
+        std::shared_ptr<ArenaItem> item =
+            fut.get(); // may wait for a concurrent generator
+        evictOverBudget(item.get());
+        return item;
     }
 
     // Generate outside the lock: other keys proceed concurrently,
@@ -267,22 +279,23 @@ TraceArena::acquire(const std::string &key, const Generator &gen)
     if (item) {
         // Before the item is shared: what gen() already generated (a
         // cold arena-directory trace) counts now, every later chunk as
-        // it is generated.
-        item->arenaGenNs_ = &genNs_;
+        // it is generated, and each growth re-checks the budget.
+        item->arena_ = this;
         genNs_.fetch_add(item->genNs_.load(std::memory_order_relaxed),
                          std::memory_order_relaxed);
     }
     prom.set_value(item);
-    evictOverBudget(key);
+    evictOverBudget(item.get());
     return item;
 }
 
 void
-TraceArena::evictOverBudget(const std::string &keep)
+TraceArena::evictOverBudget(const ArenaItem *keep)
 {
     std::lock_guard<std::mutex> lock(mu_);
     for (;;) {
         uint64_t total = 0;
+        bool kept = false;
         auto victim = map_.end();
         for (auto it = map_.begin(); it != map_.end(); ++it) {
             // In-flight entries have unknown size and a generator
@@ -292,13 +305,17 @@ TraceArena::evictOverBudget(const std::string &keep)
                 continue;
             const auto &item = it->second.fut.get();
             total += item ? item->chargedBytes() : 0;
-            if (it->first == keep)
+            if (item.get() == keep) {
+                kept = true;
                 continue;
+            }
             if (victim == map_.end() ||
                 it->second.lruTick < victim->second.lruTick)
                 victim = it;
         }
-        if (total <= budgetBytes_ || victim == map_.end())
+        // An item evicted before it grew is no longer charged, so its
+        // growth leaves the arena alone.
+        if (!kept || total <= budgetBytes_ || victim == map_.end())
             return;
         map_.erase(victim);
         ++evictions_;

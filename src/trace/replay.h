@@ -49,6 +49,8 @@ namespace mab {
  * (enforced by tests/test_replay.cc and fuzzed by fuzz/replay.cc).
  */
 
+class TraceArena;
+
 /**
  * Anything the TraceArena can hold: reports its resident size (which
  * may grow, e.g. lazily-extended SMT uop streams) and the wall-clock
@@ -79,23 +81,22 @@ class ArenaItem
     }
 
   protected:
-    /** Count @p ns of generation to the item and, once the arena has
-     *  installed it, to the arena's total. */
-    void
-    addGenNs(uint64_t ns)
-    {
-        genNs_.fetch_add(ns, std::memory_order_relaxed);
-        if (arenaGenNs_)
-            arenaGenNs_->fetch_add(ns, std::memory_order_relaxed);
-    }
+    /**
+     * The item just grew by generating for @p ns. Counts @p ns to the
+     * item and, once an arena has installed it, to the arena's total;
+     * that arena then evicts other items down to its budget, so a
+     * stream that grows after its last acquire cannot leave the arena
+     * over budget. Call it holding no lock of the item.
+     */
+    void grew(uint64_t ns);
 
   private:
     friend class TraceArena;
 
     std::atomic<uint64_t> genNs_{0};
-    /** The installing arena's total; set once, before the item is
-     *  shared, and null for an item built outside the arena. */
-    std::atomic<uint64_t> *arenaGenNs_ = nullptr;
+    /** The installing arena; set once, before the item is shared, and
+     *  null for an item built outside the arena. */
+    TraceArena *arena_ = nullptr;
 };
 
 /**
@@ -211,29 +212,33 @@ ChunkedStream<Word, Gen>::generateThrough(uint64_t idx, bool *generated)
         throw std::runtime_error("chunk " + std::to_string(idx) +
                                  " is past the stream's " +
                                  std::to_string(capacity_) + " words");
-    std::lock_guard<std::mutex> lock(genMu_);
-    uint64_t next = published_.load(std::memory_order_relaxed);
-    if (generated)
-        *generated = next <= idx;
-    if (next > idx)
-        return dir_[idx]; // a concurrent reader generated it
-    const auto start = std::chrono::steady_clock::now();
-    for (; next <= idx; ++next) {
-        // Allocate before drawing: a failed allocation must leave the
-        // generator at the first unpublished word.
-        const uint64_t len = chunkLength(next);
-        owned_.push_back(std::make_unique_for_overwrite<Word[]>(len));
-        Word *words = owned_.back().get();
-        for (uint64_t i = 0; i < len; ++i)
-            words[i] = gen_.nextWord();
-        dir_[next] = words;
-        // Release-publish after the chunk and its slot are written: a
-        // reader that observes the new count also observes both.
-        published_.store(next + 1, std::memory_order_release);
+    std::chrono::steady_clock::duration took{};
+    {
+        std::lock_guard<std::mutex> lock(genMu_);
+        uint64_t next = published_.load(std::memory_order_relaxed);
+        if (generated)
+            *generated = next <= idx;
+        if (next > idx)
+            return dir_[idx]; // a concurrent reader generated it
+        const auto start = std::chrono::steady_clock::now();
+        for (; next <= idx; ++next) {
+            // Allocate before drawing: a failed allocation must leave
+            // the generator at the first unpublished word.
+            const uint64_t len = chunkLength(next);
+            owned_.push_back(std::make_unique_for_overwrite<Word[]>(len));
+            Word *words = owned_.back().get();
+            for (uint64_t i = 0; i < len; ++i)
+                words[i] = gen_.nextWord();
+            dir_[next] = words;
+            // Release-publish after the chunk and its slot are
+            // written: a reader that observes the new count also
+            // observes both.
+            published_.store(next + 1, std::memory_order_release);
+        }
+        took = std::chrono::steady_clock::now() - start;
     }
-    addGenNs(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
+    grew(static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(took)
             .count()));
     return dir_[idx];
 }
@@ -389,12 +394,14 @@ class ReplaySource final : public TraceSource
  * can only ever return the identical workload. Concurrent misses on
  * the same key generate once: the first task installs a future and
  * materializes outside the lock, later tasks block on the shared
- * future. Every acquire, hit or miss, evicts least-recently-acquired
- * entries while the charged bytes (ArenaItem::chargedBytes: a lazy
- * trace counts its full length from install, a growing uop stream
- * what it holds so far) exceed the byte budget; evicted payloads stay
- * alive for the tasks still holding their shared_ptr and are freed
- * with the last one.
+ * future. Every acquire, hit or miss, and every growth of an installed
+ * item (ArenaItem::grew, after the chunks are published) evicts
+ * least-recently-acquired entries, never the acquired or growing one,
+ * while the charged bytes (ArenaItem::chargedBytes: a lazy trace
+ * counts its full length from install, a growing uop stream what it
+ * holds so far) exceed the byte budget; evicted payloads stay alive
+ * for the tasks still holding their shared_ptr and are freed with the
+ * last one.
  *
  * Environment knobs (read once, at first use):
  *   MAB_TRACE_ARENA=0        disable (every run generates live)
@@ -475,7 +482,12 @@ class TraceArena
   private:
     TraceArena();
 
-    void evictOverBudget(const std::string &keep);
+    friend class ArenaItem;
+
+    /** While the charged bytes exceed the budget, evict the
+     *  least-recently-acquired ready entry other than @p keep; evict
+     *  nothing once @p keep has left the arena. */
+    void evictOverBudget(const ArenaItem *keep);
 
     struct Entry
     {
@@ -491,7 +503,7 @@ class TraceArena
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;
-    /** Installed items add their generation here (ArenaItem::addGenNs),
+    /** Installed items add their generation here (ArenaItem::grew),
      *  from whichever thread generates. */
     std::atomic<uint64_t> genNs_{0};
     /** On-disk arena directory; "" keeps the arena in-memory only. */

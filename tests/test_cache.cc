@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "memory/cache.h"
 #include "fuzz/fuzz.h"
@@ -145,6 +147,43 @@ TEST(Cache, ContainsDoesNotUpdateStats)
     Cache c(smallCache());
     c.contains(0x5000);
     EXPECT_EQ(c.demandMisses, 0u);
+}
+
+/** Geometries that index past the planes or fold addresses onto a
+ *  subset of the sets are rejected, naming the field and its value. */
+TEST(Cache, RejectsDegenerateGeometry)
+{
+    struct Bad
+    {
+        CacheConfig config;
+        const char *field;
+    };
+    const Bad cases[] = {
+        {{"tiny", 256, 8, 4}, "sizeBytes 256"},     // smaller than a set
+        {{"noways", 4096, 0, 4}, "ways 0"},         // no way at all
+        {{"negative", 4096, -1, 4}, "ways -1"},
+        {{"wide", 12800, 200, 4}, "ways 200"},      // above kMaxWays
+        {{"threesets", 1536, 8, 4}, "sizeBytes 1536"}, // 3 sets
+    };
+    for (const Bad &b : cases) {
+        try {
+            Cache c(b.config);
+            ADD_FAILURE() << b.config.name << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(b.field),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find(b.config.name),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The boundaries themselves are valid.
+    EXPECT_EQ(Cache({"one", kLineBytes, 1, 4}).numSets(), 1u);
+    EXPECT_EQ(Cache({"max", kLineBytes * Cache::kMaxWays,
+                     Cache::kMaxWays, 4})
+                  .numSets(),
+              1u);
 }
 
 /** Property sweep: invariants hold across geometries. */
@@ -336,7 +375,7 @@ TEST(CacheDegenerateGeometry, RandomizedAosVsSoaEquivalenceSweep)
 
 TEST(CacheDegenerateGeometry, SingleLineEvictionChain)
 {
-    // Fixed regression for the fused probe's hit-vs-victim ordering:
+    // Fixed regression for fill()'s hit-vs-victim ordering:
     // on a single-line cache, filling A, B, A must evict A then B,
     // and a re-fill of the resident line must not evict anything.
     CacheConfig cfg{"one", kLineBytes, 1, 2};
@@ -351,6 +390,233 @@ TEST(CacheDegenerateGeometry, SingleLineEvictionChain)
     EXPECT_TRUE(e3.evictedValid);
     EXPECT_EQ(e3.evictedLine, 0x40u);
     EXPECT_EQ(c.occupancy(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The memory walk's own pattern. CacheHierarchy never calls fill(): it
+// looks a line up (or checks contains()) and calls insert() on a miss.
+// These drive that pattern, lookups repeating the previous line as the
+// generator's accessesPerLine streaks do, against the textbook
+// reference, comparing every result, counter and occupancy.
+
+/** One Cache and its reference, compared after every operation. */
+class WalkDiff
+{
+  public:
+    explicit WalkDiff(const CacheConfig &config)
+        : cache_(config), ref_(config)
+    {
+    }
+
+    /** lookupDemand(), then insert() on a miss (the walk's access);
+     *  returns the lookup's result. */
+    Cache::LookupResult
+    access(uint64_t line, uint64_t cycle, uint64_t fillCycle,
+           bool prefetch = false)
+    {
+        const Cache::LookupResult a = cache_.lookupDemand(line, cycle);
+        const Cache::LookupResult b = ref_.lookupDemand(line, cycle);
+        EXPECT_EQ(a.hit, b.hit) << where(line);
+        EXPECT_EQ(a.inflight, b.inflight) << where(line);
+        EXPECT_EQ(a.readyCycle, b.readyCycle) << where(line);
+        EXPECT_EQ(a.prefetchFirstUse, b.prefetchFirstUse) << where(line);
+        if (!a.hit)
+            insertBoth(line, fillCycle, prefetch);
+        check(line);
+        return a;
+    }
+
+    /** contains(), then insert() on a miss (the prefetch path). */
+    void
+    prefetch(uint64_t line, uint64_t fillCycle)
+    {
+        const bool present = cache_.contains(line);
+        EXPECT_EQ(present, ref_.contains(line)) << where(line);
+        if (!present)
+            insertBoth(line, fillCycle, true);
+        check(line);
+    }
+
+    void
+    invalidate(uint64_t line)
+    {
+        cache_.invalidate(line);
+        ref_.invalidate(line);
+        check(line);
+    }
+
+    void
+    clear()
+    {
+        cache_.clear();
+        ref_.clear();
+        check(0);
+    }
+
+    /** Lookups of @p line must miss in both models. */
+    void
+    expectMiss(uint64_t line, uint64_t cycle)
+    {
+        EXPECT_FALSE(cache_.lookupDemand(line, cycle).hit) << where(line);
+        EXPECT_FALSE(ref_.lookupDemand(line, cycle).hit) << where(line);
+        check(line);
+    }
+
+    uint64_t evictions() const { return evictions_; }
+
+  private:
+    void
+    insertBoth(uint64_t line, uint64_t fillCycle, bool prefetch)
+    {
+        const Cache::EvictInfo a = cache_.insert(line, fillCycle, prefetch);
+        const Cache::EvictInfo b = ref_.fill(line, fillCycle, prefetch);
+        EXPECT_EQ(a.evictedValid, b.evictedValid) << where(line);
+        EXPECT_EQ(a.evictedLine, b.evictedLine) << where(line);
+        EXPECT_EQ(a.evictedUnusedPrefetch, b.evictedUnusedPrefetch)
+            << where(line);
+        evictions_ += a.evictedValid;
+    }
+
+    void
+    check(uint64_t line)
+    {
+        ++ops_;
+        EXPECT_EQ(cache_.demandHits, ref_.demandHits()) << where(line);
+        EXPECT_EQ(cache_.demandMisses, ref_.demandMisses()) << where(line);
+        EXPECT_EQ(cache_.occupancy(), ref_.occupancy()) << where(line);
+    }
+
+    std::string
+    where(uint64_t line) const
+    {
+        return cache_.config().name + " op " + std::to_string(ops_) +
+            " line " + std::to_string(line);
+    }
+
+    Cache cache_;
+    fuzz::ReferenceCache ref_;
+    uint64_t ops_ = 0;
+    uint64_t evictions_ = 0;
+};
+
+TEST(CacheWalkKernel, LookupThenInsertMatchesReferenceOnGrid)
+{
+    const int ways_grid[] = {1, 2, 3, 8, 16, 65, 128};
+    const uint64_t sets_grid[] = {1, 2, 8, 32};
+    uint64_t seed = 1;
+    for (int ways : ways_grid) {
+        for (uint64_t sets : sets_grid) {
+            CacheConfig cfg{"walk" + std::to_string(ways) + "x" +
+                                std::to_string(sets),
+                            kLineBytes * ways * sets, ways, 4};
+            WalkDiff d(cfg);
+            Rng rng(seed++ * 104729);
+            const uint64_t capacity = sets * ways;
+            const uint64_t pool = capacity * 2 + 3;
+            // Enough inserts to fill every set between the two clears.
+            const uint64_t ops = 2000 + 12 * capacity;
+            uint64_t line = 0;
+            uint64_t cycle = 0;
+            for (uint64_t i = 0; i < ops; ++i) {
+                cycle += rng.below(4);
+                const uint64_t kind = rng.below(100);
+                // Most accesses repeat the previous line.
+                if (kind >= 45 || i == 0)
+                    line = rng.below(pool) * kLineBytes;
+                if (kind < 70)
+                    d.access(line, cycle, cycle + rng.below(300),
+                             rng.bernoulli(0.2));
+                else if (kind < 85)
+                    d.prefetch(rng.below(pool) * kLineBytes,
+                               cycle + rng.below(300));
+                else
+                    d.invalidate(rng.below(4) == 0
+                                     ? line
+                                     : rng.below(pool) * kLineBytes);
+                if (i == ops / 2)
+                    d.clear();
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+            EXPECT_GT(d.evictions(), 0u) << cfg.name;
+        }
+    }
+}
+
+TEST(CacheWalkKernel, RememberedHitForgottenOnEvictingInsert)
+{
+    // One line per set: the remembered line's slot is the victim, so a
+    // stale memory of it would return the new line's ready cycle.
+    WalkDiff d({"direct", kLineBytes * 4, 1, 4});
+    const uint64_t a = 0;
+    const uint64_t b = 4 * kLineBytes; // same set as a
+    d.access(a, 0, 10);
+    d.access(a, 20, 0); // hit, remembered
+    d.access(a, 21, 0); // remembered hit
+    d.access(b, 22, 500); // misses, evicts a from the slot
+    d.expectMiss(a, 600);
+    EXPECT_EQ(d.access(b, 601, 0).readyCycle, 500u);
+
+    // An evicting insert into a wider set: a is LRU once b and c
+    // arrive after its last hit.
+    WalkDiff w({"twoway", kLineBytes * 2, 2, 4});
+    w.access(a, 0, 5);
+    w.access(a, 6, 0);
+    w.access(a, 7, 0);
+    w.access(kLineBytes, 8, 50);
+    w.access(2 * kLineBytes, 9, 60); // evicts a
+    w.expectMiss(a, 100);
+}
+
+TEST(CacheWalkKernel, RememberedHitForgottenOnInvalidateAndClear)
+{
+    WalkDiff d({"four", kLineBytes * 4, 4, 4});
+    for (uint64_t i = 0; i < 3; ++i)
+        d.access(i * kLineBytes, i, 10 + i);
+    // Hit the last line, then invalidate it: the lookup must miss.
+    d.access(2 * kLineBytes, 20, 0);
+    d.invalidate(2 * kLineBytes);
+    d.expectMiss(2 * kLineBytes, 21);
+
+    // Hit the last valid line, then invalidate the first: the last
+    // line moves into the hole and must still hit at its ready cycle.
+    d.access(3 * kLineBytes, 22, 300);
+    d.access(3 * kLineBytes, 23, 0);
+    d.invalidate(0);
+    d.access(3 * kLineBytes, 24, 0);
+    d.access(kLineBytes, 25, 0);
+    EXPECT_EQ(d.access(3 * kLineBytes, 26, 0).readyCycle, 300u);
+
+    d.access(kLineBytes, 30, 0);
+    d.clear();
+    d.expectMiss(kLineBytes, 31);
+}
+
+TEST(CacheWalkKernel, RememberedHitsAcrossStampRenormalization)
+{
+    // Hits that alternate between lines of one full set hand out a
+    // stamp each; 1000 rounds run the set's 8-bit clock through
+    // several renormalization epochs, with remembered repeat hits in
+    // between. Evictions afterwards must still follow true LRU.
+    const int ways = 8;
+    WalkDiff d({"epochs", kLineBytes * ways, ways, 4});
+    for (int w = 0; w < ways; ++w)
+        d.access(static_cast<uint64_t>(w) * kLineBytes, w, 5);
+    Rng rng(99);
+    uint64_t cycle = 100;
+    for (int round = 0; round < 1000; ++round) {
+        const uint64_t line = rng.below(ways - 1) * kLineBytes;
+        d.access(line, ++cycle, 0);
+        d.access(line, ++cycle, 0); // remembered
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    for (int k = 0; k < 3 * ways; ++k) {
+        ++cycle;
+        d.access((ways + static_cast<uint64_t>(k)) * kLineBytes, cycle,
+                 cycle + 7);
+    }
+    EXPECT_EQ(d.evictions(), static_cast<uint64_t>(3 * ways));
 }
 
 } // namespace

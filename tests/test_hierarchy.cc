@@ -4,6 +4,7 @@
 #include <functional>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "memory/hierarchy.h"
@@ -242,6 +243,38 @@ TEST(Hierarchy, TrackerCapacitiesBelowOneThrow)
         EXPECT_THROW(CacheHierarchy(cfg, &llc, &dram),
                      std::invalid_argument);
     }
+}
+
+/** A degenerate geometry at any level, or a shared LLC whose core
+ *  count leaves a set count that is not a power of two, is rejected
+ *  with the level's name instead of crashing or mis-mapping. */
+TEST(Hierarchy, RejectsDegenerateCacheGeometry)
+{
+    const auto expectRejected = [](const HierarchyConfig &cfg,
+                                   const char *level) {
+        try {
+            CacheHierarchy h(cfg);
+            ADD_FAILURE() << level << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(level), std::string::npos)
+                << e.what();
+        }
+    };
+    HierarchyConfig cfg = tinyConfig();
+    cfg.l1.ways = 0;
+    expectRejected(cfg, "'L1': ways 0");
+    cfg = tinyConfig();
+    cfg.l2.sizeBytes = 3 * 4 * kLineBytes; // 3 sets of 4 ways
+    expectRejected(cfg, "'L2': sizeBytes 768");
+    cfg = tinyConfig();
+    cfg.llc.ways = Cache::kMaxWays + 1;
+    expectRejected(cfg, "'LLC': ways 129");
+
+    // A shared LLC built for three cores of the default hierarchy has
+    // 3 * 2048 sets.
+    CacheConfig shared = HierarchyConfig{}.llc;
+    shared.sizeBytes *= 3;
+    EXPECT_THROW(Cache{shared}, std::invalid_argument);
 }
 
 /**

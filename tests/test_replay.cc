@@ -604,8 +604,8 @@ TEST_F(ReplayTest, ArenaChargesLazyTracesTheirFullLength)
     EXPECT_EQ(s.entries, 1u);
     EXPECT_LE(s.chargedBytes, s.budgetBytes);
 
-    // A uop stream grows after install; the next acquire of a stream
-    // that is already resident charges the new size.
+    // A uop stream grows after install and is charged what it holds:
+    // its growth evicts the other stream at once.
     arena.clear();
     const uint64_t chunkBytes = UopStream::kChunkWords * sizeof(PackedUop);
     arena.setBudgetBytes(4 * chunkBytes);
@@ -613,13 +613,59 @@ TEST_F(ReplayTest, ArenaChargesLazyTracesTheirFullLength)
     const auto a = acquireUopStream(gcc, 1);
     const auto b = acquireUopStream(gcc, 2);
     b->chunk(1);
+    EXPECT_EQ(arena.stats().chargedBytes, 2 * chunkBytes);
     a->chunk(3);
-    EXPECT_EQ(arena.stats().chargedBytes, 6 * chunkBytes);
-    EXPECT_EQ(acquireUopStream(gcc, 2).get(), b.get());
     s = arena.stats();
     EXPECT_EQ(s.evictions, 1u);
     EXPECT_EQ(s.entries, 1u);
-    EXPECT_EQ(s.chargedBytes, 2 * chunkBytes);
+    EXPECT_EQ(s.chargedBytes, 4 * chunkBytes);
+    EXPECT_EQ(acquireUopStream(gcc, 1).get(), a.get());
+}
+
+/**
+ * A uop stream that grows after its last acquire keeps the arena
+ * within its budget: the growth itself evicts the least recently
+ * acquired other streams, and never the growing one, even when it
+ * alone outgrows the budget. Until the growth evicted anything, the
+ * arena stayed over budget until the next acquire.
+ */
+TEST_F(ReplayTest, UopStreamGrowthAfterLastAcquireEvictsToBudget)
+{
+    TraceArena &arena = TraceArena::global();
+    const uint64_t chunkBytes = UopStream::kChunkWords * sizeof(PackedUop);
+    arena.setBudgetBytes(6 * chunkBytes);
+    const SmtAppParams &gcc = smtAppCatalog().front();
+    const auto a = acquireUopStream(gcc, 1);
+    const auto b = acquireUopStream(gcc, 2);
+    a->chunk(2);
+    b->chunk(1);
+    TraceArena::Stats s = arena.stats();
+    EXPECT_EQ(s.bytes, 5 * chunkBytes);
+    EXPECT_EQ(s.evictions, 0u);
+
+    b->chunk(3); // no acquire follows
+    s = arena.stats();
+    EXPECT_LE(s.bytes, s.budgetBytes);
+    EXPECT_LE(s.chargedBytes, s.budgetBytes);
+    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.bytes, 4 * chunkBytes);
+
+    b->chunk(7); // b alone outgrows the budget and stays resident
+    s = arena.stats();
+    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.bytes, 8 * chunkBytes);
+    EXPECT_EQ(acquireUopStream(gcc, 2).get(), b.get());
+    EXPECT_EQ(arena.stats().hits, 1u);
+
+    // The evicted stream still serves its consumer, and growing it
+    // evicts nothing: it is no longer the arena's.
+    a->chunk(3);
+    EXPECT_EQ(a->available(), 4 * UopStream::kChunkWords);
+    s = arena.stats();
+    EXPECT_EQ(s.evictions, 1u);
+    EXPECT_EQ(s.entries, 1u);
 }
 
 /**
