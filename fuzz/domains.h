@@ -30,6 +30,7 @@ std::string describeDrift(uint64_t seed);
 
 std::string checkSmt(uint64_t seed, bool shrink);
 std::string describeSmt(uint64_t seed);
+bool selfTestSmt(uint64_t seedBase, uint64_t lane, std::string &log);
 
 std::string checkPrefetch(uint64_t seed, bool shrink);
 std::string describePrefetch(uint64_t seed);

@@ -21,7 +21,7 @@ const Domain kDomains[] = {
     // Replay checks a case of the sim generator, drawn on its own lane.
     {"replay", 64, checkReplay, describeSim, nullptr},
     {"drift", 5, checkDrift, describeDrift, nullptr},
-    {"smt", 6, checkSmt, describeSmt, nullptr},
+    {"smt", 6, checkSmt, describeSmt, selfTestSmt},
     {"prefetch", 7, checkPrefetch, describePrefetch, selfTestPrefetch},
     {"generate", 8, checkGenerate, describeGenerate, selfTestGenerate},
 };

@@ -1,6 +1,6 @@
 #include "core/bandit_agent.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "sim/tracing.h"
 
@@ -10,7 +10,8 @@ BanditAgent::BanditAgent(std::unique_ptr<MabPolicy> policy,
                          const BanditHwConfig &config)
     : policy_(std::move(policy)), config_(config)
 {
-    assert(policy_ && "BanditAgent requires a policy");
+    if (!policy_)
+        throw std::invalid_argument("BanditAgent: policy is null");
     // First selection happens immediately (start of the round-robin
     // phase); there is no previous arm to fall back to.
     selectedArm_ = policy_->selectArm();

@@ -57,6 +57,7 @@ struct BanditHwConfig
 class BanditAgent
 {
   public:
+    /** @throws std::invalid_argument for a null @p policy. */
     BanditAgent(std::unique_ptr<MabPolicy> policy,
                 const BanditHwConfig &config);
 

@@ -1,6 +1,7 @@
 #include "core/heuristics.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "sim/stats.h"
 
@@ -64,7 +65,10 @@ PeriodicHeuristic::pushSample(ArmId arm, double r)
 FixedArmPolicy::FixedArmPolicy(const MabConfig &config, ArmId arm)
     : MabPolicy(config), arm_(arm)
 {
-    assert(arm >= 0 && arm < config.numArms);
+    if (arm < 0 || arm >= config.numArms)
+        throw std::invalid_argument(
+            "FixedArmPolicy: arm " + std::to_string(arm) +
+            " is outside [0, " + std::to_string(config.numArms) + ")");
     disableInitialRoundRobin();
 }
 

@@ -87,6 +87,7 @@ class PeriodicHeuristic : public MabPolicy
 class FixedArmPolicy : public MabPolicy
 {
   public:
+    /** @throws std::invalid_argument unless 0 <= arm < numArms. */
     FixedArmPolicy(const MabConfig &config, ArmId arm);
 
     std::string name() const override;

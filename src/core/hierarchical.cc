@@ -1,6 +1,6 @@
 #include "core/hierarchical.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace mab {
 
@@ -8,7 +8,10 @@ HierarchicalBandit::HierarchicalBandit(const MabConfig &base,
                                        const HierarchicalConfig &hcfg)
     : MabPolicy(base), hcfg_(hcfg)
 {
-    assert(!hcfg_.learnerParams.empty());
+    if (hcfg_.learnerParams.empty())
+        throw std::invalid_argument(
+            "HierarchicalBandit: learnerParams must name at least one "
+            "learner");
     for (size_t i = 0; i < hcfg_.learnerParams.size(); ++i) {
         MabConfig cfg = base;
         cfg.gamma = hcfg_.learnerParams[i].first;

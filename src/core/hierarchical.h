@@ -46,6 +46,7 @@ struct HierarchicalConfig
 class HierarchicalBandit : public MabPolicy
 {
   public:
+    /** @throws std::invalid_argument for an empty learnerParams. */
     HierarchicalBandit(const MabConfig &base,
                        const HierarchicalConfig &hcfg = {});
 

@@ -1,10 +1,22 @@
 #include "core/mab_policy.h"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
 namespace mab {
+
+namespace {
+
+/** Out of line, so observeReward's hot path keeps one compare. */
+[[noreturn, gnu::noinline]] void
+throwObserveBeforeSelect()
+{
+    throw std::logic_error(
+        "MabPolicy::observeReward called before selectArm: no arm to "
+        "credit the reward to");
+}
+
+} // namespace
 
 MabPolicy::MabPolicy(const MabConfig &config)
     : config_(config), rng_(config.seed)
@@ -72,7 +84,8 @@ MabPolicy::selectArm()
 void
 MabPolicy::observeReward(double r_step)
 {
-    assert(currentArm_ != kNoArm && "observeReward before selectArm");
+    if (currentArm_ == kNoArm) [[unlikely]]
+        throwObserveBeforeSelect();
     ++steps_;
 
     if (!initialRrDone_) {

@@ -82,7 +82,11 @@ class MabPolicy
     /** Pick the arm for the next bandit step. */
     virtual ArmId selectArm();
 
-    /** Deliver the reward observed at the end of the bandit step. */
+    /**
+     * Deliver the reward observed at the end of the bandit step.
+     * @throws std::logic_error before the first selectArm() (and after
+     *         reset()), leaving the policy untouched.
+     */
     virtual void observeReward(double r_step);
 
     /** Human-readable algorithm name ("DUCB", "UCB", ...). */

@@ -1,8 +1,8 @@
 #include "cpu/multicore.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "sim/tracing.h"
@@ -14,6 +14,10 @@ MultiCoreSystem::MultiCoreSystem(const CoreConfig &config,
                                  const DramConfig &dram, int numCores)
     : coreConfig_(config), hierConfig_(hconfig)
 {
+    if (numCores < 1)
+        throw std::invalid_argument("MultiCoreSystem: numCores " +
+                                    std::to_string(numCores) +
+                                    " must be at least 1");
     CacheConfig shared_llc = hconfig.llc;
     shared_llc.sizeBytes *= static_cast<uint64_t>(numCores);
     llc_ = std::make_unique<Cache>(shared_llc);
@@ -25,7 +29,10 @@ void
 MultiCoreSystem::attachCore(int index, TraceSource &trace,
                             Prefetcher *l2pf)
 {
-    assert(index >= 0 && index < static_cast<int>(cores_.size()));
+    if (index < 0 || index >= static_cast<int>(cores_.size()))
+        throw std::out_of_range("MultiCoreSystem::attachCore: index " +
+                                std::to_string(index) + " is outside [0, " +
+                                std::to_string(cores_.size()) + ")");
     cores_[index] = std::make_unique<CoreModel>(
         coreConfig_, hierConfig_, llc_.get(), dram_.get(), trace, l2pf);
 }
@@ -34,8 +41,12 @@ MultiCoreResult
 MultiCoreSystem::run(uint64_t instrPerCore)
 {
     const int n = static_cast<int>(cores_.size());
-    for (int i = 0; i < n; ++i)
-        assert(cores_[i] && "attachCore() missing for a core");
+    for (int i = 0; i < n; ++i) {
+        if (!cores_[i])
+            throw std::logic_error("MultiCoreSystem::run: core " +
+                                   std::to_string(i) +
+                                   " has no attachCore()");
+    }
 
     MultiCoreResult result;
     result.ipc.assign(n, 0.0);

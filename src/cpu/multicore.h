@@ -35,6 +35,7 @@ class MultiCoreSystem
     /**
      * @param hconfig per-core hierarchy; the shared LLC capacity is
      *                hconfig.llc.sizeBytes (per core) times numCores.
+     * Throws std::invalid_argument for numCores < 1.
      */
     MultiCoreSystem(const CoreConfig &config,
                     const HierarchyConfig &hconfig,
@@ -42,11 +43,13 @@ class MultiCoreSystem
 
     /**
      * Attach core @p index. @p trace and @p l2pf must outlive the
-     * system. Must be called for every core before run().
+     * system. Must be called for every core before run(). Throws
+     * std::out_of_range for an index outside [0, numCores()).
      */
     void attachCore(int index, TraceSource &trace, Prefetcher *l2pf);
 
-    /** Run until every core commits @p instrPerCore instructions. */
+    /** Run until every core commits @p instrPerCore instructions.
+     *  Throws std::logic_error if a core was never attached. */
     MultiCoreResult run(uint64_t instrPerCore);
 
     CoreModel &core(int index) { return *cores_[index]; }

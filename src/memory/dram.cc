@@ -1,16 +1,38 @@
 #include "memory/dram.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "trace/record.h"
 
 namespace mab {
 
+namespace {
+
+/** A rate that scales cyclesPerLine_: finite and above 0, else the
+ *  per-line time is infinite, zero or NaN and its uint64_t cast is
+ *  undefined. */
+void
+checkRate(double value, const char *field)
+{
+    if (!std::isfinite(value) || value <= 0.0)
+        throw std::invalid_argument(std::string("DramConfig: ") + field +
+                                    " " + std::to_string(value) +
+                                    " must be finite and above 0");
+}
+
+} // namespace
+
 Dram::Dram(const DramConfig &config) : config_(config)
 {
-    assert(config_.mtps > 0 && config_.busBytes > 0);
+    checkRate(config_.mtps, "mtps");
+    checkRate(config_.coreGhz, "coreGhz");
+    if (config_.busBytes <= 0)
+        throw std::invalid_argument(
+            "DramConfig: busBytes " + std::to_string(config_.busBytes) +
+            " must be above 0");
     const double transfers_per_line =
         static_cast<double>(kLineBytes) / config_.busBytes;
     const double core_hz = config_.coreGhz * 1e9;

@@ -39,6 +39,8 @@ struct DramConfig
 class Dram
 {
   public:
+    /** @throws std::invalid_argument unless mtps and coreGhz are
+     *  finite and above 0 and busBytes is above 0. */
     explicit Dram(const DramConfig &config);
 
     /**

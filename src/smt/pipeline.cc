@@ -57,9 +57,22 @@ SmtPipeline::SmtPipeline(
     static_assert(sizeof(Slot) == sizeof(uint64_t));
     static_assert((kCalendarSize & (kCalendarSize - 1)) == 0);
     calendar_ = std::make_unique<Slot[]>(kCalendarSize);
-    for (Thread &th : threads_) {
+    for (int t = 0; t < SmtConfig::kThreads; ++t) {
+        Thread &th = threads_[t];
         th.fetchQueue.init(config_.fetchQueueSize);
         th.rob.init(config_.robSize);
+        const UopDecoder &decoder = sources_[t]->decoder();
+        for (unsigned cls = 0; cls < th.classes.size(); ++cls) {
+            const Uop &uop = decoder.classUop(cls);
+            const KindUse &use = kKindUse[static_cast<int>(uop.kind)];
+            th.classes[cls] = {use.held,
+                               use.sq,
+                               uop.execLatency,
+                               uop.drainLatency,
+                               UopDecoder::spreadMask(cls),
+                               uop.mispredicted &&
+                                   uop.kind == UopKind::Branch};
+        }
     }
     constexpr int32_t kUnbounded = std::numeric_limits<int32_t>::max();
     cap_ = LaneVec{config_.robSize, config_.lqSize,  config_.irfSize,
@@ -146,14 +159,14 @@ SmtPipeline::commitStage()
         Thread &th = threads_[t];
         while (budget > 0 && !th.rob.empty() &&
                th.rob.front().completeCycle <= now_) {
-            const RobEntry &e = th.rob.front();
-            const KindUse &use = kKindUse[static_cast<int>(e.kind)];
-            th.held -= use.held;
-            heldTotal_ -= use.held;
+            const ClassRow &row = th.classes[th.rob.front().cls];
+            th.held -= row.held;
+            heldTotal_ -= row.held;
             // A store's SQ entry drains to memory after commit; every
-            // other kind schedules a zero count.
-            schedule(now_ + std::max<uint64_t>(e.drainLatency, 1),
-                     kSqRelease, t, use.sq);
+            // other class schedules a zero count (a branch on the
+            // class measured no faster).
+            schedule(now_ + std::max<uint64_t>(row.drainLatency, 1),
+                     kSqRelease, t, row.sq);
             th.rob.pop();
             ++th.committed;
             --budget;
@@ -168,8 +181,9 @@ SmtPipeline::tryDispatch(int t, unsigned &block_mask)
     Thread &th = threads_[t];
     if (th.fetchQueue.empty())
         return false;
-    const Uop &uop = th.fetchQueue.front();
-    const KindUse &use = kKindUse[static_cast<int>(uop.kind)];
+    const unsigned w = th.fetchQueue.front().w;
+    const unsigned cls = w & 15u;
+    const ClassRow &row = th.classes[cls];
 
     const auto full = [this](int lane) {
         return static_cast<int32_t>(heldTotal_[lane] >= cap_[lane]);
@@ -177,11 +191,11 @@ SmtPipeline::tryDispatch(int t, unsigned &block_mask)
     const unsigned blocked =
         static_cast<unsigned>(full(kRob)) |
         static_cast<unsigned>(iqTotal_ >= config_.iqSize) << 1 |
-        static_cast<unsigned>(use.held[kLq] & full(kLq)) << 2 |
-        static_cast<unsigned>(use.sq & (sqTotal_ >= config_.sqSize))
+        static_cast<unsigned>(row.held[kLq] & full(kLq)) << 2 |
+        static_cast<unsigned>(row.sq & (sqTotal_ >= config_.sqSize))
             << 3 |
-        static_cast<unsigned>((use.held[kIrf] & full(kIrf)) |
-                              (use.held[kFrf] & full(kFrf)))
+        static_cast<unsigned>((row.held[kIrf] & full(kIrf)) |
+                              (row.held[kFrf] & full(kFrf)))
             << 4;
     if (blocked) {
         block_mask |= blocked;
@@ -190,30 +204,33 @@ SmtPipeline::tryDispatch(int t, unsigned &block_mask)
 
     // Dispatch: compute the uop's issue and completion times from its
     // register dependency, then allocate structures.
+    static_assert(PackedUop::kMaxDepDistance <= kDepRing);
     const uint64_t n = th.dispatchedCount;
-    const uint64_t dist = uop.depDistance;
+    const uint64_t dist =
+        (w >> PackedUop::kDepShift) & PackedUop::kMaxDepDistance;
     const uint64_t producer = th.completionRing[(n - dist) % kDepRing];
-    const bool has_dep = dist > 0 && dist <= n && dist <= kDepRing;
+    const bool has_dep = dist > 0 && dist <= n;
     const uint64_t dep_ready = has_dep ? producer : 0;
     const uint64_t issue = std::max(now_ + 1, dep_ready);
-    const uint64_t complete = issue + uop.execLatency;
+    const uint64_t complete = issue + row.execLatency +
+        ((w >> PackedUop::kSpreadShift) & row.spreadMask);
     th.completionRing[n % kDepRing] = complete;
     th.dispatchedCount = n + 1;
 
-    th.held += use.held;
-    heldTotal_ += use.held;
+    th.held += row.held;
+    heldTotal_ += row.held;
     ++th.iqUsed;
     ++iqTotal_;
-    th.sqUsed += use.sq;
-    sqTotal_ += use.sq;
+    th.sqUsed += row.sq;
+    sqTotal_ += row.sq;
     schedule(issue, kIqRelease, t, 1); // IQ entry frees at issue
-    if (uop.mispredicted && uop.kind == UopKind::Branch) {
+    if (row.mispredicted) {
         // The frontend redirects when the branch resolves.
         th.fetchBlockedUntil = std::max(
             th.fetchBlockedUntil, complete + config_.mispredictPenalty);
     }
 
-    th.rob.push({complete, uop.drainLatency, uop.kind});
+    th.rob.push({complete, cls});
     th.fetchQueue.pop();
     return true;
 }
@@ -338,14 +355,16 @@ SmtPipeline::fetchStage()
         rrNext_ = (t + 1) % SmtConfig::kThreads;
 
     Thread &th = threads_[t];
+    ThreadSource &src = *sources_[t];
     const int room = config_.fetchQueueSize -
         static_cast<int>(th.fetchQueue.size());
     const int count = std::min(config_.fetchWidth, room);
     for (int i = 0; i < count; ++i) {
-        const Uop uop = sources_[t]->next();
-        th.fetchQueue.push(uop);
+        const PackedUop word = src.nextWord();
+        th.fetchQueue.push(word);
         ++th.fetched;
-        if (uop.mispredicted && uop.kind == UopKind::Branch) {
+        // The one class UopDecoder decodes to a mispredicted Branch.
+        if ((word.w & 15u) == PackedUop::kBranchMispredicted) {
             // Conservative frontend bubble until the branch resolves
             // (extended at dispatch once the resolve time is known).
             th.fetchBlockedUntil = std::max(

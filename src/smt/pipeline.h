@@ -74,10 +74,13 @@ struct RenameStats
  * computing each uop's completion time at dispatch from its register
  * dependency and sampled latency.
  *
- * Layout (EXPERIMENTS.md "SMT pipeline kernel"): the fetch queues and
- * ROBs are fixed power-of-two rings sized from SmtConfig. The
- * resources a uop holds until it commits are one KindUse row per uop
- * kind, added at dispatch and subtracted at commit, with the shared
+ * Layout (EXPERIMENTS.md "SMT pipeline kernel"): a uop travels from
+ * fetch to commit as its 16-bit PackedUop word. The fetch queues hold
+ * words and the ROB entries hold (completion cycle, op class); both
+ * are fixed power-of-two rings sized from SmtConfig. Each thread has
+ * one ClassRow per op class, built from its source's UopDecoder: the
+ * latencies and the resources a uop of that class holds until it
+ * commits, added at dispatch and subtracted at commit, with the shared
  * totals kept alongside the per-thread counts. IQ entries (freed at
  * issue) and SQ entries (freed when a store drains) are released
  * through a counting calendar — one release count per (slot, IQ|SQ,
@@ -202,6 +205,22 @@ class SmtPipeline
     };
     static const std::array<KindUse, 5> kKindUse;
 
+    /** One op class of one thread: its decoded kind's KindUse and the
+     *  latencies UopDecoder gives the class. */
+    struct ClassRow
+    {
+        LaneVec held;
+        int32_t sq;
+        uint32_t execLatency; ///< without the word's spread
+        uint32_t drainLatency;
+        /** Spread bits that add to execLatency (UopDecoder::spreadMask). */
+        uint32_t spreadMask;
+        /** A mispredicted branch: fetch redirects when it resolves. */
+        bool mispredicted;
+    };
+    /** Indexed by the word's 4-bit op class. */
+    using ClassTable = std::array<ClassRow, 16>;
+
     /** Fixed-capacity FIFO over a power-of-two buffer. */
     template <typename T>
     class Ring
@@ -233,8 +252,7 @@ class SmtPipeline
     struct RobEntry
     {
         uint64_t completeCycle = 0;
-        uint32_t drainLatency = 0;
-        UopKind kind = UopKind::IntAlu;
+        uint32_t cls = 0; ///< the word's op class
     };
 
     struct Thread
@@ -242,8 +260,9 @@ class SmtPipeline
         LaneVec held{};
         int32_t iqUsed = 0;
         int32_t sqUsed = 0;
-        Ring<Uop> fetchQueue;
+        Ring<PackedUop> fetchQueue;
         Ring<RobEntry> rob;
+        ClassTable classes;
         std::array<uint64_t, kDepRing> completionRing{};
         uint64_t dispatchedCount = 0;
         uint64_t committed = 0;

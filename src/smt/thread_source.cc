@@ -174,29 +174,28 @@ ThreadSource::attachStream(std::shared_ptr<UopStream> stream)
     stream_ = std::move(stream);
     chunk_ = nullptr;
     pos_ = 0;
+    chunkEnd_ = 0;
 }
 
 void
 ThreadSource::reset()
 {
-    if (stream_) {
-        chunk_ = nullptr;
-        pos_ = 0;
-        return;
-    }
-    gen_.reset();
+    chunk_ = nullptr;
+    pos_ = 0;
+    chunkEnd_ = 0;
+    if (!stream_)
+        gen_.reset();
 }
 
-Uop
-ThreadSource::next()
+PackedUop
+ThreadSource::nextWordSlow()
 {
     if (!stream_)
-        return decoder_.decode(gen_.nextWord());
-    const uint64_t off = pos_ & (UopStream::kChunkWords - 1);
-    if (off == 0 || chunk_ == nullptr)
-        chunk_ = stream_->chunk(pos_ >> UopStream::kChunkShift);
-    ++pos_;
-    return decoder_.decode(chunk_[off]);
+        return gen_.nextWord();
+    const uint64_t idx = pos_ >> UopStream::kChunkShift;
+    chunk_ = stream_->chunk(idx);
+    chunkEnd_ = (idx << UopStream::kChunkShift) + stream_->chunkLength(idx);
+    return chunk_[pos_++ & (UopStream::kChunkWords - 1)];
 }
 
 namespace {

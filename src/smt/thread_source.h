@@ -141,11 +141,22 @@ class UopDecoder
         Uop uop = table_[cls];
         uop.depDistance = static_cast<uint16_t>(
             (p.w >> PackedUop::kDepShift) & PackedUop::kMaxDepDistance);
-        // The spread counts only for a DRAM load (a mask, not a branch).
         uop.execLatency += static_cast<uint32_t>(p.w >>
                                                  PackedUop::kSpreadShift) &
-            (0u - static_cast<uint32_t>(cls == PackedUop::kLoadDram));
+            spreadMask(cls);
         return uop;
+    }
+
+    /** The uop of op class @p cls (0..15) with no dependency and no
+     *  spread: every field decode() takes from the table. */
+    const Uop &classUop(unsigned cls) const { return table_[cls]; }
+
+    /** The spread counts only for a DRAM load (a mask, not a branch):
+     *  the mask decode() applies to the word's spread bits. */
+    static constexpr uint32_t
+    spreadMask(unsigned cls)
+    {
+        return 0u - static_cast<uint32_t>(cls == PackedUop::kLoadDram);
     }
 
   private:
@@ -227,20 +238,35 @@ std::string smtParamsFingerprint(const SmtAppParams &params);
 
 /**
  * Deterministic source of a thread's micro-op stream. Two modes with
- * byte-identical output, both decoding PackedUop words through the
- * thread's UopDecoder:
+ * byte-identical output:
  *  - live (default): each word comes straight from UopGen;
- *  - replay: attachStream() plugs in a shared UopStream and next()
- *    becomes a load of one 16-bit word from the current chunk; only a
- *    chunk boundary asks the stream for the next chunk (generating it
- *    if no reader has yet).
+ *  - replay: attachStream() plugs in a shared UopStream and
+ *    nextWord() becomes one compare and one 16-bit load from the
+ *    current chunk; only a chunk boundary asks the stream for the next
+ *    chunk (generating it if no reader has yet).
+ * The SMT pipeline consumes the words themselves through nextWord(),
+ * inlined like ReplaySource::nextPacked(); next() decodes the same
+ * word through the thread's UopDecoder.
  */
 class ThreadSource
 {
   public:
     ThreadSource(const SmtAppParams &params, uint64_t seed);
 
-    Uop next();
+    /** The next uop word. The window [chunk start, chunkEnd_) reads
+     *  without another check; a chunk boundary and the live path
+     *  (where chunkEnd_ stays 0) take nextWordSlow(). */
+    PackedUop
+    nextWord()
+    {
+        if (pos_ < chunkEnd_) [[likely]]
+            return chunk_[pos_++ & (UopStream::kChunkWords - 1)];
+        return nextWordSlow();
+    }
+
+    /** The next uop, decoded. */
+    Uop next() { return decoder_.decode(nextWord()); }
+
     void reset();
 
     /**
@@ -250,20 +276,31 @@ class ThreadSource
      */
     void attachStream(std::shared_ptr<UopStream> stream);
 
-    /** True when next() replays a materialized stream. */
+    /** True when nextWord() replays a materialized stream. */
     bool replaying() const { return stream_ != nullptr; }
 
     const SmtAppParams &params() const { return gen_.params(); }
     const std::string &name() const { return gen_.params().name; }
 
+    /** The decode table of this thread's words. */
+    const UopDecoder &decoder() const { return decoder_; }
+
   private:
+    /** Live: the generator's next word. Replay: move the window to the
+     *  chunk holding pos_ and read from it. */
+    PackedUop nextWordSlow();
+
     UopGen gen_;
     UopDecoder decoder_;
 
     /** Replay state (unused in live mode). */
     std::shared_ptr<UopStream> stream_;
+    /** The chunk of the current window (null before the first read). */
     const PackedUop *chunk_ = nullptr;
     uint64_t pos_ = 0;
+    /** Words readable through chunk_ without another check: the end
+     *  of its chunk, 0 with no window. */
+    uint64_t chunkEnd_ = 0;
 };
 
 /** The 22 SPEC17-like SMT app profiles of Section 6.2. */

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "core/bandit_agent.h"
 #include "core/ducb.h"
@@ -154,6 +155,11 @@ TEST(BanditAgent, FixedArmNeverSwitches)
         agent.tick(10, 10 * i, 100 * i);
     EXPECT_EQ(agent.selectedArm(), 2);
     EXPECT_EQ(agent.history().size(), 1u); // only the initial record
+}
+
+TEST(BanditAgent, NullPolicyThrows)
+{
+    EXPECT_THROW(BanditAgent(nullptr, hw(100)), std::invalid_argument);
 }
 
 } // namespace

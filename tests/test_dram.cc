@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "memory/dram.h"
 
 namespace mab {
@@ -125,6 +129,37 @@ TEST_P(DramRateTest, SaturatedLatencyScalesInverselyWithRate)
 INSTANTIATE_TEST_SUITE_P(Rates, DramRateTest,
                          ::testing::Values(150.0, 600.0, 2400.0,
                                            9600.0));
+
+/** Degenerate rates and bus widths throw, naming the field, instead
+ *  of casting an infinite, zero or NaN per-line time to uint64_t. */
+TEST(Dram, RejectsDegenerateRatesAndBusWidths)
+{
+    const auto rejects = [](const DramConfig &cfg, const char *field) {
+        try {
+            Dram dram(cfg);
+            ADD_FAILURE() << field << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    for (const double bad : {0.0, -2400.0,
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+        DramConfig rate;
+        rate.mtps = bad;
+        rejects(rate, "mtps");
+        DramConfig clock;
+        clock.coreGhz = bad;
+        rejects(clock, "coreGhz");
+    }
+    for (const int bad : {0, -8}) {
+        DramConfig bus;
+        bus.busBytes = bad;
+        rejects(bus, "busBytes");
+    }
+    EXPECT_NO_THROW(Dram{DramConfig{}});
+}
 
 } // namespace
 } // namespace mab

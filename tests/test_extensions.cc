@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/hierarchical.h"
 #include "core/regret.h"
@@ -177,6 +179,20 @@ TEST(Hierarchical, SelectsWithinArmRange)
         ASSERT_GE(a, 0);
         ASSERT_LT(a, 5);
         policy.observeReward(rng.uniform());
+    }
+}
+
+TEST(Hierarchical, EmptyLearnerListThrows)
+{
+    HierarchicalConfig hcfg;
+    hcfg.learnerParams.clear();
+    try {
+        HierarchicalBandit policy(config(3), hcfg);
+        ADD_FAILURE() << "empty learnerParams accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("learnerParams"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

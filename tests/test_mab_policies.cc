@@ -910,5 +910,36 @@ INSTANTIATE_TEST_SUITE_P(
                           MabAlgorithm::Single),
         ::testing::Values(2, 5, 11, 32)));
 
+/** A reward before the first selectArm() (or after reset()) has no arm
+ *  to credit: it throws and leaves the policy untouched. Unguarded, a
+ *  Release build writes r_[-1] and n_[-1], and a 3-arm DUCB given one
+ *  reward first reports every arm count 0 and totalCount() 1. */
+TEST(MabTemplate, RewardBeforeSelectThrowsAndChangesNothing)
+{
+    MabConfig cfg;
+    cfg.numArms = 3;
+    Ducb policy(cfg);
+    EXPECT_THROW(policy.observeReward(0.5), std::logic_error);
+    EXPECT_EQ(policy.armCounts(), std::vector<double>(3, 0.0));
+    EXPECT_EQ(policy.totalCount(), 0.0);
+    EXPECT_EQ(policy.steps(), 0u);
+
+    policy.selectArm();
+    policy.observeReward(0.5);
+    policy.reset();
+    EXPECT_THROW(policy.observeReward(0.5), std::logic_error);
+    EXPECT_EQ(policy.totalCount(), 0.0);
+}
+
+TEST(FixedArmPolicy, ArmOutsideTheTableThrows)
+{
+    MabConfig cfg;
+    cfg.numArms = 4;
+    EXPECT_THROW(FixedArmPolicy(cfg, -1), std::invalid_argument);
+    EXPECT_THROW(FixedArmPolicy(cfg, 4), std::invalid_argument);
+    FixedArmPolicy last(cfg, 3);
+    EXPECT_EQ(last.selectArm(), 3);
+}
+
 } // namespace
 } // namespace mab

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "cpu/multicore.h"
 #include "trace/suites.h"
@@ -64,6 +66,29 @@ TEST(MultiCore, Deterministic)
     const MultiCoreResult a = runHomogeneous("milc06", 2, 50'000);
     const MultiCoreResult b = runHomogeneous("milc06", 2, 50'000);
     EXPECT_DOUBLE_EQ(a.sumIpc, b.sumIpc);
+}
+
+/** No cores, an attach index outside the system and a run with a core
+ *  never attached all throw instead of indexing past cores_ or
+ *  dereferencing a null core. */
+TEST(MultiCore, RejectsNoCoresBadIndexAndMissingCores)
+{
+    try {
+        MultiCoreSystem none(CoreConfig{}, HierarchyConfig{}, DramConfig{},
+                             0);
+        ADD_FAILURE() << "numCores 0 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("numCores"), std::string::npos)
+            << e.what();
+    }
+
+    MultiCoreSystem sys(CoreConfig{}, HierarchyConfig{}, DramConfig{}, 2);
+    SyntheticTrace trace(appByName("gcc06"));
+    NullPrefetcher pf;
+    EXPECT_THROW(sys.attachCore(2, trace, &pf), std::out_of_range);
+    EXPECT_THROW(sys.attachCore(-1, trace, &pf), std::out_of_range);
+    sys.attachCore(0, trace, &pf);
+    EXPECT_THROW(sys.run(1'000), std::logic_error);
 }
 
 } // namespace

@@ -868,6 +868,57 @@ TEST_F(ReplayTest, UopStreamReplayMatchesLiveThreadSource)
     }
 }
 
+/** ThreadSource::nextWord()'s inline chunk window yields the live
+ *  UopGen's words, one for one: across three chunk boundaries, after a
+ *  reset() mid-chunk, and after an attachStream() mid-run (on a live
+ *  source and on a replaying one), each of which restarts at word 0.
+ *  next() decodes the same word. */
+TEST(ThreadSourceWords, ReplayWindowMatchesLiveGenerator)
+{
+    const SmtAppParams &params = smtAppByName("mcf");
+    const uint64_t seed = 77;
+    const auto stream = std::make_shared<UopStream>(params, seed);
+    const auto expectFromStart = [&](ThreadSource &src, uint64_t n,
+                                     const char *what) {
+        UopGen gen(params, seed);
+        for (uint64_t i = 0; i < n; ++i) {
+            const uint16_t want = gen.nextWord().w;
+            ASSERT_EQ(src.nextWord().w, want) << what << ", word " << i;
+        }
+    };
+    constexpr uint64_t kChunk = UopStream::kChunkWords;
+
+    ThreadSource replay(params, seed);
+    replay.attachStream(stream);
+    expectFromStart(replay, 3 * kChunk + 5, "fresh replay");
+    replay.reset();
+    expectFromStart(replay, kChunk + 3, "replay reset mid-chunk");
+    replay.attachStream(stream);
+    expectFromStart(replay, 2 * kChunk + 1, "replay re-attached mid-chunk");
+
+    ThreadSource live(params, seed);
+    expectFromStart(live, kChunk / 2, "live");
+    live.reset();
+    expectFromStart(live, 1000, "live reset mid-run");
+    live.attachStream(stream);
+    ASSERT_TRUE(live.replaying());
+    expectFromStart(live, 3 * kChunk + 1, "live, then attached mid-run");
+
+    ThreadSource decoded(params, seed);
+    decoded.attachStream(stream);
+    UopGen gen(params, seed);
+    const UopDecoder dec(params);
+    for (uint64_t i = 0; i < kChunk + 1; ++i) {
+        const Uop a = decoded.next();
+        const Uop b = dec.decode(gen.nextWord());
+        ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind)) << i;
+        ASSERT_EQ(a.execLatency, b.execLatency) << i;
+        ASSERT_EQ(a.drainLatency, b.drainLatency) << i;
+        ASSERT_EQ(a.mispredicted, b.mispredicted) << i;
+        ASSERT_EQ(a.depDistance, b.depDistance) << i;
+    }
+}
+
 /** The arena charges 8 bytes per resident record and 2 per uop. */
 TEST_F(ReplayTest, ArenaItemsCountEightBytesPerRecord)
 {

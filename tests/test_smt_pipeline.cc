@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -406,6 +408,59 @@ INSTANTIATE_TEST_SUITE_P(
                           std::make_tuple(128, 64, 32),
                           std::make_tuple(224, 97, 56),
                           std::make_tuple(512, 192, 112))));
+
+/** The word path end to end: a pipeline whose sources replay shared
+ *  UopStreams through ThreadSource's inline chunk window equals one
+ *  whose sources generate live, for 200k cycles in which each thread
+ *  reads across several 16,384-word chunk boundaries. Every statistic
+ *  is compared at each epoch edge, and the exported stats at the end,
+ *  under each of the 6 Table 1 arms and Choi (IC_1011). */
+class SmtReplayWordsTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(SmtReplayWordsTest, ReplayingSourcesMatchLiveSources)
+{
+    const PgPolicy policy = pgPolicyFromName(GetParam());
+    const SmtAppParams &app0 = smtAppByName("gcc");
+    const SmtAppParams &app1 = smtAppByName("mcf");
+    ThreadSource live0(app0, 21), live1(app1, 22);
+    ThreadSource rep0(app0, 21), rep1(app1, 22);
+    rep0.attachStream(std::make_shared<UopStream>(app0, 21));
+    rep1.attachStream(std::make_shared<UopStream>(app1, 22));
+    SmtPipeline live(SmtConfig{}, {&live0, &live1});
+    SmtPipeline replay(SmtConfig{}, {&rep0, &rep1});
+    live.setPolicy(policy);
+    replay.setPolicy(policy);
+    const std::array<std::array<double, 2>, 4> shares = {
+        {{0.5, 0.5}, {0.2, 0.8}, {0.75, 0.25}, {0.05, 0.95}}};
+    constexpr uint64_t kCycles = 200'000;
+    constexpr uint64_t kEpoch = 4096;
+    for (uint64_t edge = kEpoch, e = 0; edge < kCycles + kEpoch;
+         edge += kEpoch, ++e) {
+        const uint64_t stop = std::min(edge, kCycles);
+        live.run(stop - live.cycles());
+        replay.run(stop - replay.cycles());
+        expectSameState(live, replay, stop);
+        if (::testing::Test::HasFailure())
+            return;
+        live.setShares(shares[e % shares.size()]);
+        replay.setShares(shares[e % shares.size()]);
+    }
+    StatsRegistry a;
+    StatsRegistry b;
+    live.exportStats(a, "smt");
+    replay.exportStats(b, "smt");
+    EXPECT_EQ(a.toJsonString(), b.toJsonString());
+    for (int t = 0; t < 2; ++t)
+        EXPECT_GT(replay.fetched(t), 2 * UopStream::kChunkWords)
+            << "thread " << t << " never left its second chunk";
+}
+
+INSTANTIATE_TEST_SUITE_P(ArmsAndChoi, SmtReplayWordsTest,
+                         ::testing::Values("IC_0000", "BrC_1000", "IC_1110",
+                                           "IC_1111", "LSQC_1111",
+                                           "RR_1111", "IC_1011"));
 
 TEST(SmtFastForward, PathologicalChainPastCalendarHorizon)
 {

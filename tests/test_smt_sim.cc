@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "smt/smt_sim.h"
+#include "trace/replay.h"
 
 namespace mab {
 namespace {
@@ -238,6 +242,61 @@ TEST(SmtSim, EpochEdgesSurviveFastForward)
     EXPECT_EQ(r.rename.cycles, cfg.maxCycles);
     for (const auto &[cycle, arm] : r.armHistory)
         EXPECT_EQ(cycle % cfg.hcEpochCycles, 0u) << "arm " << arm;
+}
+
+/**
+ * Two threads run SmtSimulators of one mix over one shared stream
+ * pair from the trace arena, one starting while the other is already
+ * running: whichever runs ahead generates each chunk and the other
+ * reads it through ThreadSource's inline window after
+ * ChunkedStream::chunk()'s acquire load. Both runs equal a live run
+ * with the arena off. The CI ThreadSanitizer step runs this test.
+ */
+TEST(SmtSim, ConcurrentRunsShareOneStreamPair)
+{
+    TraceArena &arena = TraceArena::global();
+    const bool was_enabled = arena.stats().enabled;
+    SmtRunConfig cfg = quick();
+    cfg.maxCycles = 120'000;
+    cfg.seed = 41;
+
+    arena.setEnabled(false);
+    SmtSimulator serial("mcf", "perlbench", cfg);
+    const SmtRunResult want = serial.runStatic(choiPolicy());
+
+    arena.clear();
+    arena.setEnabled(true);
+    std::array<SmtRunResult, 2> got;
+    std::atomic<bool> started{false};
+    std::thread ahead([&] {
+        SmtSimulator sim("mcf", "perlbench", cfg);
+        started.store(true);
+        got[0] = sim.runStatic(choiPolicy());
+    });
+    while (!started.load())
+        std::this_thread::yield();
+    std::thread behind([&] {
+        SmtSimulator sim("mcf", "perlbench", cfg);
+        got[1] = sim.runStatic(choiPolicy());
+    });
+    ahead.join();
+    behind.join();
+    EXPECT_EQ(arena.stats().entries, 2u) << "one stream per lane";
+    arena.clear();
+    arena.setEnabled(was_enabled);
+
+    for (const SmtRunResult &r : got) {
+        EXPECT_EQ(r.cycles, want.cycles);
+        EXPECT_EQ(r.ipc, want.ipc);
+        EXPECT_EQ(r.rename.running, want.rename.running);
+        EXPECT_EQ(r.rename.stalled, want.rename.stalled);
+        EXPECT_EQ(r.rename.idle, want.rename.idle);
+        EXPECT_EQ(r.rename.stallRob, want.rename.stallRob);
+        EXPECT_EQ(r.rename.stallIq, want.rename.stallIq);
+        EXPECT_EQ(r.rename.stallLq, want.rename.stallLq);
+        EXPECT_EQ(r.rename.stallSq, want.rename.stallSq);
+        EXPECT_EQ(r.rename.stallRf, want.rename.stallRf);
+    }
 }
 
 } // namespace
