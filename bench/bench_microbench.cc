@@ -7,8 +7,7 @@
  *   - Cache lookup+fill as one single-pass probe per set scan
  *     (BM_CacheLookupFill),
  *   - devirtualized trace-source and prefetcher dispatch in
- *     CoreModel, and the per-access tracing branch hoisted out of the
- *     run loop (BM_CoreStep*),
+ *     CoreModel's run loop (BM_CoreStep*),
  *   - the SMT pipeline kernel per simulated cycle (BM_SmtCycle).
  *
  * Counters: "ns/access" is wall time per simulated cache access (or
@@ -280,7 +279,7 @@ runCoreChunks(benchmark::State &state, Prefetcher *pf)
 /**
  * Full core inner loop with a plain stride prefetcher — the dominant
  * cost of single-core sweeps. Exercises the devirtualized trace
- * source and prefetcher dispatch plus the hoisted tracing branch.
+ * source and prefetcher dispatch.
  */
 static void
 BM_CoreStepStride(benchmark::State &state)

@@ -526,7 +526,11 @@ runTwoLevel(const AppProfile &app, uint64_t instr, Prefetcher *l2,
 {
     const auto trace = makeRunSource(app, instr);
     CoreModel core(CoreConfig{}, HierarchyConfig{}, *trace, l2, l1);
+    tracing::Tracer &tracer = tracing::Tracer::global();
+    tracer.beginRun(app.name + "/" + (l1 ? l1->name() + "+" : "") +
+                    (l2 ? l2->name() : "None"));
     core.run(instr);
+    tracer.endRun(core.cycles());
     return core.ipc();
 }
 
@@ -556,7 +560,16 @@ runFourCore(const AppProfile &app, uint64_t instrPerCore,
         pfs.push_back(make(per_core.seed));
         sys.attachCore(c, *traces.back(), pfs.back().get());
     }
-    return sys.run(instrPerCore).sumIpc;
+    tracing::Tracer &tracer = tracing::Tracer::global();
+    tracer.beginRun(app.name + "/" +
+                    (pfs.front() ? pfs.front()->name() : "None"));
+    const double sum_ipc = sys.run(instrPerCore).sumIpc;
+    // The run ends with its slowest core.
+    uint64_t cycles = 0;
+    for (int c = 0; c < kFourCores; ++c)
+        cycles = std::max(cycles, sys.core(c).cycles());
+    tracer.endRun(cycles);
+    return sum_ipc;
 }
 
 // ---- Tables.
@@ -675,10 +688,6 @@ Sweep::run(std::vector<Cell> cells)
         else
             std::printf("bandit audit log to %s\n", auditPath_);
     }
-    if (const char *profile = std::getenv("MAB_PROFILE")) {
-        if (profile[0] != '\0' && profile[0] != '0')
-            tracer.enableProfile();
-    }
     if (jobs_ > 1 && tracer.enabled()) {
         std::printf("tracing/audit sink open: serializing sweep (jobs 1)\n");
         jobs_ = 1;
@@ -725,9 +734,6 @@ Sweep::finish()
     for (const auto &[key, value] : body_.members())
         report[key] = value;
     report["meta"] = meta(jobs_);
-    tracing::Tracer &tracer = tracing::Tracer::global();
-    if (tracer.profileOn())
-        report["profile"] = tracer.profileJson();
     const std::string text = report.dump(2);
     const bool ok =
         std::fwrite(text.data(), 1, text.size(), report_) == text.size();

@@ -232,12 +232,11 @@ void printPctOfBestStatic(const json::Value &table);
  * hardware threads), --json <path> / MAB_BENCH_JSON, --trace <path> /
  * MAB_TRACE (Chrome-trace timeline), --trace-granularity <cycles> /
  * MAB_TRACE_GRANULARITY, --audit <path> / MAB_AUDIT (bandit decision
- * log); plus MAB_PROFILE=1 (profiler only) and the trace arena's own
- * MAB_TRACE_ARENA* variables (trace/replay.h). Any
- * other argument, a missing value or a repeated flag exits 2, and an
- * unwritable report path exits 1, before the first cell runs. An open
- * sink serializes the sweep to jobs 1: concurrent runs would
- * interleave on its shared timeline.
+ * log); plus the trace arena's own MAB_TRACE_ARENA* variables
+ * (trace/replay.h). Any other argument, a missing value or a repeated
+ * flag exits 2, and an unwritable report path exits 1, before the
+ * first cell runs. An open sink serializes the sweep to jobs 1:
+ * concurrent runs would interleave on its shared timeline.
  */
 class Sweep
 {

@@ -78,7 +78,7 @@ class ReferenceSmtPipeline
 
     /** Step every cycle up to @p cycle. */
     void
-    runTo(uint64_t cycle)
+    stepUntil(uint64_t cycle)
     {
         while (now_ < cycle)
             step();
@@ -598,7 +598,7 @@ diffSmtCase(const SmtCase &c, SmtMutation m, uint64_t *diverged = nullptr)
         edge = std::min(edge + epoch, c.cycles);
         while (stepped.cycles() < edge) {
             stepped.advance(1);
-            ref.runTo(stepped.cycles());
+            ref.stepUntil(stepped.cycles());
             const std::string err =
                 diffSmtState(stepped, "kernel", ref, "reference");
             if (!err.empty()) {

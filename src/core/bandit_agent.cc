@@ -39,13 +39,9 @@ BanditAgent::finishStep(double r_step, uint64_t cycles)
     const uint64_t step_start_cycle = cyclesAtStepStart_;
     const bool was_rr = policy_->inRoundRobin();
 
-    {
-        tracing::ScopedPhase phase(tracing::Phase::BanditUpdate);
-        policy_->observeReward(r_step);
-
-        previousArm_ = selectedArm_;
-        selectedArm_ = policy_->selectArm();
-    }
+    policy_->observeReward(r_step);
+    previousArm_ = selectedArm_;
+    selectedArm_ = policy_->selectArm();
     armEffectiveCycle_ = cycles + config_.selectionLatencyCycles;
 
     unitsIntoStep_ = 0;

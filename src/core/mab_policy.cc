@@ -1,5 +1,6 @@
 #include "core/mab_policy.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +15,15 @@ throwObserveBeforeSelect()
     throw std::logic_error(
         "MabPolicy::observeReward called before selectArm: no arm to "
         "credit the reward to");
+}
+
+/** Out of line for the same reason; names the rejected value. */
+[[noreturn, gnu::noinline]] void
+throwNonFiniteReward(double r_step)
+{
+    throw std::invalid_argument(
+        "MabPolicy::observeReward: reward " + std::to_string(r_step) +
+        " is not finite");
 }
 
 } // namespace
@@ -86,6 +96,8 @@ MabPolicy::observeReward(double r_step)
 {
     if (currentArm_ == kNoArm) [[unlikely]]
         throwObserveBeforeSelect();
+    if (!std::isfinite(r_step)) [[unlikely]]
+        throwNonFiniteReward(r_step);
     ++steps_;
 
     if (!initialRrDone_) {

@@ -85,7 +85,8 @@ class MabPolicy
     /**
      * Deliver the reward observed at the end of the bandit step.
      * @throws std::logic_error before the first selectArm() (and after
-     *         reset()), leaving the policy untouched.
+     *         reset()), and std::invalid_argument for a NaN or
+     *         infinite @p r_step; either leaves the policy untouched.
      */
     virtual void observeReward(double r_step);
 

@@ -1,7 +1,6 @@
 #include "cpu/core_model.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "cpu/bandit_prefetch.h"
 #include "sim/tracing.h"
@@ -45,13 +44,9 @@ CoreModel::cacheConcreteTypes()
     banditL2_ = dynamic_cast<BanditPrefetchController *>(l2Prefetcher_);
 }
 
-template <bool Profiled>
 void
-CoreModel::issuePrefetchesT(const PrefetchAccess &access, bool at_l1)
+CoreModel::issuePrefetches(const PrefetchAccess &access, bool at_l1)
 {
-    std::conditional_t<Profiled, tracing::ScopedPhase,
-                       tracing::NoopPhase>
-        phase(tracing::Phase::PrefetchIssue);
     Prefetcher *pf = at_l1 ? l1Prefetcher_ : l2Prefetcher_;
     pfScratch_.clear();
     if (!at_l1 && banditL2_)
@@ -125,22 +120,10 @@ CoreModel::nextLive()
                         : trace_.next();
 }
 
-template <bool Profiled>
+template <class Rec>
 void
-CoreModel::stepOneT()
+CoreModel::stepRec(const Rec &rec, Clocks &c)
 {
-    Clocks c = clocks_;
-    stepRecT<Profiled>(LiveRec{nextLive()}, c);
-    clocks_ = c;
-}
-
-template <bool Profiled, class Rec>
-void
-CoreModel::stepRecT(const Rec &rec, Clocks &c)
-{
-    std::conditional_t<Profiled, tracing::ScopedPhase,
-                       tracing::NoopPhase>
-        phase(tracing::Phase::CoreTick);
     const size_t slot = c.robSlot;
     if (++c.robSlot == static_cast<size_t>(config_.robSize))
         c.robSlot = 0;
@@ -161,8 +144,8 @@ CoreModel::stepRecT(const Rec &rec, Clocks &c)
         if (rec.dependsOnPrevLoad())
             issue_cycle = maxOf(issue_cycle, c.prevLoadDone);
 
-        const auto res = hierarchy_.demandAccessT<Profiled>(
-            rec.addr(), rec.isStore(), issue_cycle);
+        const auto res =
+            hierarchy_.demandAccess(rec.addr(), rec.isStore(), issue_cycle);
         if (rec.isLoad()) {
             complete = std::max(complete,
                                 static_cast<double>(res.readyCycle));
@@ -177,7 +160,7 @@ CoreModel::stepRecT(const Rec &rec, Clocks &c)
             pa.hit = res.level == HitLevel::L2;
             pa.cycle = issue_cycle;
             pa.instrCount = c.instructions;
-            issuePrefetchesT<Profiled>(pa, false);
+            issuePrefetches(pa, false);
         }
         if (l1Prefetcher_) {
             PrefetchAccess pa;
@@ -186,7 +169,7 @@ CoreModel::stepRecT(const Rec &rec, Clocks &c)
             pa.hit = res.level == HitLevel::L1;
             pa.cycle = issue_cycle;
             pa.instrCount = c.instructions;
-            issuePrefetchesT<Profiled>(pa, true);
+            issuePrefetches(pa, true);
         }
     }
 
@@ -202,19 +185,21 @@ CoreModel::stepRecT(const Rec &rec, Clocks &c)
     ++c.instructions;
 }
 
-// stepOne() in the header calls these from other translation units;
-// the definitions live in this file only.
-template void CoreModel::stepOneT<false>();
-template void CoreModel::stepOneT<true>();
-
-template <bool Profiled>
 void
-CoreModel::runTo(uint64_t instructions, uint64_t granularity)
+CoreModel::stepOne()
 {
+    Clocks c = clocks_;
+    stepRec(LiveRec{nextLive()}, c);
+    clocks_ = c;
+}
+
+void
+CoreModel::run(uint64_t instructions)
+{
+    const uint64_t granularity =
+        tracing::Tracer::global().sampleGranularity();
     if (granularity == 0) {
-        // The baseline loop: no sampling and (for the unprofiled
-        // instantiation) no phase timers, no per-step dispatch branch
-        // anywhere down the call chain. With a ReplaySource the loop
+        // The baseline loop: no sampling. With a ReplaySource the loop
         // consumes packed records directly — no unpacked TraceRecord
         // ever exists on the replay path. Each loop steps its own
         // copy of the clocks: the replay loop inlines its step, so no
@@ -224,14 +209,13 @@ CoreModel::runTo(uint64_t instructions, uint64_t granularity)
             Clocks c = clocks_;
             const uint64_t base = replayTrace_->dataBase();
             while (c.instructions < instructions)
-                stepRecT<Profiled>(
-                    PackedRec{replayTrace_->nextPacked(), base}, c);
+                stepRec(PackedRec{replayTrace_->nextPacked(), base}, c);
             clocks_ = c;
             return;
         }
         Clocks c = clocks_;
         while (c.instructions < instructions)
-            stepRecT<Profiled>(LiveRec{nextLive()}, c);
+            stepRec(LiveRec{nextLive()}, c);
         clocks_ = c;
         return;
     }
@@ -240,7 +224,7 @@ CoreModel::runTo(uint64_t instructions, uint64_t granularity)
     const auto cycles = [&c] { return static_cast<uint64_t>(c.commit); };
     uint64_t next_sample = (cycles() / granularity + 1) * granularity;
     while (c.instructions < instructions) {
-        stepRecT<Profiled>(LiveRec{nextLive()}, c);
+        stepRec(LiveRec{nextLive()}, c);
         if (cycles() >= next_sample) {
             clocks_ = c;
             sampleInterval();
@@ -249,19 +233,6 @@ CoreModel::runTo(uint64_t instructions, uint64_t granularity)
     }
     clocks_ = c;
     sampleInterval();
-}
-
-void
-CoreModel::run(uint64_t instructions)
-{
-    // One profiling test per run() call; both loop flavors below are
-    // branch-free on the tracing state per instruction.
-    const uint64_t granularity =
-        tracing::Tracer::global().sampleGranularity();
-    if (tracing::Tracer::profileActive())
-        runTo<true>(instructions, granularity);
-    else
-        runTo<false>(instructions, granularity);
 }
 
 void

@@ -6,7 +6,6 @@
 
 #include "memory/hierarchy.h"
 #include "prefetch/prefetcher.h"
-#include "sim/tracing.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
 
@@ -66,22 +65,9 @@ class CoreModel
               Prefetcher *l2Prefetcher,
               Prefetcher *l1Prefetcher = nullptr);
 
-    /**
-     * Execute one instruction of the trace. Inline dispatch so the
-     * tracing-off path costs one predicted branch over the plain
-     * simulator step — no extra call layer on the hottest loop.
-     * run() hoists even that branch out by instantiating
-     * stepOneT<false>/<true> directly.
-     */
-    void
-    stepOne()
-    {
-        if (tracing::Tracer::profileActive()) {
-            stepOneT<true>();
-            return;
-        }
-        stepOneT<false>();
-    }
+    /** Execute one instruction of the trace: MultiCoreSystem's step.
+     *  run() steps its own loops on the same body. */
+    void stepOne();
 
     /** Run until @p instructions have been committed in total. */
     void run(uint64_t instructions);
@@ -151,15 +137,6 @@ class CoreModel
         size_t robSlot = 0;
     };
 
-    /**
-     * One simulator step on clocks_, templated on whether phase
-     * profiling is live. The false instantiation compiles to exactly
-     * the uninstrumented step (NoopPhase, demandAccessT<false>);
-     * defined in core_model.cc with explicit instantiations for both
-     * flavors.
-     */
-    template <bool Profiled> void stepOneT();
-
     /** The next record of a source that is not replayed packed. */
     TraceRecord nextLive();
 
@@ -170,19 +147,9 @@ class CoreModel
      * the unpacked TraceRecord facade. Views live in core_model.cc.
      * Every caller passes a local copy of clocks_ as @p c.
      */
-    template <bool Profiled, class Rec>
-    void stepRecT(const Rec &rec, Clocks &c);
+    template <class Rec> void stepRec(const Rec &rec, Clocks &c);
 
-    template <bool Profiled>
-    void issuePrefetchesT(const PrefetchAccess &access, bool at_l1);
-
-    /**
-     * The whole run loop, templated on the profiling flag so neither
-     * the sampled nor the unsampled variant re-tests profileActive()
-     * per instruction; run() dispatches once.
-     */
-    template <bool Profiled>
-    void runTo(uint64_t instructions, uint64_t granularity);
+    void issuePrefetches(const PrefetchAccess &access, bool at_l1);
 
     /** Resolve the devirtualization caches (ctor helper). */
     void cacheConcreteTypes();

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/tracing.h"
 #include "trace/record.h"
 
 namespace mab {
@@ -53,14 +52,6 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config,
       prefetchQueue_(checkedCapacity(config.prefetchQueueMax,
                                      "prefetchQueueMax"))
 {
-}
-
-CacheHierarchy::AccessResult
-CacheHierarchy::demandAccessProfiled(uint64_t addr, bool isStore,
-                                     uint64_t cycle)
-{
-    tracing::ScopedPhase phase(tracing::Phase::CacheAccess);
-    return demandAccessImpl(addr, isStore, cycle);
 }
 
 CacheHierarchy::AccessResult

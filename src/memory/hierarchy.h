@@ -11,7 +11,6 @@
 #include "memory/cache.h"
 #include "memory/dram.h"
 #include "sim/stats_registry.h"
-#include "sim/tracing.h"
 
 namespace mab {
 
@@ -184,32 +183,63 @@ class CacheHierarchy
     };
 
     /**
-     * Demand load/store at @p cycle. Inline dispatch so the
-     * tracing-off path costs one predicted branch over the plain
-     * lookup — no extra call layer on the per-access path.
+     * Demand load/store at @p cycle: the flattened L1→L2→LLC→DRAM
+     * walk. GCC keeps this function itself out of line: the core's
+     * step (the only hot caller) makes one call per demand access.
+     * Inside it, each level's lookupDemand() is inlined, and a level
+     * that missed is filled with insert(), which compares no tag: the
+     * lookup proved the line absent and nothing touches that cache
+     * before the fill. Every fill site of this class follows a miss
+     * at its level in the same call the same way. The only calls left
+     * are the cold DRAM leg (demandMissToDram) and the cache's rare
+     * stamp renormalization (see EXPERIMENTS.md "Memory-walk
+     * kernel").
      */
     AccessResult
     demandAccess(uint64_t addr, bool isStore, uint64_t cycle)
     {
-        if (tracing::Tracer::profileActive())
-            return demandAccessProfiled(addr, isStore, cycle);
-        return demandAccessImpl(addr, isStore, cycle);
-    }
+        const uint64_t line = lineAddr(addr);
+        AccessResult res;
 
-    /**
-     * Compile-time-dispatched variant for callers (the core's run
-     * loop) that hoist the profiling decision out of their hot loop.
-     * The Profiled=false instantiation is the plain lookup — not even
-     * the predicted branch of demandAccess() remains.
-     */
-    template <bool Profiled>
-    AccessResult
-    demandAccessT(uint64_t addr, bool isStore, uint64_t cycle)
-    {
-        if constexpr (Profiled)
-            return demandAccessProfiled(addr, isStore, cycle);
-        else
-            return demandAccessImpl(addr, isStore, cycle);
+        const auto r1 = l1_.lookupDemand(line, cycle);
+        if (r1.hit) {
+            res.level = HitLevel::L1;
+            res.readyCycle = std::max(cycle + config_.l1.hitLatency,
+                                      r1.readyCycle);
+            ++hitLevel_[static_cast<int>(HitLevel::L1)];
+            return res;
+        }
+
+        ++l2DemandAccesses_;
+        const uint64_t l2_time = cycle + config_.l1.hitLatency +
+            config_.l2.hitLatency;
+        const auto r2 = l2_.lookupDemand(line, cycle);
+        if (r2.hit) {
+            if (r2.prefetchFirstUse) {
+                if (r2.inflight)
+                    ++pfStats_.late;
+                else
+                    ++pfStats_.timely;
+            }
+            res.level = HitLevel::L2;
+            res.readyCycle = std::max(l2_time, r2.readyCycle);
+            l1_.insert(line, res.readyCycle, false);
+            ++hitLevel_[static_cast<int>(HitLevel::L2)];
+            return res;
+        }
+
+        const uint64_t llc_time = l2_time + config_.llc.hitLatency;
+        const auto r3 = llc_->lookupDemand(line, cycle);
+        if (r3.hit) {
+            res.level = HitLevel::Llc;
+            res.readyCycle = std::max(llc_time, r3.readyCycle);
+            countL2Eviction(l2_.insert(line, res.readyCycle, false));
+            l1_.insert(line, res.readyCycle, false);
+            ++hitLevel_[static_cast<int>(HitLevel::Llc)];
+            return res;
+        }
+
+        return demandMissToDram(line, isStore, cycle);
     }
 
     /**
@@ -331,69 +361,6 @@ class CacheHierarchy
                      uint64_t cycles = 0) const;
 
   private:
-    AccessResult demandAccessProfiled(uint64_t addr, bool isStore,
-                                      uint64_t cycle);
-
-    /**
-     * The flattened L1→L2→LLC→DRAM demand walk. GCC keeps this
-     * function itself out of line: the core's run loop (the only hot
-     * caller, via demandAccessT) makes one call per demand access.
-     * Inside it, each level's lookupDemand() is inlined, and a level
-     * that missed is filled with insert(), which compares no tag: the
-     * lookup proved the line absent and nothing touches that cache
-     * before the fill. Every fill site of this class follows a miss
-     * at its level in the same call the same way. The only calls left
-     * are the cold DRAM leg (demandMissToDram) and the cache's rare
-     * stamp renormalization (see EXPERIMENTS.md "Memory-walk
-     * kernel").
-     */
-    AccessResult
-    demandAccessImpl(uint64_t addr, bool isStore, uint64_t cycle)
-    {
-        const uint64_t line = lineAddr(addr);
-        AccessResult res;
-
-        const auto r1 = l1_.lookupDemand(line, cycle);
-        if (r1.hit) {
-            res.level = HitLevel::L1;
-            res.readyCycle = std::max(cycle + config_.l1.hitLatency,
-                                      r1.readyCycle);
-            ++hitLevel_[static_cast<int>(HitLevel::L1)];
-            return res;
-        }
-
-        ++l2DemandAccesses_;
-        const uint64_t l2_time = cycle + config_.l1.hitLatency +
-            config_.l2.hitLatency;
-        const auto r2 = l2_.lookupDemand(line, cycle);
-        if (r2.hit) {
-            if (r2.prefetchFirstUse) {
-                if (r2.inflight)
-                    ++pfStats_.late;
-                else
-                    ++pfStats_.timely;
-            }
-            res.level = HitLevel::L2;
-            res.readyCycle = std::max(l2_time, r2.readyCycle);
-            l1_.insert(line, res.readyCycle, false);
-            ++hitLevel_[static_cast<int>(HitLevel::L2)];
-            return res;
-        }
-
-        const uint64_t llc_time = l2_time + config_.llc.hitLatency;
-        const auto r3 = llc_->lookupDemand(line, cycle);
-        if (r3.hit) {
-            res.level = HitLevel::Llc;
-            res.readyCycle = std::max(llc_time, r3.readyCycle);
-            countL2Eviction(l2_.insert(line, res.readyCycle, false));
-            l1_.insert(line, res.readyCycle, false);
-            ++hitLevel_[static_cast<int>(HitLevel::Llc)];
-            return res;
-        }
-
-        return demandMissToDram(line, isStore, cycle);
-    }
-
     /** The DRAM leg of a demand miss — out-of-line; it is the cold
      *  tail of the walk and carries the MSHR bookkeeping. */
     AccessResult demandMissToDram(uint64_t line, bool isStore,

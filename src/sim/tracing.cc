@@ -1,6 +1,5 @@
 #include "sim/tracing.h"
 
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 
@@ -76,26 +75,6 @@ unregisterWriter(TraceWriter *w)
 }
 
 } // namespace
-
-const char *
-phaseName(Phase p)
-{
-    switch (p) {
-    case Phase::CoreTick:
-        return "coreTick";
-    case Phase::CacheAccess:
-        return "cacheAccess";
-    case Phase::PrefetchIssue:
-        return "prefetchIssue";
-    case Phase::BanditUpdate:
-        return "banditUpdate";
-    case Phase::SmtCycle:
-        return "smtCycle";
-    case Phase::kCount:
-        break;
-    }
-    return "unknown";
-}
 
 // ---------------------------------------------------------------------------
 // TraceWriter
@@ -298,29 +277,11 @@ void
 Tracer::setGlobal(Tracer *t)
 {
     current_ = t;
-    refreshFastFlags();
 }
 
 Tracer::~Tracer()
 {
     finalize();
-}
-
-uint64_t
-Tracer::nowNs() const
-{
-    if (clock_)
-        return clock_();
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-void
-Tracer::setClock(std::function<uint64_t()> nowNs)
-{
-    clock_ = std::move(nowNs);
 }
 
 bool
@@ -331,17 +292,9 @@ Tracer::openTrace(const std::string &path, const json::Value *meta)
         return false;
     enabled_ = true;
     samplingOn_ = true;
-    profile_ = true;
-    refreshFastFlags();
-    wallStartNs_ = nowNs();
 
     writer_.processName(kPidCycles, "simulation (virtual cycles)");
-    writer_.processName(kPidWall, "profiler (wall clock)");
     writer_.threadName(kPidCycles, kTidRuns, "runs");
-    for (int p = 0; p < static_cast<int>(Phase::kCount); ++p) {
-        writer_.threadName(kPidWall, p,
-                           phaseName(static_cast<Phase>(p)));
-    }
     return true;
 }
 
@@ -357,20 +310,8 @@ Tracer::openAudit(const std::string &path)
     if (!audit_)
         return false;
     installFlushHooksOnce();
-    auditPath_ = path;
     enabled_ = true;
     return true;
-}
-
-void
-Tracer::enableProfile()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    profile_ = true;
-    enabled_ = true;
-    refreshFastFlags();
-    if (wallStartNs_ == 0)
-        wallStartNs_ = nowNs();
 }
 
 void
@@ -385,17 +326,13 @@ void
 Tracer::finalize()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (writer_.isOpen()) {
-        emitPhaseSpansLocked();
-        writer_.close();
-    }
+    writer_.close();
     if (audit_) {
         std::fclose(audit_);
         audit_ = nullptr;
     }
     samplingOn_ = false;
-    enabled_ = profile_;
-    refreshFastFlags();
+    enabled_ = false;
 }
 
 uint64_t
@@ -420,7 +357,6 @@ Tracer::beginRun(const std::string &label)
     scope.tsOffset = maxTs_ == 0 ? 0 : maxTs_ + 1;
     scope.startTs = scope.tsOffset;
     scope.label = label;
-    ++runIndex_;
 }
 
 void
@@ -460,11 +396,8 @@ Tracer::counterSample(const std::string &track, uint64_t cycle,
         it = samples_.emplace(key, TimeSeries()).first;
     it->second.add(static_cast<double>(cycle), value);
 
-    if (writer_.isOpen()) {
-        writer_.counter(kPidCycles, key, toTsLocked(cycle), track,
-                        value);
-        emitPhaseSpansLocked();
-    }
+    if (writer_.isOpen())
+        writer_.counter(kPidCycles, key, toTsLocked(cycle), track, value);
 }
 
 int
@@ -534,73 +467,6 @@ Tracer::banditStep(const BanditStepRecord &rec)
         if (rec.restarted)
             writer_.instant(kPidCycles, tid, "rr-restart", end);
     }
-}
-
-void
-Tracer::addPhaseTime(Phase p, uint64_t ns)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    PhaseTotals &t = phases_[static_cast<size_t>(p)];
-    ++t.count;
-    t.totalNs += ns;
-}
-
-void
-Tracer::emitPhaseSpansLocked()
-{
-    if (!writer_.isOpen())
-        return;
-    const uint64_t now = nowNs();
-    const uint64_t nowUs =
-        now > wallStartNs_ ? (now - wallStartNs_) / 1000 : 0;
-    for (size_t p = 0; p < phases_.size(); ++p) {
-        const uint64_t delta =
-            phases_[p].totalNs - phaseEmittedNs_[p];
-        const uint64_t durUs = delta / 1000;
-        if (durUs == 0)
-            continue;
-        phaseEmittedNs_[p] += durUs * 1000;
-        const uint64_t ts = nowUs > durUs ? nowUs - durUs : 0;
-        writer_.completeSpan(kPidWall, static_cast<int>(p),
-                             phaseName(static_cast<Phase>(p)), ts,
-                             durUs);
-    }
-}
-
-void
-Tracer::exportProfile(StatsRegistry &reg,
-                      const std::string &prefix) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t p = 0; p < phases_.size(); ++p) {
-        const std::string base =
-            prefix + "." + phaseName(static_cast<Phase>(p));
-        reg.setCounter(base + ".count", phases_[p].count);
-        reg.setCounter(base + ".totalNs", phases_[p].totalNs);
-        reg.setScalar(base + ".meanNs",
-                      phases_[p].count == 0
-                          ? 0.0
-                          : static_cast<double>(phases_[p].totalNs) /
-                              static_cast<double>(phases_[p].count));
-    }
-}
-
-json::Value
-Tracer::profileJson() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    json::Value root = json::Value::object();
-    for (size_t p = 0; p < phases_.size(); ++p) {
-        json::Value ph = json::Value::object();
-        ph["count"] = phases_[p].count;
-        ph["totalNs"] = phases_[p].totalNs;
-        ph["meanNs"] = phases_[p].count == 0
-            ? 0.0
-            : static_cast<double>(phases_[p].totalNs) /
-                static_cast<double>(phases_[p].count);
-        root[phaseName(static_cast<Phase>(p))] = std::move(ph);
-    }
-    return root;
 }
 
 } // namespace mab::tracing

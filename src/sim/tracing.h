@@ -1,10 +1,8 @@
 #ifndef MAB_SIM_TRACING_H
 #define MAB_SIM_TRACING_H
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -20,10 +18,12 @@ namespace mab::tracing {
 constexpr const char *kToolVersion = "0.3.0";
 
 /**
- * Time-resolved tracing layer (the observability tentpole of ISSUE 2).
+ * Time-resolved tracing layer.
  *
- * Three cooperating pieces, all zero-overhead when disabled (one
- * pointer load + predictable branch on the hot paths):
+ * Two cooperating pieces, both off by default. Nothing here is
+ * consulted per instruction or per cycle: a simulator reads
+ * Tracer::sampleGranularity() once per run, and a bandit agent tests
+ * auditOn()/traceOn() once per bandit step.
  *
  *  - TraceWriter: a streaming Chrome trace-event JSON writer
  *    (chrome://tracing / Perfetto "JSON" format) emitting duration
@@ -36,52 +36,26 @@ constexpr const char *kToolVersion = "0.3.0";
  *
  *  - Tracer: the simulation-wide facade. Owns the optional trace
  *    writer, the optional bandit decision audit log (JSONL, one record
- *    per bandit step), the interval sampler (bounded TimeSeries tracks
- *    mirrored as counter events) and the phase profiler. Components
- *    reach it through Tracer::global(); tests install a private
- *    instance with ScopedTracer.
+ *    per bandit step) and the interval sampler (bounded TimeSeries
+ *    tracks mirrored as counter events). Components reach it through
+ *    Tracer::global(); tests install a private instance with
+ *    ScopedTracer.
  *
- *  - PhaseProfiler / ScopedPhase: RAII wall-clock timers around the
- *    simulator hot paths (core tick, cache access, prefetch issue,
- *    bandit update, SMT cycle). The accumulated breakdown is exported
- *    as a "profile" subtree in the JSON stats report and, when a trace
- *    file is open, as per-interval duration spans on a wall-clock
- *    process timeline.
- *
- * Timelines: events on the virtual timeline use simulated cycles as
- * the trace "ts" (1 cycle = 1 us in the viewer) under process id
- * kPidCycles; profiler spans use wall-clock microseconds under
- * kPidWall. Sequential runs within one bench process are laid out
- * back-to-back on the virtual timeline via a per-run ts offset
- * (beginRun()/endRun()), so a whole bench sweep reads as one
- * navigable timeline.
+ * Timeline: every event uses simulated cycles as the trace "ts"
+ * (1 cycle = 1 us in the viewer) under process id kPidCycles.
+ * Sequential runs within one bench process are laid out back-to-back
+ * via a per-run ts offset (beginRun()/endRun()), so a whole bench
+ * sweep reads as one navigable timeline.
  */
 
-/** Process ids separating the two timelines in the trace viewer. */
-constexpr int kPidCycles = 1; ///< virtual time, ts = simulated cycles
-constexpr int kPidWall = 2;   ///< wall clock, ts = microseconds
+/** Process id of the virtual timeline: ts = simulated cycles. */
+constexpr int kPidCycles = 1;
 
 /** Thread track (on kPidCycles) holding one span per bench run. */
 constexpr int kTidRuns = 1;
 
 /** First thread track for bandit agents; agent i gets tid base+i. */
 constexpr int kTidBanditBase = 10;
-
-/** Profiled simulator phases (fixed set; see phaseName()). */
-enum class Phase
-{
-    CoreTick,      ///< CoreModel::stepOne (inclusive)
-    CacheAccess,   ///< CacheHierarchy::demandAccess
-    PrefetchIssue, ///< prefetcher training + queue issue (inclusive)
-    BanditUpdate,  ///< MAB policy observeReward + selectArm
-    SmtCycle,      ///< SmtPipeline::advance (inclusive): one cycle
-                   ///< plus the quiescent cycles it skips, so the
-                   ///< phase count is advances, not cycles
-    kCount,
-};
-
-/** Stable lower-camel name of @p p ("coreTick", "banditUpdate"). */
-const char *phaseName(Phase p);
 
 /**
  * Streaming Chrome trace-event JSON writer.
@@ -160,13 +134,6 @@ class TraceWriter
     uint64_t sinceFlush_ = 0;
 };
 
-/** Wall-clock totals of one profiled phase. */
-struct PhaseTotals
-{
-    uint64_t count = 0;
-    uint64_t totalNs = 0;
-};
-
 /** One bandit decision, as reported by BanditAgent at each step end.
  *  Plain data only, so the core layer does not depend on tracing
  *  internals and the audit schema is explicit. */
@@ -206,34 +173,21 @@ class Tracer
      *  default instance). Used by ScopedTracer in tests. */
     static void setGlobal(Tracer *t);
 
-    /**
-     * Fast-path probe for per-instruction call sites: true when the
-     * global tracer has profiling on. One plain bool load — branch on
-     * it before constructing a ScopedPhase so the disabled path keeps
-     * a scope with no cleanup obligations.
-     */
-    static bool profileActive() { return profileActive_; }
-
-    /** Any feature on (trace file, audit log, or profiler). */
+    /** Any sink open (trace file or audit log). */
     bool enabled() const { return enabled_; }
     bool traceOn() const { return writer_.isOpen(); }
     bool auditOn() const { return audit_ != nullptr; }
-    bool profileOn() const { return profile_; }
 
     /**
      * Open the Chrome-trace output at @p path. Also enables the
-     * interval sampler and the phase profiler. @p meta becomes the
-     * trace file's self-description block.
+     * interval sampler. @p meta becomes the trace file's
+     * self-description block.
      */
     bool openTrace(const std::string &path,
                    const json::Value *meta = nullptr);
 
     /** Open the bandit decision audit log (JSON Lines) at @p path. */
     bool openAudit(const std::string &path);
-
-    /** Enable the phase profiler without a trace file (the "profile"
-     *  subtree of the JSON report). */
-    void enableProfile();
 
     /** Interval sampler period in cycles (default 10000). */
     void setGranularity(uint64_t cycles);
@@ -280,15 +234,6 @@ class Tracer
      *  track and restart instants on the virtual timeline. */
     void banditStep(const BanditStepRecord &rec);
 
-    /** Accumulate @p ns into @p p (called by ~ScopedPhase). */
-    void addPhaseTime(Phase p, uint64_t ns);
-
-    /** Wall-clock now in ns (overridable for deterministic tests). */
-    uint64_t nowNs() const;
-
-    /** Inject a fake clock (tests); nullptr restores steady_clock. */
-    void setClock(std::function<uint64_t()> nowNs);
-
     /** Sampled time-series tracks, keyed by track name. */
     const std::map<std::string, TimeSeries> &
     samples() const
@@ -296,29 +241,10 @@ class Tracer
         return samples_;
     }
 
-    const std::array<PhaseTotals,
-                     static_cast<size_t>(Phase::kCount)> &
-    phaseTotals() const
-    {
-        return phases_;
-    }
-
-    /**
-     * Export the profiler breakdown under @p prefix ("profile"):
-     * per-phase count / totalNs / meanNs. Inclusive times — nested
-     * phases (cache access inside a core tick) count in both.
-     */
-    void exportProfile(StatsRegistry &reg,
-                       const std::string &prefix = "profile") const;
-
-    /** Same breakdown as a JSON subtree (bench --json reports). */
-    json::Value profileJson() const;
-
     TraceWriter &writer() { return writer_; }
 
   private:
     // Helpers suffixed "Locked" must be called with mu_ held.
-    void emitPhaseSpansLocked();
     int agentTidLocked(const BanditStepRecord &rec);
     uint64_t toTsLocked(uint64_t cycle);
 
@@ -331,23 +257,19 @@ class Tracer
     };
 
     bool enabled_ = false;
-    bool profile_ = false;
     bool samplingOn_ = false;
     uint64_t granularity_ = 10000;
 
     TraceWriter writer_;
     std::FILE *audit_ = nullptr;
-    std::string auditPath_;
-
-    std::function<uint64_t()> clock_;
 
     /**
-     * Serializes every sink (trace writer, audit log, sample store,
-     * phase totals) and the run-scope table. Uncontended in serial
-     * runs and never touched on the tracing-off hot paths (all entry
-     * points are gated on enabled_/profileActive_ before locking).
+     * Serializes every sink (trace writer, audit log, sample store)
+     * and the run-scope table. Uncontended in serial runs and never
+     * taken with tracing off: every entry point is gated on enabled_,
+     * or its caller on auditOn()/traceOn(), before locking.
      */
-    mutable std::mutex mu_;
+    std::mutex mu_;
 
     // Virtual-timeline layout of runs: one scope per active thread,
     // plus the offset of the last ended run so late events (emitted
@@ -355,77 +277,13 @@ class Tracer
     std::map<std::thread::id, RunScope> runScopes_;
     uint64_t maxTs_ = 0;
     uint64_t fallbackOffset_ = 0;
-    uint64_t runIndex_ = 0;
 
     std::map<std::string, TimeSeries> samples_;
 
     // Bandit agents seen so far -> their thread track on kPidCycles.
     std::map<const void *, int> agentTids_;
 
-    std::array<PhaseTotals, static_cast<size_t>(Phase::kCount)>
-        phases_{};
-    std::array<uint64_t, static_cast<size_t>(Phase::kCount)>
-        phaseEmittedNs_{};
-    uint64_t wallStartNs_ = 0;
-
     static Tracer *current_;
-
-    /**
-     * Fast-path mirror of global().profileOn(), refreshed whenever a
-     * tracer feature toggles or the global instance changes. Lets
-     * ScopedPhase skip the Tracer::global() call (function-local
-     * static guard + non-inlined call) on the per-instruction paths
-     * when profiling is off — one plain bool load instead.
-     */
-    static inline bool profileActive_ = false;
-    static void refreshFastFlags() { profileActive_ = global().profileOn(); }
-
-    friend class ScopedPhase;
-};
-
-/**
- * RAII wall-clock timer around one simulator phase. When profiling is
- * off the constructor is a pointer load and one branch — cheap enough
- * for per-instruction call sites.
- */
-class ScopedPhase
-{
-  public:
-    explicit ScopedPhase(Phase p)
-    {
-        if (Tracer::profileActive_) {
-            Tracer &t = Tracer::global();
-            tracer_ = &t;
-            phase_ = p;
-            startNs_ = t.nowNs();
-        }
-    }
-
-    ~ScopedPhase()
-    {
-        if (tracer_)
-            tracer_->addPhaseTime(phase_, tracer_->nowNs() - startNs_);
-    }
-
-    ScopedPhase(const ScopedPhase &) = delete;
-    ScopedPhase &operator=(const ScopedPhase &) = delete;
-
-  private:
-    Tracer *tracer_ = nullptr;
-    Phase phase_ = Phase::CoreTick;
-    uint64_t startNs_ = 0;
-};
-
-/**
- * Drop-in ScopedPhase stand-in that compiles to nothing. Hot loops
- * templated on a Profiled flag pick between the two with
- * std::conditional_t, so the untraced instantiation is byte-identical
- * to a build without any instrumentation.
- */
-class NoopPhase
-{
-  public:
-    explicit NoopPhase(Phase) {}
 };
 
 /** Installs a private tracer for the current scope (tests). */

@@ -6,8 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sim/tracing.h"
-
 namespace mab {
 
 void
@@ -410,18 +408,6 @@ SmtPipeline::advance(uint64_t limit)
 {
     if (limit == 0)
         return 0;
-    // Branch outside the RAII scope: when profiling is off the hot
-    // path must carry no ScopedPhase cleanup at all.
-    if (tracing::Tracer::profileActive()) {
-        tracing::ScopedPhase phase(tracing::Phase::SmtCycle);
-        return advanceImpl(limit);
-    }
-    return advanceImpl(limit);
-}
-
-uint64_t
-SmtPipeline::advanceImpl(uint64_t limit)
-{
     bool acted = releaseStage();
     acted |= commitStage();
     const unsigned cls = renameStage();

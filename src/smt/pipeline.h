@@ -284,7 +284,6 @@ class SmtPipeline
     static constexpr unsigned kRenameRunning = 1u << 5;
     static constexpr unsigned kRenameIdle = 1u << 6;
 
-    uint64_t advanceImpl(uint64_t limit);
     void schedule(uint64_t at, int type, int thread, int count);
     bool releaseStage();
     bool commitStage();

@@ -2,17 +2,22 @@
 
 #include <fstream>
 #include <functional>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/json.h"
+#include "sim/tracing.h"
 
 /**
  * The --json reports the bench-smoke sweeps write (the bench_reports
  * fixture, scale 0.01): every sweep writes one, and its meta.configs
  * names the agents and machines the sweep actually ran, so a report
- * cannot claim a single-core prefetching agent for an SMT sweep.
+ * cannot claim a single-core prefetching agent for an SMT sweep. Three
+ * sweeps also run traced (trace, audit log and sampler on), and their
+ * sinks are checked against the untraced run.
  */
 
 namespace mab {
@@ -31,19 +36,26 @@ const std::vector<std::string> kSweeps = {
     "bench_ext_joint",              "bench_drift_scurve",
 };
 
-json::Value
-report(const std::string &sweep)
+/** The text of @p file in the report directory ("" when missing). */
+std::string
+readReportFile(const std::string &file)
 {
-    const std::string path =
-        std::string(MAB_BENCH_REPORT_DIR) + "/" + sweep + ".json";
+    const std::string path = std::string(MAB_BENCH_REPORT_DIR) + "/" + file;
     std::ifstream in(path);
     if (!in) {
-        ADD_FAILURE() << "no report at " << path;
-        return json::Value::object();
+        ADD_FAILURE() << "no report file at " << path;
+        return "";
     }
     std::stringstream text;
     text << in.rdbuf();
-    return json::Value::parse(text.str());
+    return text.str();
+}
+
+json::Value
+report(const std::string &sweep)
+{
+    const std::string text = readReportFile(sweep + ".json");
+    return text.empty() ? json::Value::object() : json::Value::parse(text);
 }
 
 /** The configs of @p sweep's report (empty when it has none). */
@@ -182,6 +194,162 @@ TEST(BenchReports, PythiaBandwidthProbeIsOffInFig14)
         agents(configs("bench_fig14_fourcore"), kind("pythia"));
     ASSERT_EQ(fig14.size(), 1u);
     EXPECT_FALSE(fig14.front().find("bandwidthProbe")->asBool());
+}
+
+// ---- Traced smoke runs (smoke_traced_* in bench/CMakeLists.txt).
+
+const std::vector<std::string> kTracedSweeps = {
+    "bench_fig7_exploration",
+    "bench_fig12_multilevel",
+    "bench_fig14_fourcore",
+};
+
+/** One traced smoke run: its report, trace events and audit lines. */
+struct TracedRun
+{
+    json::Value report;
+    std::vector<json::Value> events;
+    std::vector<std::string> audit;
+};
+
+TracedRun
+traced(const std::string &sweep)
+{
+    TracedRun run;
+    const std::string text = readReportFile(sweep + ".traced.json");
+    run.report = text.empty() ? json::Value::object()
+                              : json::Value::parse(text);
+    const std::string trace = readReportFile(sweep + ".trace.json");
+    if (!trace.empty()) {
+        const json::Value doc = json::Value::parse(trace);
+        if (const json::Value *events = doc.find("traceEvents"))
+            run.events = events->items();
+    }
+    std::istringstream audit(readReportFile(sweep + ".audit.jsonl"));
+    for (std::string line; std::getline(audit, line);)
+        run.audit.push_back(line);
+    return run;
+}
+
+/** @p doc without its meta block: everything the sweep computed. */
+std::string
+withoutMeta(const json::Value &doc)
+{
+    json::Value body = json::Value::object();
+    for (const auto &[key, value] : doc.members())
+        if (key != "meta")
+            body[key] = value;
+    return body.dump(0);
+}
+
+std::string
+phase(const json::Value &event)
+{
+    return event.find("ph")->asString();
+}
+
+TEST(TracedSmoke, ReportBodyEqualsTheUntracedRun)
+{
+    for (const std::string &sweep : kTracedSweeps) {
+        SCOPED_TRACE(sweep);
+        const json::Value plain = report(sweep);
+        ASSERT_NE(plain.find("bench"), nullptr);
+        EXPECT_EQ(withoutMeta(traced(sweep).report), withoutMeta(plain));
+    }
+}
+
+TEST(TracedSmoke, EveryEventIsOnTheVirtualTimeline)
+{
+    for (const std::string &sweep : kTracedSweeps) {
+        SCOPED_TRACE(sweep);
+        const TracedRun run = traced(sweep);
+        ASSERT_FALSE(run.events.empty());
+        for (const json::Value &e : run.events)
+            ASSERT_EQ(e.find("pid")->asInt(), tracing::kPidCycles)
+                << e.dump(0);
+    }
+}
+
+/** Every cell is one simulated run, scoped by beginRun()/endRun(), so
+ *  the trace holds one run span per cell, and runs laid out back to
+ *  back keep every counter track moving forward in time. */
+TEST(TracedSmoke, OneRunSpanPerCellAndNoTrackGoesBackInTime)
+{
+    for (const std::string &sweep : kTracedSweeps) {
+        SCOPED_TRACE(sweep);
+        const TracedRun run = traced(sweep);
+        const json::Value *meta = run.report.find("meta");
+        ASSERT_NE(meta, nullptr);
+        const size_t cells =
+            meta->find("parallel")->find("taskWallMs")->size();
+        size_t run_spans = 0;
+        size_t backwards = 0;
+        std::map<std::string, uint64_t> last_ts;
+        for (const json::Value &e : run.events) {
+            if (phase(e) == "X" &&
+                e.find("pid")->asInt() == tracing::kPidCycles &&
+                e.find("tid")->asInt() == tracing::kTidRuns)
+                ++run_spans;
+            if (phase(e) != "C")
+                continue;
+            const std::string track = e.find("name")->asString();
+            const uint64_t ts = e.find("ts")->asUint();
+            const auto it = last_ts.find(track);
+            if (it != last_ts.end() && ts < it->second)
+                ++backwards;
+            last_ts[track] = ts;
+        }
+        EXPECT_GT(cells, 0u);
+        EXPECT_EQ(run_spans, cells);
+        EXPECT_FALSE(last_ts.empty());
+        EXPECT_EQ(backwards, 0u);
+    }
+}
+
+/** Each bandit step draws one arm span and writes one audit record. */
+TEST(TracedSmoke, BanditStepsAreSpannedAndAudited)
+{
+    for (const std::string &sweep : kTracedSweeps) {
+        SCOPED_TRACE(sweep);
+        const TracedRun run = traced(sweep);
+        size_t arm_spans = 0;
+        for (const json::Value &e : run.events) {
+            if (phase(e) == "X" &&
+                e.find("tid")->asInt() >= tracing::kTidBanditBase &&
+                e.find("name")->asString().rfind("arm", 0) == 0)
+                ++arm_spans;
+        }
+        EXPECT_GT(arm_spans, 0u);
+        EXPECT_EQ(run.audit.size(), arm_spans);
+        for (const std::string &line : run.audit) {
+            json::Value rec;
+            ASSERT_NO_THROW(rec = json::Value::parse(line)) << line;
+            EXPECT_NE(rec.find("agent"), nullptr) << line;
+            EXPECT_NE(rec.find("reward"), nullptr) << line;
+            EXPECT_NE(rec.find("arms"), nullptr) << line;
+        }
+    }
+}
+
+TEST(TracedSmoke, SamplersWriteTheirCounterTracks)
+{
+    const std::map<std::string, std::vector<std::string>> want = {
+        {"bench_fig7_exploration", {"IPC", "fetchShare.t0", "fetchShare.t1"}},
+        {"bench_fig12_multilevel", {"IPC"}},
+        {"bench_fig14_fourcore",
+         {"core0.IPC", "core1.IPC", "core2.IPC", "core3.IPC",
+          "dramBusUtil"}},
+    };
+    for (const auto &[sweep, tracks] : want) {
+        SCOPED_TRACE(sweep);
+        std::set<std::string> series;
+        for (const json::Value &e : traced(sweep).events)
+            if (phase(e) == "C")
+                for (const auto &[name, value] : e.find("args")->members())
+                    series.insert(name);
+        for (const std::string &track : tracks)
+            EXPECT_EQ(series.count(track), 1u) << track;
+    }
 }
 
 } // namespace

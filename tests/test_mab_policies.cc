@@ -13,6 +13,7 @@
 #include "core/egreedy.h"
 #include "core/factory.h"
 #include "core/heuristics.h"
+#include "core/hierarchical.h"
 #include "core/swucb.h"
 #include "core/ucb.h"
 #include "sim/rng.h"
@@ -929,6 +930,97 @@ TEST(MabTemplate, RewardBeforeSelectThrowsAndChangesNothing)
     policy.reset();
     EXPECT_THROW(policy.observeReward(0.5), std::logic_error);
     EXPECT_EQ(policy.totalCount(), 0.0);
+}
+
+/** Every stored value of @p p, bit for bit, and for a hierarchical
+ *  bandit those of its learners and meta bandit too. */
+std::vector<uint64_t>
+policyState(const MabPolicy &p)
+{
+    std::vector<uint64_t> s = {bits(p.totalCount()), p.steps(),
+                               static_cast<uint64_t>(p.currentArm())};
+    for (double r : p.armRewards())
+        s.push_back(bits(r));
+    for (double n : p.armCounts())
+        s.push_back(bits(n));
+    if (const auto *h = dynamic_cast<const HierarchicalBandit *>(&p)) {
+        s.push_back(static_cast<uint64_t>(h->activeLearner()));
+        for (int i = 0; i < h->numLearners(); ++i) {
+            const std::vector<uint64_t> l = policyState(h->learner(i));
+            s.insert(s.end(), l.begin(), l.end());
+        }
+        const std::vector<uint64_t> m = policyState(h->metaBandit());
+        s.insert(s.end(), m.begin(), m.end());
+    }
+    return s;
+}
+
+/**
+ * Feed @p policy and its twin arm a's reward @p rewards[a] for @p steps
+ * steps. At step @p badStep @p policy is first offered @p bad, which
+ * must throw std::invalid_argument naming the value and move no
+ * state; the twin never sees it. Both must end bit-identical.
+ */
+void
+expectNonFiniteRewardRejected(MabPolicy &policy, MabPolicy &twin,
+                              const std::vector<double> &rewards,
+                              int steps, int badStep, double bad)
+{
+    for (int step = 1; step <= steps; ++step) {
+        const ArmId a = policy.selectArm();
+        ASSERT_EQ(twin.selectArm(), a) << "step " << step;
+        if (step == badStep) {
+            const std::vector<uint64_t> before = policyState(policy);
+            try {
+                policy.observeReward(bad);
+                ADD_FAILURE() << "no exception for " << bad;
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(std::to_string(bad)),
+                          std::string::npos)
+                    << e.what();
+            }
+            ASSERT_EQ(policyState(policy), before) << "step " << step;
+        }
+        policy.observeReward(rewards[a]);
+        twin.observeReward(rewards[a]);
+        ASSERT_EQ(policyState(policy), policyState(twin))
+            << "step " << step;
+    }
+}
+
+/** ROADMAP item 3's repro: a 3-arm UCB without normalization, arm
+ *  rewards 0.5, 1 and 1, fed NaN at step 5, used to keep NaN as arm
+ *  2's estimate for good: armRewards() read [0.5, 1, nan] at step 10.
+ *  The NaN now throws before any state moves, and once given the
+ *  finite reward the policy equals a twin that never saw the NaN. */
+TEST(MabTemplate, NanRewardThrowsAndChangesNothing)
+{
+    MabConfig cfg;
+    cfg.numArms = 3;
+    cfg.normalizeRewards = false;
+    Ucb policy(cfg), twin(cfg);
+    expectNonFiniteRewardRejected(policy, twin, {0.5, 1.0, 1.0}, 10, 5,
+                                  std::numeric_limits<double>::quiet_NaN());
+    EXPECT_EQ(policy.armRewards(), (std::vector<double>{0.5, 1.0, 1.0}));
+}
+
+/** ±Inf too, in the discounted, windowed and hierarchical policies;
+ *  the hierarchical bandit's learner throws before its tenure sum
+ *  moves, so the meta bandit's reward is untouched across a tenure
+ *  boundary (metaStepLen 16). */
+TEST(MabTemplate, InfiniteRewardThrowsAndChangesNothing)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    for (MabAlgorithm algo : {MabAlgorithm::Ducb, MabAlgorithm::SwUcb,
+                              MabAlgorithm::Hierarchical}) {
+        for (double bad : {inf, -inf}) {
+            SCOPED_TRACE(toString(algo) + " " + std::to_string(bad));
+            auto policy = makePolicy(algo, config(3));
+            auto twin = makePolicy(algo, config(3));
+            expectNonFiniteRewardRejected(*policy, *twin,
+                                          {0.5, 1.0, 0.25}, 40, 7, bad);
+        }
+    }
 }
 
 TEST(FixedArmPolicy, ArmOutsideTheTableThrows)

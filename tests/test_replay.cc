@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -10,6 +13,7 @@
 
 #include "cpu/core_model.h"
 #include "prefetch/stride.h"
+#include "sim/tracing.h"
 #include "smt/thread_source.h"
 #include "trace/generator.h"
 #include "trace/replay.h"
@@ -61,7 +65,7 @@ coreCounters(const CoreModel &core)
             h.hitsAt(HitLevel::Dram), h.l2DemandAccesses(),
             h.llcDemandMisses(),      ps.issued,
             ps.timely,                ps.late,
-            ps.wrong};
+            ps.wrong,                 ps.dropped};
 }
 
 /**
@@ -716,29 +720,73 @@ TEST_F(ReplayTest, DisabledArenaFallsBackToLiveGeneration)
     EXPECT_NE(dynamic_cast<ReplaySource *>(replay.get()), nullptr);
 }
 
-/** End-to-end: a CoreModel run over the arena must produce exactly
- *  the counters of the same run over a live generator. */
+/**
+ * End-to-end: a CoreModel run over the arena must produce exactly the
+ * counters of the same run over a live generator, through each of
+ * run()'s three loops (replay, live, and sampled, which an open trace
+ * turns on) and when stepped one instruction at a time through
+ * stepOne(), the way MultiCoreSystem drives a core. Two machines: mcf's
+ * pointer chase, and a deep stride prefetcher on a small hierarchy,
+ * where every counter of coreCounters() is nonzero.
+ */
 TEST_F(ReplayTest, CoreModelRunIsIdenticalOnAndOffArena)
 {
-    const AppProfile app = appByName("mcf06");
-    const uint64_t instr = 30000; // > one chunk
-    auto runOnce = [&] {
-        StridePrefetcher pf(64, 1);
-        const auto trace = makeRunSource(app, instr);
-        CoreModel core(CoreConfig{}, HierarchyConfig{}, *trace, &pf);
-        core.run(instr);
-        return std::tuple<uint64_t, uint64_t, uint64_t>(
-            core.cycles(), core.hierarchy().llcDemandMisses(),
-            core.hierarchy().prefetchStats().issued);
+    struct Machine
+    {
+        const char *app;
+        int strideDegree;
+        HierarchyConfig hier;
+        bool everyCounterSet;
     };
-    const auto recorded = runOnce(); // arena miss: records while running
-    const auto replayed = runOnce(); // arena hit: pure replay
-    TraceArena::global().setEnabled(false);
-    const auto live = runOnce(); // pre-arena behavior
+    HierarchyConfig small;
+    small.l1 = {"L1", 4 * 1024, 4, 4};
+    small.l2 = {"L2", 16 * 1024, 4, 14};
+    small.llc = {"LLC", 64 * 1024, 8, 34};
+    const uint64_t instr = 30000; // > one chunk
+    for (const Machine &m : {Machine{"mcf06", 1, HierarchyConfig{}, false},
+                             Machine{"cactusADM06", 16, small, true}}) {
+        SCOPED_TRACE(m.app);
+        const AppProfile app = appByName(m.app);
+        auto runOnce = [&](bool stepOne) {
+            StridePrefetcher pf(64, m.strideDegree);
+            const auto trace = makeRunSource(app, instr);
+            CoreModel core(CoreConfig{}, m.hier, *trace, &pf);
+            if (stepOne) {
+                while (core.instructions() < instr)
+                    core.stepOne();
+            } else {
+                core.run(instr);
+            }
+            return coreCounters(core);
+        };
+        TraceArena::global().setEnabled(true);
+        const auto recorded = runOnce(false); // arena miss: records
+        const auto replayed = runOnce(false); // arena hit: pure replay
+        const auto stepped = runOnce(true);
+        std::vector<uint64_t> sampled;
+        {
+            const std::string path = testing::TempDir() +
+                "mab_replay_sampled_" + std::to_string(::getpid()) +
+                ".json";
+            tracing::ScopedTracer guard;
+            ASSERT_TRUE(guard->openTrace(path));
+            guard->setGranularity(1000);
+            sampled = runOnce(false);
+            ASSERT_EQ(guard->samples().count("IPC"), 1u);
+            EXPECT_GT(guard->samples().at("IPC").samples().size(), 10u);
+            guard->finalize();
+            std::remove(path.c_str());
+        }
+        TraceArena::global().setEnabled(false);
+        const auto live = runOnce(false); // pre-arena behavior
 
-    EXPECT_EQ(recorded, live);
-    EXPECT_EQ(replayed, live);
-    TraceArena::global().setEnabled(true);
+        EXPECT_EQ(recorded, live);
+        EXPECT_EQ(replayed, live);
+        EXPECT_EQ(stepped, live);
+        EXPECT_EQ(sampled, live);
+        for (size_t i = 0; m.everyCounterSet && i < live.size(); ++i)
+            EXPECT_NE(live[i], 0u) << "counter " << i;
+    }
 }
 
 /**

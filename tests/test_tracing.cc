@@ -270,7 +270,6 @@ TEST(Tracer, DisabledByDefaultAndZeroGranularity)
     EXPECT_FALSE(guard->enabled());
     EXPECT_FALSE(guard->traceOn());
     EXPECT_FALSE(guard->auditOn());
-    EXPECT_FALSE(guard->profileOn());
     EXPECT_EQ(guard->sampleGranularity(), 0u);
 
     // Samples and bandit steps are dropped without error.
@@ -284,8 +283,9 @@ TEST(Tracer, DisabledByDefaultAndZeroGranularity)
 
 TEST(Tracer, SamplerRecordsRunLabeledTimeSeries)
 {
+    const std::string audit = tmpPath("sampler_audit");
     ScopedTracer guard;
-    guard->enableProfile(); // enabled_ without a trace file
+    ASSERT_TRUE(guard->openAudit(audit)); // enabled_ without a trace file
     guard->beginRun("app/pf");
     guard->counterSample("IPC", 1000, 0.8);
     guard->counterSample("IPC", 2000, 0.9);
@@ -301,6 +301,8 @@ TEST(Tracer, SamplerRecordsRunLabeledTimeSeries)
     ASSERT_EQ(first.samples().size(), 2u);
     EXPECT_DOUBLE_EQ(first.samples()[0].first, 1000.0);
     EXPECT_DOUBLE_EQ(first.samples()[0].second, 0.8);
+    guard->finalize();
+    std::remove(audit.c_str());
 }
 
 TEST(Tracer, SequentialRunsAreLaidOutBackToBack)
@@ -337,65 +339,6 @@ TEST(Tracer, SequentialRunsAreLaidOutBackToBack)
     // run-b starts after run-a ends on the shared virtual timeline.
     EXPECT_GT(run_b_ts, run_a_end);
     std::remove(path.c_str());
-}
-
-TEST(Tracer, ProfilerAccumulatesWithInjectedClock)
-{
-    ScopedTracer guard;
-    guard->enableProfile();
-    uint64_t fake_now = 0;
-    guard->setClock([&fake_now] { return fake_now; });
-
-    {
-        ScopedPhase outer(Phase::CoreTick);
-        fake_now += 5000;
-        {
-            ScopedPhase inner(Phase::CacheAccess);
-            fake_now += 2000;
-        }
-        fake_now += 1000;
-    }
-    {
-        ScopedPhase again(Phase::CoreTick);
-        fake_now += 500;
-    }
-
-    const auto &totals = guard->phaseTotals();
-    const PhaseTotals &core =
-        totals[static_cast<size_t>(Phase::CoreTick)];
-    const PhaseTotals &cache =
-        totals[static_cast<size_t>(Phase::CacheAccess)];
-    // Inclusive timing: the nested cache access counts in both.
-    EXPECT_EQ(core.count, 2u);
-    EXPECT_EQ(core.totalNs, 8500u);
-    EXPECT_EQ(cache.count, 1u);
-    EXPECT_EQ(cache.totalNs, 2000u);
-
-    StatsRegistry reg;
-    guard->exportProfile(reg, "profile");
-    const json::Value prof = guard->profileJson();
-    const json::Value *core_json = prof.find("coreTick");
-    ASSERT_NE(core_json, nullptr);
-    EXPECT_EQ(core_json->find("count")->asUint(), 2u);
-    EXPECT_EQ(core_json->find("totalNs")->asUint(), 8500u);
-    EXPECT_DOUBLE_EQ(core_json->find("meanNs")->asDouble(), 4250.0);
-    // Every phase appears in the subtree, even if never entered.
-    for (int p = 0; p < static_cast<int>(Phase::kCount); ++p) {
-        EXPECT_NE(prof.find(phaseName(static_cast<Phase>(p))),
-                  nullptr);
-    }
-}
-
-TEST(Tracer, ScopedPhaseIsInertWhenProfilingOff)
-{
-    ScopedTracer guard;
-    {
-        ScopedPhase phase(Phase::CoreTick);
-    }
-    EXPECT_EQ(
-        guard->phaseTotals()[static_cast<size_t>(Phase::CoreTick)]
-            .count,
-        0u);
 }
 
 // ---------------------------------------------------------------------------
